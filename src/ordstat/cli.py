@@ -29,14 +29,7 @@ from .bench import (
     records_to_csv,
     records_to_json,
 )
-from .errors import (
-    BudgetError,
-    ExprError,
-    OrdstatError,
-    RankError,
-    SequenceError,
-    TextParseError,
-)
+from .errors import OrdstatError, SequenceError, TextParseError
 from .expr import (
     build_selection_expr,
     compile_to_pyfunc,
@@ -293,13 +286,7 @@ def main(argv=None) -> int:
     except (TextParseError, SequenceError) as exc:
         print(f"ordstat: {exc}", file=sys.stderr)
         return 2
-    except (RankError, BudgetError, ExprError) as exc:
-        print(f"ordstat: {exc}", file=sys.stderr)
-        return 3
-    except OrdstatError as exc:
-        print(f"ordstat: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (OrdstatError, ValueError) as exc:
         print(f"ordstat: {exc}", file=sys.stderr)
         return 3
 

@@ -1,7 +1,12 @@
 """Expression IR for selection formulas.
 
-Nodes are immutable and compare structurally (hashes are cached at
-construction, so equality and dict lookups stay cheap on shared graphs).
+Nodes are immutable and interned: building a node whose kind, payload and
+children match a live node returns that node. Structurally equal subtrees
+are therefore one object, equality is identity, and every graph is shared
+as it is built. The intern table holds nodes weakly, so a graph nobody
+references leaves it. Constants are keyed with their sign, so -0.0 and 0.0
+stay distinct nodes.
+
 Two forms exist:
 
   * minmax form uses explicit min/max operators and mirrors the selection
@@ -14,15 +19,19 @@ left, binary + and - are always parenthesized, absolute value uses bars,
 halving renders as a /2 suffix, and min/max render as min{a, b}/max{a, b}.
 parse_text inverts both the infix and the sexpr renderings.
 
-emit_slp flattens an arithmetic-form graph into single-assignment
-instructions ("t3 = sub t0 t2" lines); compile_to_pyfunc turns any form
-into a plain Python function for fast repeated evaluation.
+emit_slp flattens a graph of either form into single-assignment
+instructions ("t3 = sub t0 t2" lines, min and max included). That one
+flattening feeds both evaluators: interpret_slp (and eval_expr, which runs
+it) interprets the instructions, and compile_to_pyfunc generates a plain
+Python function from them for fast repeated evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+import weakref
 from dataclasses import dataclass
 
 from .errors import BudgetError, ExprError, RankError, SequenceError, TextParseError
@@ -39,14 +48,19 @@ _ARITY = {
     "max": 2,
 }
 
+# Live nodes by (kind, payload, children...); a const key also carries the
+# sign, since -0.0 == 0.0 would otherwise merge the two constants.
+_INTERNED = weakref.WeakValueDictionary()
+
 
 class Expr:
     """One expression node: kind, optional payload (variable index or
-    constant value) and child nodes. Equality is structural."""
+    constant value) and child nodes. Nodes are interned, so structurally
+    equal nodes are the same object and compare by identity."""
 
-    __slots__ = ("kind", "payload", "children", "_hash")
+    __slots__ = ("kind", "payload", "children", "__weakref__")
 
-    def __init__(self, kind, payload=None, children=()):
+    def __new__(cls, kind, payload=None, children=()):
         arity = _ARITY.get(kind)
         if arity is None:
             raise ExprError(f"unknown node kind {kind!r}")
@@ -65,23 +79,18 @@ class Expr:
         for c in children:
             if not isinstance(c, Expr):
                 raise ExprError(f"children must be Expr nodes, got {type(c).__name__}")
-        self.kind = kind
-        self.payload = payload
-        self.children = children
-        self._hash = hash((kind, payload) + tuple(c._hash for c in children))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        if (self._hash != other._hash or self.kind != other.kind
-                or self.payload != other.payload):
-            return False
-        return self.children == other.children
+        if kind == "const":
+            key = (kind, payload, math.copysign(1.0, payload))
+        else:
+            key = (kind, payload) + children
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.kind = kind
+            node.payload = payload
+            node.children = children
+            node = _INTERNED.setdefault(key, node)
+        return node
 
     def __repr__(self):
         return f"Expr<{_describe(self)}>"
@@ -146,29 +155,6 @@ def _postorder(root: Expr) -> list[Expr]:
     return out
 
 
-def _canonicalize(root: Expr) -> tuple[Expr, list[Expr]]:
-    """Hash-cons the graph so structurally equal subtrees are one object.
-
-    Returns the canonical root and its distinct nodes in evaluation order
-    (children always precede parents).
-    """
-    interned = {}
-    canon = {}
-    order = []
-    for node in _postorder(root):
-        kids = tuple(canon[id(c)] for c in node.children)
-        # Identity check, not ==: children must BE the canonical objects.
-        same = all(a is b for a, b in zip(kids, node.children))
-        cand = node if same else Expr(node.kind, node.payload, kids)
-        winner = interned.get(cand)
-        if winner is None:
-            interned[cand] = cand
-            winner = cand
-            order.append(winner)
-        canon[id(node)] = winner
-    return canon[id(root)], order
-
-
 def contains_minmax(expr: Expr) -> bool:
     return any(node.kind in ("min", "max") for node in _postorder(expr))
 
@@ -188,28 +174,23 @@ class ExprMetrics:
     depth: int
 
 
-def _metrics(root: Expr, order: list[Expr]) -> ExprMetrics:
-    tree = {}
-    depth = {}
-    for node in order:
-        tree[id(node)] = 1 + sum(tree[id(c)] for c in node.children)
-        depth[id(node)] = 1 + max((depth[id(c)] for c in node.children), default=0)
-    return ExprMetrics(tree[id(root)], len(order), depth[id(root)])
-
-
 def cse(expr: Expr) -> tuple[Expr, ExprMetrics]:
-    """Share structurally identical subtrees and report tree/graph sizes.
+    """Return the shared graph of an expression with its tree/graph sizes.
 
-    Evaluation is unchanged; operand order is preserved (no commutative
+    Nodes are interned at construction, so the graph is already shared and
+    comes back unchanged; operand order is kept as built (no commutative
     reordering), so renderings stay stable.
     """
-    root, order = _canonicalize(expr)
-    return root, _metrics(root, order)
+    return expr, metrics_of(expr)
 
 
 def metrics_of(expr: Expr) -> ExprMetrics:
-    root, order = _canonicalize(expr)
-    return _metrics(root, order)
+    tree = {}
+    depth = {}
+    for node in _postorder(expr):
+        tree[id(node)] = 1 + sum(tree[id(c)] for c in node.children)
+        depth[id(node)] = 1 + max((depth[id(c)] for c in node.children), default=0)
+    return ExprMetrics(tree[id(expr)], len(tree), depth[id(expr)])
 
 
 def _check_build_budget(n_vars: int, rank: int, budget: int | None) -> None:
@@ -243,7 +224,7 @@ def build_selection_expr(n_vars: int, rank: int, form: str = "minmax",
     min-chain over the surviving variables, higher ranks fold max over the
     subformulas of the first (length - rank + 2) eliminations, in
     elimination order. The arithmetic form is the same formula lowered to
-    add/sub/abs/halve. Structurally equal subformulas are shared.
+    add/sub/abs/halve. Equal subformulas are one node (see Expr).
     """
     n_vars = int(n_vars)
     if n_vars < 1:
@@ -275,7 +256,6 @@ def build_selection_expr(n_vars: int, rank: int, form: str = "minmax",
         return node
 
     root = build(tuple(range(1, n_vars + 1)), rank)
-    root, _ = _canonicalize(root)
     if form == "arithmetic":
         root = lower_minmax_to_arith(root)
     return root
@@ -285,8 +265,8 @@ def lower_minmax_to_arith(expr: Expr) -> Expr:
     """Rewrite min/max into halved add/sub/abs combinations.
 
     min(a,b) becomes ((a + b) - |a - b|)/2 and max(a,b) becomes
-    ((a + b) + |a - b|)/2. Expressions without min/max pass through
-    unchanged (up to subtree sharing).
+    ((a + b) + |a - b|)/2. Expressions without min/max come back as the
+    same object.
     """
     out = {}
     for node in _postorder(expr):
@@ -297,55 +277,21 @@ def lower_minmax_to_arith(expr: Expr) -> Expr:
         elif node.kind == "max":
             a, b = kids
             new = halve(add(add(a, b), abs_of(sub(a, b))))
-        elif all(a is b for a, b in zip(kids, node.children)):
-            new = node
         else:
             new = Expr(node.kind, node.payload, kids)
         out[id(node)] = new
-    root, _ = _canonicalize(out[id(expr)])
-    return root
+    return out[id(expr)]
 
 
 def eval_expr(expr: Expr, assignment) -> float:
     """Bottom-up evaluation under a {1-based index: value} assignment.
 
-    min/max evaluate by comparison, halve divides by exactly 2. Missing
-    variables and non-finite inputs or intermediates raise ExprError, the
-    latter naming the offending node.
+    Runs interpret_slp on the flattened expression: min/max evaluate by
+    comparison, halve divides by exactly 2. Missing variables and
+    non-finite inputs or intermediates raise ExprError, the latter naming
+    the offending instruction.
     """
-    root, order = _canonicalize(expr)
-    vals = {}
-    for node in order:
-        kind = node.kind
-        if kind == "var":
-            try:
-                v = float(assignment[node.payload])
-            except (KeyError, IndexError):
-                raise ExprError(f"assignment is missing variable x{node.payload}") from None
-            if not math.isfinite(v):
-                raise ExprError(f"assignment for x{node.payload} is not finite: {v!r}")
-        elif kind == "const":
-            v = node.payload
-        else:
-            a = vals[id(node.children[0])]
-            if kind == "abs":
-                v = abs(a)
-            elif kind == "halve":
-                v = a / 2
-            else:
-                b = vals[id(node.children[1])]
-                if kind == "add":
-                    v = a + b
-                elif kind == "sub":
-                    v = a - b
-                elif kind == "min":
-                    v = a if a <= b else b
-                else:
-                    v = a if a >= b else b
-            if not math.isfinite(v):
-                raise ExprError(f"non-finite intermediate {v!r} at node {_describe(node)}")
-        vals[id(node)] = v
-    return vals[id(root)]
+    return interpret_slp(_flatten(expr), assignment)
 
 
 def format_real(x: float) -> str:
@@ -362,11 +308,10 @@ _INFIX_OP = {"add": " + ", "sub": " - "}
 
 def emit_text(expr: Expr, syntax: str = "infix") -> str:
     """Deterministic rendering; parse_text inverts it for both syntaxes."""
-    root, order = _canonicalize(expr)
     if syntax == "sexpr":
-        return _emit_sexpr(root, order)
+        return _emit_sexpr(expr, _postorder(expr))
     if syntax == "infix":
-        return _emit_infix(root, order)
+        return _emit_infix(expr, _postorder(expr))
     raise ExprError(f"syntax must be 'infix' or 'sexpr', got {syntax!r}")
 
 
@@ -553,8 +498,8 @@ def _parse_sexpr(tokens, pos):
 
 @dataclass(frozen=True)
 class SlpInstruction:
-    """Single assignment: dest temp, op in {add, sub, abs, halve}, operand
-    refs of the shape ("x", index) | ("t", temp) | ("c", value)."""
+    """Single assignment: dest temp, op in {add, sub, abs, halve, min, max},
+    operand refs of the shape ("x", index) | ("t", temp) | ("c", value)."""
 
     dest: int
     op: str
@@ -587,16 +532,13 @@ def _ref_text(ref) -> str:
     return format_real(v)
 
 
-def emit_slp(expr: Expr) -> CompiledProgram:
-    """Flatten an arithmetic-form expression into one instruction per
-    distinct operation node (subtrees are shared first)."""
-    root, order = _canonicalize(expr)
+def _flatten(expr: Expr) -> CompiledProgram:
+    """One instruction per distinct operation node, children first; leaves
+    become operand refs. The evaluators call this rather than emit_slp, so
+    a wrapper around emit_slp sees only programs that callers asked for."""
     refs = {}
     instructions = []
-    for node in order:
-        if node.kind in ("min", "max"):
-            raise ExprError("straight-line form needs arithmetic form; "
-                            "apply lower_minmax_to_arith first")
+    for node in _postorder(expr):
         if node.kind == "var":
             refs[id(node)] = ("x", node.payload)
         elif node.kind == "const":
@@ -606,12 +548,38 @@ def emit_slp(expr: Expr) -> CompiledProgram:
             dest = len(instructions)
             instructions.append(SlpInstruction(dest, node.kind, args))
             refs[id(node)] = ("t", dest)
-    return CompiledProgram(tuple(instructions), refs[id(root)])
+    return CompiledProgram(tuple(instructions), refs[id(expr)])
+
+
+def emit_slp(expr: Expr) -> CompiledProgram:
+    """Flatten an expression of either form into one instruction per
+    distinct operation node."""
+    return _flatten(expr)
+
+
+# The SLP ops as Python functions (interpret_slp) and as Python source
+# (compile_to_pyfunc); both compare min/max the same way.
+_SLP_OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "abs": abs,
+    "halve": lambda a: a / 2,
+    "min": lambda a, b: a if a <= b else b,
+    "max": lambda a, b: a if a >= b else b,
+}
+_PY_SOURCE = {
+    "add": "{0} + {1}",
+    "sub": "{0} - {1}",
+    "abs": "abs({0})",
+    "halve": "{0} / 2",
+    "min": "{0} if {0} <= {1} else {1}",
+    "max": "{0} if {0} >= {1} else {1}",
+}
 
 
 def interpret_slp(program: CompiledProgram, assignment) -> float:
-    """Run a straight-line program; equivalent to eval_expr on its source
-    expression."""
+    """Run a straight-line program under a {1-based index: value}
+    assignment; non-finite inputs or intermediates raise ExprError."""
     temps = []
 
     def load(ref):
@@ -629,17 +597,10 @@ def interpret_slp(program: CompiledProgram, assignment) -> float:
         return val
 
     for ins in program.instructions:
-        a = load(ins.args[0])
-        if ins.op == "add":
-            r = a + load(ins.args[1])
-        elif ins.op == "sub":
-            r = a - load(ins.args[1])
-        elif ins.op == "abs":
-            r = abs(a)
-        elif ins.op == "halve":
-            r = a / 2
-        else:
+        fn = _SLP_OPS.get(ins.op)
+        if fn is None:
             raise ExprError(f"unknown op {ins.op!r}")
+        r = fn(*[load(a) for a in ins.args])
         if not math.isfinite(r):
             raise ExprError(f"non-finite intermediate {r!r} at t{ins.dest}")
         temps.append(r)
@@ -649,37 +610,29 @@ def interpret_slp(program: CompiledProgram, assignment) -> float:
 def compile_to_pyfunc(expr: Expr):
     """Compile to a Python function f(values) over a 0-based sequence.
 
-    A speed utility for drivers that evaluate one formula many times;
-    results match eval_expr, but no finiteness checks run.
+    A speed utility for drivers that evaluate one formula many times; the
+    code is generated from the same instruction list interpret_slp runs,
+    and results match eval_expr, but no finiteness checks run.
     """
-    root, order = _canonicalize(expr)
-    names = {}
+    program = _flatten(expr)
     lines = ["def _compiled(xs):"]
-    for i, node in enumerate(order):
-        name = f"v{i}"
-        kind = node.kind
-        if kind == "var":
-            src = f"xs[{node.payload - 1}]"
-        elif kind == "const":
-            src = repr(node.payload)
-        elif kind == "abs":
-            src = f"abs({names[id(node.children[0])]})"
-        elif kind == "halve":
-            src = f"{names[id(node.children[0])]} / 2"
-        else:
-            a = names[id(node.children[0])]
-            b = names[id(node.children[1])]
-            if kind == "add":
-                src = f"{a} + {b}"
-            elif kind == "sub":
-                src = f"{a} - {b}"
-            elif kind == "min":
-                src = f"{a} if {a} <= {b} else {b}"
-            else:
-                src = f"{a} if {a} >= {b} else {b}"
-        lines.append(f"    {name} = {src}")
-        names[id(node)] = name
-    lines.append(f"    return {names[id(root)]}")
+    loaded = set()
+
+    def operand(ref):
+        tag, v = ref
+        if tag == "t":
+            return f"t{v}"
+        if tag == "c":
+            return repr(v)
+        if v not in loaded:
+            loaded.add(v)
+            lines.append(f"    x{v} = xs[{v - 1}]")
+        return f"x{v}"
+
+    for ins in program.instructions:
+        src = _PY_SOURCE[ins.op].format(*[operand(a) for a in ins.args])
+        lines.append(f"    t{ins.dest} = {src}")
+    lines.append(f"    return {operand(program.result)}")
     namespace = {}
     exec("\n".join(lines), {"abs": abs}, namespace)
     return namespace["_compiled"]

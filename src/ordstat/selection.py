@@ -80,47 +80,6 @@ def as_real_sequence(seq: SequenceLike) -> RealSequence:
     return RealSequence(tuple(seq))
 
 
-@dataclass(frozen=True)
-class IndexSubset:
-    """A set of surviving 1-based positions, kept sorted and deduplicated.
-
-    Identifies the subsequence of a parent sequence left after any chain
-    of eliminations; the canonical form makes equal survivor sets compare
-    equal, which is what the memoized selector keys its cache on.
-    """
-
-    surviving: tuple[int, ...]
-
-    def __post_init__(self):
-        canon = tuple(sorted(set(self.surviving)))
-        if not canon:
-            raise SequenceError("index subset must be non-empty")
-        for k in canon:
-            if not isinstance(k, int) or k < 1:
-                raise SequenceError(f"indices must be positive integers, got {k!r}")
-        object.__setattr__(self, "surviving", canon)
-
-    def __len__(self) -> int:
-        return len(self.surviving)
-
-    def subsequence(self, seq: SequenceLike) -> RealSequence:
-        """The induced subsequence, survivors kept in original order."""
-        seq = as_real_sequence(seq)
-        if self.surviving[-1] > len(seq):
-            raise SequenceError(
-                f"index {self.surviving[-1]} out of range for length {len(seq)}"
-            )
-        return RealSequence(tuple(seq.values[k - 1] for k in self.surviving))
-
-    def drop(self, j: int) -> "IndexSubset":
-        """Subset after eliminating the j-th surviving position (1-based j)."""
-        if not 1 <= j <= len(self.surviving):
-            raise SequenceError(f"elimination index {j} out of range")
-        if len(self.surviving) == 1:
-            raise SequenceError("cannot eliminate from a single-element subset")
-        return IndexSubset(self.surviving[: j - 1] + self.surviving[j:])
-
-
 @dataclass
 class EvalStats:
     """Caller-owned counters accumulated across selector calls."""
@@ -130,62 +89,55 @@ class EvalStats:
     memo_hits: int = 0
 
 
-@dataclass(frozen=True)
-class SortWitness:
-    """A permutation of 1..N: perm[k-1] is the position of the k-th
-    smallest value, ties broken by original position."""
-
-    perm: tuple[int, ...]
+# Largest magnitude the branchless helpers accept: with |a|, |b| <= 2**1022
+# neither a + b nor a - b (nor their sum) can overflow.
+_ARITH_LIMIT = 2.0 ** 1022
 
 
-def eliminate(seq: SequenceLike, j: int) -> RealSequence:
-    """Remove the j-th element (1-based); remaining elements close the gap."""
-    seq = as_real_sequence(seq)
-    n = len(seq)
-    if n < 2:
-        raise SequenceError("cannot eliminate from a single-element sequence")
-    if not 1 <= j <= n:
-        raise SequenceError(f"elimination index {j} out of range 1..{n}")
-    return RealSequence(seq.values[: j - 1] + seq.values[j:])
-
-
-def _finite(x) -> float:
+def _arith_operand(x) -> float:
     x = float(x)
-    if not math.isfinite(x):
-        raise SequenceError(f"value must be finite, got {x!r}")
+    if not abs(x) <= _ARITH_LIMIT:
+        raise SequenceError(
+            f"value must be finite with magnitude at most 2**1022, got {x!r}")
     return x
 
 
 def pairwise_min_arith(a: float, b: float) -> float:
     """min(a, b) computed as (a + b - |a - b|) / 2, with no comparison.
 
+    Inputs must lie in [-2**1022, 2**1022], where no intermediate can
+    overflow; larger magnitudes and non-finite values raise SequenceError.
     Exact whenever a and b are integers of magnitude at most 2**50; for
-    general floats the error stays within a few ulp of the larger input.
+    other floats in range the error stays within a few ulp of the larger
+    input.
     """
-    a, b = _finite(a), _finite(b)
+    a, b = _arith_operand(a), _arith_operand(b)
     return (a + b - abs(a - b)) / 2
 
 
 def pairwise_max_arith(a: float, b: float) -> float:
-    """max(a, b) computed as (a + b + |a - b|) / 2. See pairwise_min_arith."""
-    a, b = _finite(a), _finite(b)
+    """max(a, b) computed as (a + b + |a - b|) / 2. Same input range and
+    accuracy as pairwise_min_arith."""
+    a, b = _arith_operand(a), _arith_operand(b)
     return (a + b + abs(a - b)) / 2
 
 
 def min_chain(seq: SequenceLike) -> float:
-    """Left fold of pairwise_min_arith; the arithmetic form of min."""
-    seq = as_real_sequence(seq)
-    acc = seq.values[0]
-    for v in seq.values[1:]:
+    """Left fold of pairwise_min_arith; the arithmetic form of min. Every
+    value must lie in [-2**1022, 2**1022]."""
+    values = [_arith_operand(v) for v in as_real_sequence(seq)]
+    acc = values[0]
+    for v in values[1:]:
         acc = (acc + v - abs(acc - v)) / 2
     return acc
 
 
 def max_chain(seq: SequenceLike) -> float:
-    """Left fold of pairwise_max_arith; the arithmetic form of max."""
-    seq = as_real_sequence(seq)
-    acc = seq.values[0]
-    for v in seq.values[1:]:
+    """Left fold of pairwise_max_arith; the arithmetic form of max. Every
+    value must lie in [-2**1022, 2**1022]."""
+    values = [_arith_operand(v) for v in as_real_sequence(seq)]
+    acc = values[0]
+    for v in values[1:]:
         acc = (acc + v + abs(acc - v)) / 2
     return acc
 
@@ -352,11 +304,3 @@ def median(seq: SequenceLike, *, mode: str = "memo",
     lo = pick(n_len // 2, seq, stats, budget=budget)
     hi = pick(n_len // 2 + 1, seq, stats, budget=budget)
     return (lo + hi) / 2
-
-
-def sort_witness(seq: SequenceLike) -> SortWitness:
-    """Stable sorting permutation: positions of the values in nondecreasing
-    order, equal values kept in original order."""
-    seq = as_real_sequence(seq)
-    order = sorted(range(1, len(seq) + 1), key=lambda k: seq.values[k - 1])
-    return SortWitness(tuple(order))

@@ -1,3 +1,5 @@
+import gc
+import math
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 import ordstat as o
 from ordstat import BudgetError, ExprError, RankError, TextParseError
+from ordstat import expr as expr_module
 from ordstat.expr import Expr
 
 x1, x2, x3 = o.var(1), o.var(2), o.var(3)
@@ -53,6 +56,39 @@ class TestConstruction:
         assert a != o.sub(x1, x2)
         assert o.const(2) == o.const(2.0)
         assert o.var(1) != o.const(1.0)
+
+
+class TestInterning:
+    def test_equal_nodes_are_one_object(self):
+        assert o.add(x1, x2) is o.add(x1, x2)
+        assert o.const(2) is o.const(2.0)
+
+    def test_lowering_shares_the_difference(self):
+        low = o.lower_minmax_to_arith(o.min_of(x1, x2))
+        assert low.children[0].children[1].children[0] is o.sub(x1, x2)
+        # x1, x2, add, sub(x1, x2), abs, the outer sub, halve
+        assert o.metrics_of(low).node_count_dag == 7
+
+    def test_dropped_graph_leaves_the_table(self):
+        gc.collect()
+        before = len(expr_module._INTERNED)
+        e = o.build_selection_expr(9, 5, "arithmetic")
+        assert len(expr_module._INTERNED) > before
+        del e
+        gc.collect()
+        assert len(expr_module._INTERNED) == before
+
+    def test_negative_zero_constant_keeps_its_sign(self):
+        zero = o.const(0.0)
+        neg = o.const(-0.0)
+        assert math.copysign(1.0, neg.payload) < 0
+        assert math.copysign(1.0, zero.payload) > 0
+
+    def test_cse_keeps_signed_zeros_apart(self):
+        root, _ = o.cse(o.add(o.const(0.0), o.const(-0.0)))
+        lhs, rhs = root.children
+        assert math.copysign(1.0, lhs.payload) > 0
+        assert math.copysign(1.0, rhs.payload) < 0
 
 
 class TestBuildSelection:
@@ -313,9 +349,16 @@ class TestSlp:
                     assert ref in seen
             seen.add(ins.dest)
 
-    def test_minmax_refused(self):
-        with pytest.raises(ExprError):
-            o.emit_slp(o.min_of(x1, x2))
+    def test_minmax_program_matches_compiled(self):
+        rng = random.Random(29)
+        e = o.build_selection_expr(5, 3, "minmax")
+        prog = o.emit_slp(e)
+        assert {"min", "max"} <= {ins.op for ins in prog.instructions}
+        fn = o.compile_to_pyfunc(e)
+        for _ in range(200):
+            xs = [rng.uniform(-1000, 1000) for _ in range(5)]
+            named = {k + 1: v for k, v in enumerate(xs)}
+            assert o.interpret_slp(prog, named) == fn(xs)
 
     def test_interpret_matches_eval(self):
         rng = random.Random(23)

@@ -8,7 +8,6 @@ import ordstat as o
 from ordstat import (
     BudgetError,
     EvalStats,
-    IndexSubset,
     RankError,
     RealSequence,
     SequenceError,
@@ -56,59 +55,6 @@ class TestRealSequence:
         assert RealSequence([2, 2, 2]).values == (2.0, 2.0, 2.0)
 
 
-class TestIndexSubset:
-    def test_canonical_sorted_dedup(self):
-        assert IndexSubset((3, 1, 2, 1)).surviving == (1, 2, 3)
-        assert IndexSubset((3, 1)) == IndexSubset((1, 3, 3))
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(SequenceError):
-            IndexSubset((0, 1))
-        with pytest.raises(SequenceError):
-            IndexSubset(())
-
-    def test_subsequence_in_original_order(self):
-        seq = RealSequence([10, 20, 30, 40])
-        assert IndexSubset((4, 2)).subsequence(seq).values == (20.0, 40.0)
-
-    def test_drop(self):
-        sub = IndexSubset((2, 5, 7))
-        assert sub.drop(2).surviving == (2, 7)
-        with pytest.raises(SequenceError):
-            sub.drop(0)
-        with pytest.raises(SequenceError):
-            sub.drop(4)
-        with pytest.raises(SequenceError):
-            IndexSubset((3,)).drop(1)
-
-
-class TestEliminate:
-    def test_middle(self):
-        assert o.eliminate([10, 20, 30], 2).values == (10.0, 30.0)
-
-    def test_first(self):
-        assert o.eliminate([10, 20, 30], 1).values == (20.0, 30.0)
-
-    def test_last(self):
-        assert o.eliminate([10, 20, 30], 3).values == (10.0, 20.0)
-
-    def test_singleton_rejected(self):
-        with pytest.raises(SequenceError):
-            o.eliminate([7], 1)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(SequenceError):
-            o.eliminate([1, 2], 3)
-        with pytest.raises(SequenceError):
-            o.eliminate([1, 2], 0)
-
-    @given(st.lists(finite, min_size=2, max_size=9), st.data())
-    def test_matches_slicing(self, values, data):
-        j = data.draw(st.integers(min_value=1, max_value=len(values)))
-        got = o.eliminate(values, j).values
-        assert got == tuple(float(v) for v in values[:j - 1] + values[j:])
-
-
 class TestPairwiseArith:
     def test_known_pairs(self):
         assert o.pairwise_min_arith(1, 2) == 1
@@ -140,6 +86,19 @@ class TestPairwiseArith:
         assert abs(o.pairwise_min_arith(a, b) - min(a, b)) <= 1e-12 * scale
         assert abs(o.pairwise_max_arith(a, b) - max(a, b)) <= 1e-12 * scale
 
+    def test_overflow_range_rejected(self):
+        for a, b in ((1e308, 1e308), (-1.7e308, 1.7e308), (1.0, -1e308)):
+            with pytest.raises(SequenceError):
+                o.pairwise_min_arith(a, b)
+            with pytest.raises(SequenceError):
+                o.pairwise_max_arith(a, b)
+
+    def test_exact_at_range_edge(self):
+        top = 2.0 ** 1022
+        for a, b in ((top, top), (-top, top), (top, -top), (-top, -top)):
+            assert o.pairwise_min_arith(a, b) == min(a, b)
+            assert o.pairwise_max_arith(a, b) == max(a, b)
+
 
 class TestChains:
     def test_known_values(self):
@@ -149,6 +108,19 @@ class TestChains:
         assert o.max_chain([5]) == 5
         assert o.max_chain([5, 1, 9]) == 9
         assert o.max_chain([-1, -1]) == -1
+
+    def test_overflow_range_rejected(self):
+        for values in ([1e308, 1.5e308], [1.0, -1e308]):
+            with pytest.raises(SequenceError):
+                o.min_chain(values)
+            with pytest.raises(SequenceError):
+                o.max_chain(values)
+
+    def test_exact_at_range_edge(self):
+        top = 2.0 ** 1022
+        values = [top, -top, top, top, -top]
+        assert o.min_chain(values) == -top
+        assert o.max_chain(values) == top
 
     def test_empty_rejected(self):
         with pytest.raises(SequenceError):
@@ -366,25 +338,3 @@ class TestMedian:
         else:
             expected = (ordered[half - 1] + ordered[half]) / 2
         assert o.median(values) == expected
-
-
-class TestSortWitness:
-    def test_known_values(self):
-        assert o.sort_witness([5, 1, 9]).perm == (2, 1, 3)
-        assert o.sort_witness([1, 2, 3]).perm == (1, 2, 3)
-        assert o.sort_witness([2, 2]).perm == (1, 2)
-
-    @given(short_seqs)
-    @settings(max_examples=100)
-    def test_witness_sorts(self, values):
-        perm = o.sort_witness(values).perm
-        assert sorted(perm) == list(range(1, len(values) + 1))
-        arranged = [values[p - 1] for p in perm]
-        assert arranged == sorted(values)
-
-    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=7))
-    def test_witness_stable(self, values):
-        perm = o.sort_witness(values).perm
-        for a, b in zip(perm, perm[1:]):
-            if values[a - 1] == values[b - 1]:
-                assert a < b
