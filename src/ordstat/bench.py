@@ -20,12 +20,11 @@ import time
 from dataclasses import asdict, dataclass
 
 from ._backend import available_backends, get_kernels
-from .errors import BudgetError, OrdstatError
+from .errors import OrdstatError
 from .expr import build_selection_expr, compile_to_pyfunc, cse
 from .selection import (
     EvalStats,
-    naive_call_count,
-    resolve_budget,
+    _check_naive_budget,
     select_memo,
     select_naive,
 )
@@ -196,13 +195,7 @@ def backend_table(length: int, rank: int, *, repeats: int = 5, seed: int = 0,
     Modes are labeled like "memo[python]" or "naive[cython]". All backends
     must agree exactly on the result.
     """
-    limit = resolve_budget(budget)
-    count = naive_call_count(length, rank)
-    if count > limit:
-        raise BudgetError(
-            f"naive select at N={length} n={rank} implies {count} base cases, "
-            f"over the budget of {limit}"
-        )
+    _check_naive_budget(length, rank, budget)
     values = _fixed_sequence(length, seed)
     expected = oracle_select(rank, values)
     records = []

@@ -33,7 +33,9 @@ import operator
 import re
 import weakref
 from dataclasses import dataclass
+from functools import reduce
 
+from ._pykernels import _fill_levels
 from .errors import BudgetError, ExprError, RankError, SequenceError, TextParseError
 from .selection import naive_call_count, resolve_budget
 
@@ -224,7 +226,9 @@ def build_selection_expr(n_vars: int, rank: int, form: str = "minmax",
     min-chain over the surviving variables, higher ranks fold max over the
     subformulas of the first (length - rank + 2) eliminations, in
     elimination order. The arithmetic form is the same formula lowered to
-    add/sub/abs/halve. Equal subformulas are one node (see Expr).
+    add/sub/abs/halve. Equal subformulas are one node (see Expr). The
+    graph is filled level by level, as the Python select_memo is, so no
+    recursion runs and no reference cycle outlives the call.
     """
     n_vars = int(n_vars)
     if n_vars < 1:
@@ -236,26 +240,9 @@ def build_selection_expr(n_vars: int, rank: int, form: str = "minmax",
         raise ExprError(f"form must be 'minmax' or 'arithmetic', got {form!r}")
     _check_build_budget(n_vars, rank, budget)
 
-    cache = {}
-
-    def build(idx, m):
-        node = cache.get(idx)
-        if node is not None:
-            return node
-        if m == 1:
-            node = var(idx[0])
-            for k in idx[1:]:
-                node = min_of(node, var(k))
-        else:
-            hi = len(idx) - m + 2
-            node = None
-            for j in range(hi):
-                child = build(idx[:j] + idx[j + 1:], m - 1)
-                node = child if node is None else max_of(node, child)
-        cache[idx] = node
-        return node
-
-    root = build(tuple(range(1, n_vars + 1)), rank)
+    root, _ = _fill_levels(n_vars, rank,
+                           lambda S: reduce(min_of, [var(i + 1) for i in S]),
+                           lambda kids: reduce(max_of, kids))
     if form == "arithmetic":
         root = lower_minmax_to_arith(root)
     return root
@@ -296,8 +283,10 @@ def eval_expr(expr: Expr, assignment) -> float:
 
 def format_real(x: float) -> str:
     """Shortest decimal that parses back to the same float; integral values
-    print without a trailing .0."""
+    print without a trailing .0, and -0.0 prints as -0."""
     x = float(x)
+    if x == 0 and math.copysign(1.0, x) < 0:
+        return "-0"
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)

@@ -21,8 +21,8 @@ used inside the selectors, which keeps selector output bit-exact.
 Naive evaluation performs (N - n + 2)**(n - 1) base-case calls, so a
 budget guard refuses work above a limit (default 2**24 base calls,
 override with the ORDSTAT_BUDGET environment variable or the ``budget``
-argument). Memoized evaluation is guarded by a bound on distinct
-subproblems instead.
+argument). Memoized evaluation is guarded by its number of distinct
+subproblems instead, which is C(N + 1, n - 1) (see memo_state_count).
 """
 
 from __future__ import annotations
@@ -187,32 +187,24 @@ def _check_naive_budget(n_len: int, rank: int, budget: int | None) -> None:
 
 
 def memo_state_count(n_len: int, rank: int) -> int:
-    """Distinct subproblems a memoized select can touch.
+    """Distinct subproblems a memoized select touches: C(N + 1, n - 1).
 
     Elimination always targets one of the first R = N - rank + 2 surviving
-    positions, so the survivor sets reachable after t removals are the
-    t-subsets {a_1 < ... < a_t} with a_i <= R + i - 1; there are
-    R/(R+t) * C(R+t, t) of them (a ballot count), summed over all depths.
+    positions, so a survivor set reachable after t removals is a choice of
+    which t of the first R + t - 1 positions are gone: C(R + t - 1, t) sets.
+    Summed over t = 0..n - 1 (hockey stick) that is C(N + 1, n - 1).
     """
-    branch = n_len - rank + 2
-    total = 0
-    for t in range(rank):
-        total += math.comb(branch + t, t) * branch // (branch + t)
-    return total
+    return math.comb(n_len + 1, rank - 1)
 
 
 def _check_memo_budget(n_len: int, rank: int, budget: int | None) -> None:
     limit = resolve_budget(budget)
-    states = 0
-    branch = n_len - rank + 2
-    for t in range(rank):
-        states += math.comb(branch + t, t) * branch // (branch + t)
-        if states > limit:
-            raise BudgetError(
-                f"memoized selection of rank {rank} from {n_len} elements may "
-                f"touch more than {limit} distinct subproblems; "
-                f"raise {BUDGET_ENV_VAR} if this is intended"
-            )
+    if memo_state_count(n_len, rank) > limit:
+        raise BudgetError(
+            f"memoized selection of rank {rank} from {n_len} elements may "
+            f"touch more than {limit} distinct subproblems; "
+            f"raise {BUDGET_ENV_VAR} if this is intended"
+        )
 
 
 def _check_fullrange_budget(n_len: int, rank: int, budget: int | None) -> None:
@@ -259,9 +251,10 @@ def select_memo(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
                 *, budget: int | None = None) -> float:
     """Same value as select_naive, bit for bit, with subproblems cached.
 
-    The cache is keyed on the set of surviving original positions, since
+    Subproblems are keyed on the set of surviving original positions, since
     any elimination order that leaves the same survivors denotes the same
-    subsequence. The cache lives and dies within this call.
+    subsequence; there are memo_state_count(N, rank) of them, and the
+    budget bounds that number. The cache lives and dies within this call.
     """
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))

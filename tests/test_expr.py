@@ -78,6 +78,18 @@ class TestInterning:
         gc.collect()
         assert len(expr_module._INTERNED) == before
 
+    def test_dropped_graph_leaves_the_table_without_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(expr_module._INTERNED)
+            e = o.build_selection_expr(9, 5, "arithmetic")
+            assert len(expr_module._INTERNED) > before
+            del e
+            assert len(expr_module._INTERNED) == before
+        finally:
+            gc.enable()
+
     def test_negative_zero_constant_keeps_its_sign(self):
         zero = o.const(0.0)
         neg = o.const(-0.0)
@@ -257,6 +269,15 @@ class TestEmitText:
         assert o.emit_text(o.const(2.5)) == "2.5"
         assert o.emit_text(o.const(-3)) == "-3"
 
+    def test_negative_zero_rendering(self):
+        assert o.format_real(-0.0) == "-0"
+        assert o.format_real(0.0) == "0"
+
+    @pytest.mark.parametrize("syntax", ["infix", "sexpr"])
+    def test_negative_zero_round_trip(self, syntax):
+        neg = o.const(-0.0)
+        assert o.parse_text(o.emit_text(neg, syntax), syntax) is neg
+
     def test_bad_syntax(self):
         with pytest.raises(ExprError):
             o.emit_text(x1, "latex")
@@ -338,6 +359,10 @@ class TestSlp:
             "t4 = halve t3\n"
             "result t4"
         )
+
+    def test_negative_zero_operand_text(self):
+        prog = o.emit_slp(o.add(x1, o.const(-0.0)))
+        assert prog.to_text() == "t0 = add x1 -0\nresult t0"
 
     def test_single_assignment_in_dependency_order(self):
         prog = o.emit_slp(o.build_selection_expr(5, 3, "arithmetic"))

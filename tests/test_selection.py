@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,43 @@ class TestWideMemo:
         from ordstat.selection import memo_state_count
         assert memo_state_count(70, 70) == sum(t + 1 for t in range(70))
         assert memo_state_count(5, 1) == 1
+
+
+class TestMemoFill:
+    def test_counters_pinned(self, backend):
+        from ordstat.selection import memo_state_count
+        for length in range(1, 10):
+            values = [float((k * 5) % 7) for k in range(length)]
+            for rank in range(1, length + 1):
+                stats = EvalStats()
+                o.select_memo(rank, values, stats)
+                states = math.comb(length + 1, rank - 1)
+                assert stats.base_case_calls == math.comb(length, rank - 1)
+                assert stats.recursive_calls - stats.memo_hits == states
+                assert memo_state_count(length, rank) == states
+                if rank >= 2:
+                    assert stats.recursive_calls == \
+                        1 + (length - rank + 2) * math.comb(length, rank - 2)
+
+    def test_signed_zero_ties_match_naive(self, backend):
+        for length in range(1, 7):
+            for values in itertools.product((-0.0, 0.0, 1.0), repeat=length):
+                for rank in range(1, length + 1):
+                    naive = o.select_naive(rank, values)
+                    memo = o.select_memo(rank, values)
+                    assert memo == naive
+                    assert math.copysign(1, memo) == math.copysign(1, naive), \
+                        (values, rank)
+
+    def test_deep_rank_leaves_recursion_limit_alone(self, backend):
+        values = [float((k * 29) % 397) for k in range(400)]
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert o.select_memo(400, values) == max(values)
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(saved)
 
 
 class TestMedian:
