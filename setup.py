@@ -1,29 +1,12 @@
-"""Builds the optional compiled kernel extension.
+"""Builds the optional compiled kernel extension, a plain C module.
 
 The package works without it (pure-Python kernels are selected at import
-time when the extension is missing), so a failed Cython build should not
-make the install fail.
+time when the extension is missing), so the extension is optional: a
+missing or failing C compiler leaves a working pure-Python install.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-ext_modules = []
-if cythonize is not None:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "ordstat._ckernels",
-                ["src/ordstat/_ckernels.pyx"],
-                language="c++",
-                extra_compile_args=["-O2"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[
+    Extension("ordstat._ckernels", ["src/ordstat/_ckernels.c"], optional=True),
+])

@@ -9,9 +9,10 @@ against a sort-based oracle, and benchmarks the growth.
 
 Ranks are 1-based everywhere: rank 1 is the minimum, rank N the maximum.
 
-Hot kernels run on a compiled extension when it is built; a pure-Python
-fallback with identical semantics is selected automatically otherwise
-(override with the ORDSTAT_BACKEND environment variable or set_backend).
+Hot kernels run on a compiled C extension when it is built (building it
+needs only a C compiler); otherwise the pure-Python kernels, which give
+the same values and counters, are selected at import (override with the
+ORDSTAT_BACKEND environment variable or set_backend).
 """
 
 from ._backend import active_backend, available_backends, set_backend

@@ -1,9 +1,11 @@
 """Selects the kernel backend at import time.
 
-The compiled extension (ordstat._ckernels) is preferred when it imports;
-otherwise the pure-Python kernels are used. Set ORDSTAT_BACKEND=python or
-ORDSTAT_BACKEND=cython to force one (forcing cython when the extension is
-not built raises at import). Tests and benchmarks can switch at runtime
+The compiled extension (ordstat._ckernels, a C module built by setup.py)
+is preferred when it imports; otherwise the pure-Python kernels are used
+and the text of the ImportError is kept. Set ORDSTAT_BACKEND=python or
+ORDSTAT_BACKEND=cython to force one; "cython" names the compiled backend.
+Forcing it when the extension does not import raises an ImportError that
+carries the original error. Tests and benchmarks can switch at runtime
 with set_backend().
 """
 
@@ -13,8 +15,11 @@ from . import _pykernels
 
 try:
     from . import _ckernels
-except ImportError:
+except ImportError as exc:
     _ckernels = None
+    _import_error = str(exc)
+else:
+    _import_error = None
 
 _NAMES = {"python": _pykernels, "cython": _ckernels}
 
@@ -25,7 +30,8 @@ def _initial():
         if forced not in _NAMES:
             raise ValueError(f"ORDSTAT_BACKEND must be 'python' or 'cython', got {forced!r}")
         if _NAMES[forced] is None:
-            raise ImportError("ORDSTAT_BACKEND=cython but the compiled kernels are not built")
+            raise ImportError(
+                f"ORDSTAT_BACKEND=cython but the compiled kernels did not import: {_import_error}")
         return _NAMES[forced]
     return _ckernels if _ckernels is not None else _pykernels
 
@@ -52,7 +58,7 @@ def get_kernels(name: str):
         raise ValueError(f"unknown backend {name!r}")
     mod = _NAMES[name]
     if mod is None:
-        raise ImportError("compiled kernels are not built")
+        raise ImportError(f"the compiled kernels did not import: {_import_error}")
     return mod
 
 

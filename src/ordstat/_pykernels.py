@@ -1,7 +1,8 @@
 """Pure-Python selection kernels.
 
-Reference implementation of the elimination recursion; ordstat._ckernels is
-the compiled twin and must match these counters and return values exactly.
+Reference implementation of the elimination recursion; ordstat._ckernels,
+a C extension, is the compiled twin and must match these counters and
+return values exactly, for every sequence length.
 All three entry points take an already-validated sequence of finite floats
 and a 1-based rank. Counter semantics, shared by both backends, are what
 the memoized recursion would count:

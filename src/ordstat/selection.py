@@ -221,14 +221,6 @@ def _check_fullrange_budget(n_len: int, rank: int, budget: int | None) -> None:
             )
 
 
-def _memo_kernels(n_len: int):
-    kern = _backend.kernels()
-    cap = getattr(kern, "MEMO_MAX_N", None)
-    if cap is not None and n_len > cap:
-        return _backend.get_kernels("python")
-    return kern
-
-
 def select_naive(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
                  *, budget: int | None = None) -> float:
     """The rank-th smallest value via the plain elimination recursion.
@@ -254,13 +246,13 @@ def select_memo(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     Subproblems are keyed on the set of surviving original positions, since
     any elimination order that leaves the same survivors denotes the same
     subsequence; there are memo_state_count(N, rank) of them, and the
-    budget bounds that number. The cache lives and dies within this call.
+    budget bounds that number. Both backends fill them level by level, for
+    any N, in tables that live and die within this call.
     """
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
     _check_memo_budget(len(seq), rank, budget)
-    kern = _memo_kernels(len(seq))
-    value, recursive, base, hits = kern.select_memo(seq.values, rank)
+    value, recursive, base, hits = _backend.kernels().select_memo(seq.values, rank)
     if stats is not None:
         stats.recursive_calls += recursive
         stats.base_case_calls += base
@@ -275,8 +267,7 @@ def select_fullrange(rank: int, seq: SequenceLike, *, budget: int | None = None)
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
     _check_fullrange_budget(len(seq), rank, budget)
-    kern = _memo_kernels(len(seq))
-    return kern.select_fullrange(seq.values, rank)
+    return _backend.kernels().select_fullrange(seq.values, rank)
 
 
 _SELECTORS = {"naive": select_naive, "memo": select_memo}

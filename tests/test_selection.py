@@ -309,6 +309,26 @@ class TestWideMemo:
         values = [float((k * 29) % 397) for k in range(400)]
         assert o.select_memo(400, values) == max(values)
 
+    @pytest.mark.parametrize("length", [65, 96])
+    def test_long_memo_matches_reference(self, backend, length):
+        from ordstat import _pykernels
+        values = [float((k * 37) % 101) for k in range(length)]
+        for rank in (2, 3, length):
+            stats = EvalStats()
+            value = o.select_memo(rank, values, stats)
+            counters = (stats.recursive_calls, stats.base_case_calls, stats.memo_hits)
+            assert (value, *counters) == _pykernels.select_memo(values, rank)
+
+    def test_oversized_level_refused(self, backend):
+        # C(201, 99) states: the default budget refuses them; with the
+        # budget lifted, the compiled fill must refuse a level it cannot
+        # address instead of wrapping its size.
+        with pytest.raises(BudgetError):
+            o.select_memo(100, range(200))
+        if backend != "python":
+            with pytest.raises((MemoryError, OverflowError)):
+                o.select_memo(100, range(200), budget=10**70)
+
     def test_memo_state_count_quadratic_at_max_rank(self):
         from ordstat.selection import memo_state_count
         assert memo_state_count(70, 70) == sum(t + 1 for t in range(70))
@@ -339,6 +359,17 @@ class TestMemoFill:
                     memo = o.select_memo(rank, values)
                     assert memo == naive
                     assert math.copysign(1, memo) == math.copysign(1, naive), \
+                        (values, rank)
+
+    def test_fullrange_signed_zero_ties_match_reference(self, backend):
+        from ordstat import _pykernels
+        for length in range(1, 7):
+            for values in itertools.product((-0.0, 0.0, 1.0), repeat=length):
+                for rank in range(1, length + 1):
+                    got = o.select_fullrange(rank, values)
+                    want = _pykernels.select_fullrange(values, rank)
+                    assert got == want
+                    assert math.copysign(1, got) == math.copysign(1, want), \
                         (values, rank)
 
     def test_deep_rank_leaves_recursion_limit_alone(self, backend):
