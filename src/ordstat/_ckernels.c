@@ -1,9 +1,9 @@
-/* Compiled selection kernels.
+/* Compiled selection kernels and compiled formulas.
  *
  * Return values and counters equal those of ordstat._pykernels, the
- * reference, bit for bit. Each entry point takes a sequence of floats and
- * a 1-based rank in 1..N (positional arguments only) and raises ValueError
- * for a rank outside that range.
+ * reference, bit for bit. Each select_* entry point takes a sequence of
+ * floats and a 1-based rank in 1..N (positional arguments only) and raises
+ * ValueError for a rank outside that range.
  *
  * The memoized kernels keep the levels of the elimination recursion in
  * dense double arrays. A level's states are the k-subsets of a prefix
@@ -13,11 +13,22 @@
  * exactly the first C(p, k) in colex order, so every level is a prefix of
  * one index space: no hash map, no bitmask, no limit on N. Every size is
  * computed with overflow checks before anything is allocated.
+ *
+ * compile_slp turns a packed straight-line program (see
+ * _pykernels.compile_slp, which defines it) into a callable that runs
+ * each op on a double register file: no Python source is generated or
+ * executed. The program is checked once, before it is kept: every opcode
+ * must be known and every operand must name a register below the one its
+ * instruction writes, so no program can read outside the register file.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
+#include <math.h>
+#include <stdarg.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef unsigned long long u64;
 
@@ -299,6 +310,258 @@ done:
 }
 
 
+/* ---- compile_slp: packed straight-line programs ---------------------- */
+
+/* Opcodes in the order of _pykernels.SLP_OPS. */
+enum { OP_ADD, OP_SUB, OP_ABS, OP_HALVE, OP_MIN, OP_MAX, N_OPS };
+
+/* Registers below this many live on the C stack during a call. */
+#define SLP_STACK_REGS 512
+
+static const char SLP_CAPSULE[] = "ordstat._ckernels.slp";
+
+/* One allocation: the header, then the constant pool, then the code. */
+typedef struct {
+    Py_ssize_t n_vars, n_consts, n_ins, result;
+    double *pool;
+    int *code;
+} Slp;
+
+static void
+slp_free(PyObject *capsule)
+{
+    PyMem_Free(PyCapsule_GetPointer(capsule, SLP_CAPSULE));
+}
+
+/* Raises ordstat.errors.ExprError, looked up only when it is needed: the
+ * package imports this module before it is fully initialised. */
+static void
+expr_error(const char *format, ...)
+{
+    PyObject *errors, *cls;
+    va_list va;
+
+    errors = PyImport_ImportModule("ordstat.errors");
+    if (errors == NULL)
+        return;
+    cls = PyObject_GetAttrString(errors, "ExprError");
+    Py_DECREF(errors);
+    if (cls == NULL)
+        return;
+    va_start(va, format);
+    PyErr_FormatV(cls, format, va);
+    va_end(va);
+    Py_DECREF(cls);
+}
+
+static PyObject *
+run_slp(PyObject *self, PyObject *values)
+{
+    const Slp *p = PyCapsule_GetPointer(self, SLP_CAPSULE);
+    PyObject *seq, *item, *f, *out = NULL;
+    double stack[SLP_STACK_REGS], *r = stack, *t, a, b, v;
+    Py_ssize_t i, k, n_regs;
+    const int *c;
+
+    if (p == NULL)
+        return NULL;
+    seq = PySequence_Tuple(values);
+    if (seq == NULL)
+        return NULL;
+    if (PyTuple_GET_SIZE(seq) < p->n_vars) {
+        expr_error("formula needs %zd values, got %zd", p->n_vars,
+                   PyTuple_GET_SIZE(seq));
+        goto done;
+    }
+    n_regs = p->n_vars + p->n_consts + p->n_ins;
+    if (n_regs > SLP_STACK_REGS) {
+        r = PyMem_Malloc((size_t)n_regs * sizeof(double));
+        if (r == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
+    for (i = 0; i < p->n_vars; i++) {
+        item = PyTuple_GET_ITEM(seq, i);
+        if (PyFloat_CheckExact(item)) {
+            v = PyFloat_AS_DOUBLE(item);
+        } else {
+            f = PyNumber_Float(item);
+            if (f == NULL)
+                goto done;
+            v = PyFloat_AS_DOUBLE(f);
+            Py_DECREF(f);
+        }
+        if (!isfinite(v)) {
+            f = PyFloat_FromDouble(v);
+            if (f != NULL) {
+                expr_error("input x%zd is not finite: %R", i + 1, f);
+                Py_DECREF(f);
+            }
+            goto done;
+        }
+        r[i] = v;
+    }
+    if (p->n_consts)
+        memcpy(r + p->n_vars, p->pool, (size_t)p->n_consts * sizeof(double));
+    t = r + p->n_vars + p->n_consts;
+    for (k = 0, c = p->code; k < p->n_ins; k++, c += 3) {
+        a = r[c[1]];
+        b = r[c[2]];
+        switch (c[0]) {
+        case OP_ADD: v = a + b; break;
+        case OP_SUB: v = a - b; break;
+        case OP_ABS: v = fabs(a); break;
+        case OP_HALVE: v = a / 2; break;
+        case OP_MIN: v = a <= b ? a : b; break;
+        default: v = a >= b ? a : b; break;  /* OP_MAX */
+        }
+        if (!isfinite(v)) {
+            f = PyFloat_FromDouble(v);
+            if (f != NULL) {
+                expr_error("non-finite intermediate %R at t%zd", f, k);
+                Py_DECREF(f);
+            }
+            goto done;
+        }
+        t[k] = v;
+    }
+    out = PyFloat_FromDouble(r[p->result]);
+done:
+    if (r != stack)
+        PyMem_Free(r);
+    Py_DECREF(seq);
+    return out;
+}
+
+static PyMethodDef run_slp_def = {
+    "formula", (PyCFunction)run_slp, METH_O,
+    "formula(values) -> float\n\n"
+    "Runs the compiled program on float(values[0..N)); a missing or "
+    "non-finite input, or a non-finite intermediate, raises ExprError.",
+};
+
+/* Copies and checks (n_vars, consts, code, result). Instruction k writes
+ * register n_vars + n_consts + k and may read only registers below it, so
+ * a program that passes never reads outside its register file. */
+static Slp *
+slp_new(PyObject *const *args)
+{
+    Py_ssize_t n_vars, n_consts, n_ins, base, result, k, dest;
+    PyObject *pool;
+    Py_buffer view;
+    Slp *p = NULL;
+    const int *c;
+    double v;
+
+    n_vars = PyLong_AsSsize_t(args[0]);
+    if (n_vars == -1 && PyErr_Occurred())
+        return NULL;
+    result = PyLong_AsSsize_t(args[3]);
+    if (result == -1 && PyErr_Occurred())
+        return NULL;
+    pool = PySequence_Tuple(args[1]);
+    if (pool == NULL)
+        return NULL;
+    if (PyObject_GetBuffer(args[2], &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+        Py_DECREF(pool);
+        return NULL;
+    }
+    n_consts = PyTuple_GET_SIZE(pool);
+    if (view.itemsize != sizeof(int) || view.format == NULL
+            || strcmp(view.format, "i") != 0) {
+        PyErr_SetString(PyExc_ValueError, "code must be an array('i')");
+        goto fail;
+    }
+    if (view.len % (3 * sizeof(int)) != 0) {
+        PyErr_SetString(PyExc_ValueError, "code must hold (op, a, b) triples");
+        goto fail;
+    }
+    n_ins = view.len / (Py_ssize_t)(3 * sizeof(int));
+    if (n_vars < 0) {
+        PyErr_Format(PyExc_ValueError, "n_vars must not be negative, got %zd", n_vars);
+        goto fail;
+    }
+    if (n_vars > INT_MAX || n_consts > INT_MAX - n_vars
+            || n_ins > INT_MAX - n_vars - n_consts) {
+        PyErr_SetString(PyExc_ValueError, "too many registers");
+        goto fail;
+    }
+    base = n_vars + n_consts;
+    if (result < 0 || result >= base + n_ins) {
+        PyErr_Format(PyExc_ValueError, "result register %zd out of range 0..%zd",
+                     result, base + n_ins - 1);
+        goto fail;
+    }
+    p = PyMem_Malloc(sizeof(Slp) + (size_t)n_consts * sizeof(double) + (size_t)view.len);
+    if (p == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    p->n_vars = n_vars;
+    p->n_consts = n_consts;
+    p->n_ins = n_ins;
+    p->result = result;
+    p->pool = (double *)(p + 1);
+    p->code = (int *)(p->pool + n_consts);
+    for (k = 0; k < n_consts; k++) {
+        v = PyFloat_AsDouble(PyTuple_GET_ITEM(pool, k));
+        if (v == -1.0 && PyErr_Occurred())
+            goto fail;
+        if (!isfinite(v)) {
+            PyErr_Format(PyExc_ValueError, "constant %zd is not finite", k);
+            goto fail;
+        }
+        p->pool[k] = v;
+    }
+    memcpy(p->code, view.buf, (size_t)view.len);
+    for (k = 0, c = p->code; k < n_ins; k++, c += 3) {
+        dest = base + k;
+        if (c[0] < 0 || c[0] >= N_OPS) {
+            PyErr_Format(PyExc_ValueError, "instruction %zd: unknown op %d", k, c[0]);
+            goto fail;
+        }
+        if (c[1] < 0 || c[1] >= dest || c[2] < 0 || c[2] >= dest) {
+            PyErr_Format(PyExc_ValueError, "instruction %zd: operands (%d, %d) "
+                         "must lie below its register %zd", k, c[1], c[2], dest);
+            goto fail;
+        }
+    }
+    PyBuffer_Release(&view);
+    Py_DECREF(pool);
+    return p;
+fail:
+    PyMem_Free(p);
+    PyBuffer_Release(&view);
+    Py_DECREF(pool);
+    return NULL;
+}
+
+static PyObject *
+compile_slp(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *capsule, *fn;
+    Slp *p;
+
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "compile_slp() takes 4 positional arguments "
+                     "(n_vars, consts, code, result) but %zd were given", nargs);
+        return NULL;
+    }
+    p = slp_new(args);
+    if (p == NULL)
+        return NULL;
+    capsule = PyCapsule_New(p, SLP_CAPSULE, slp_free);
+    if (capsule == NULL) {
+        PyMem_Free(p);
+        return NULL;
+    }
+    fn = PyCFunction_New(&run_slp_def, capsule);
+    Py_DECREF(capsule);
+    return fn;
+}
+
+
 /* ---- Python entry points --------------------------------------------- */
 
 /* Parses (values, rank) into a fresh array of n doubles; the caller frees
@@ -415,13 +678,17 @@ static PyMethodDef methods[] = {
      METH_FASTCALL,
      "select_fullrange(values, rank) -> value\n\n"
      "Elimination over every position, filled over removed sets."},
+    {"compile_slp", (PyCFunction)(void (*)(void))compile_slp, METH_FASTCALL,
+     "compile_slp(n_vars, consts, code, result) -> formula(values)\n\n"
+     "Checks a packed straight-line program and returns a callable that "
+     "runs it; see ordstat._pykernels.compile_slp."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT,
     .m_name = "ordstat._ckernels",
-    .m_doc = "Compiled selection kernels; ordstat._pykernels is the reference.",
+    .m_doc = "Compiled selection kernels and formulas; ordstat._pykernels is the reference.",
     .m_size = 0,
     .m_methods = methods,
 };

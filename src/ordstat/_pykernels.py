@@ -1,11 +1,12 @@
-"""Pure-Python selection kernels.
+"""Pure-Python selection kernels and formula compiler.
 
-Reference implementation of the elimination recursion; ordstat._ckernels,
-a C extension, is the compiled twin and must match these counters and
-return values exactly, for every sequence length.
-All three entry points take an already-validated sequence of finite floats
-and a 1-based rank. Counter semantics, shared by both backends, are what
-the memoized recursion would count:
+Reference implementation of the elimination recursion and of compiled
+formulas; ordstat._ckernels, a C extension, is the compiled twin and must
+match these counters, return values and errors exactly, for every
+sequence length and every program.
+The three select_* entry points take an already-validated sequence of
+finite floats and a 1-based rank. Counter semantics, shared by both
+backends, are what the memoized recursion would count:
 
   * recursive_calls  counts every entry into the recursion,
   * base_case_calls  counts rank-1 entries that compute a minimum,
@@ -13,9 +14,16 @@ the memoized recursion would count:
 
 select_memo runs no recursion: it fills the survivor sets level by level
 (see _fill_levels) and reads the three counters off the level sizes.
+
+compile_slp turns a packed straight-line program into a callable. Here
+that is Python source, generated from the program and run through exec;
+the C twin interprets the program on a register file instead.
 """
 
+import math
 from itertools import combinations
+
+from .errors import ExprError
 
 
 def _fill_levels(n, rank, leaf, fold):
@@ -106,3 +114,96 @@ def select_fullrange(values, rank):
 
     n = len(xs)
     return go(tuple(range(n)), (1 << n) - 1, rank)
+
+
+# Opcodes of a packed straight-line program, numbered by position here and
+# in _ckernels.c. Unary ops ignore their second operand.
+SLP_OPS = ("add", "sub", "abs", "halve", "min", "max")
+_SOURCE = ("{0} + {1}", "{0} - {1}", "abs({0})", "{0} / 2",
+           "{0} if {0} <= {1} else {1}", "{0} if {0} >= {1} else {1}")
+
+
+def compile_slp(n_vars, consts, code, result):
+    """Callable f(values) running a packed straight-line program.
+
+    Registers are [x1..x{n_vars}, consts, temps]: instruction k of `code`,
+    an array('i') of (op, a, b) triples with op indexing SLP_OPS, writes
+    register n_vars + len(consts) + k from registers a and b, which must
+    lie below it; f returns register `result`. f converts values[0..n_vars)
+    with float() and raises ExprError when one is missing or not finite,
+    or when an instruction's value is not finite. A malformed program
+    raises ValueError here, before anything runs.
+    """
+    n_vars = int(n_vars)
+    consts = [float(v) for v in consts]
+    view = memoryview(code)
+    if view.format != "i" or view.ndim != 1:
+        raise ValueError("code must be an array('i')")
+    code = view.tolist()
+    if len(code) % 3:
+        raise ValueError("code must hold (op, a, b) triples")
+    if n_vars < 0:
+        raise ValueError(f"n_vars must not be negative, got {n_vars}")
+    for k, v in enumerate(consts):
+        if not math.isfinite(v):
+            raise ValueError(f"constant {k} is not finite")
+    base = n_vars + len(consts)
+    n_regs = base + len(code) // 3
+    if not 0 <= result < n_regs:
+        raise ValueError(f"result register {result} out of range 0..{n_regs - 1}")
+    ops = [code[i:i + 3] for i in range(0, len(code), 3)]
+    for k, (op, a, b) in enumerate(ops):
+        if not 0 <= op < len(SLP_OPS):
+            raise ValueError(f"instruction {k}: unknown op {op}")
+        if not (0 <= a < base + k and 0 <= b < base + k):
+            raise ValueError(f"instruction {k}: operands ({a}, {b}) "
+                             f"must lie below its register {base + k}")
+    # add, sub, abs and halve turn a non-finite operand into a non-finite
+    # value; only min and max can drop one. So the first non-finite value
+    # reaches the result, a value nothing reads, or an add/sub/abs/halve
+    # value that min or max reads, and checking just those registers
+    # raises exactly when checking every instruction would.
+    checked = {result}
+    read = set()
+    for op, a, b in ops:
+        read.update((a,) if SLP_OPS[op] in ("abs", "halve") else (a, b))
+        if SLP_OPS[op] in ("min", "max"):
+            checked.update(r for r in (a, b)
+                           if r >= base and SLP_OPS[ops[r - base][0]] not in ("min", "max"))
+    checked.update(r for r in range(base, n_regs) if r not in read)
+
+    names = [f"r{i}" for i in range(n_vars)] + [repr(v) for v in consts]
+    lines = ["def formula(xs):"]
+    if n_vars:
+        lines.append(f"    {', '.join(names[:n_vars])}, = _inputs(xs, {n_vars})")
+    for dest, (op, a, b) in enumerate(ops, base):
+        names.append(f"r{dest}")
+        lines.append(f"    r{dest} = " + _SOURCE[op].format(names[a], names[b]))
+        if dest in checked:
+            # x - x is 0.0 for a finite x and nan otherwise, and nan is true.
+            lines.append(f"    if r{dest} - r{dest}: _nonfinite(locals(), {base})")
+    lines.append(f"    return {names[result]}")
+    namespace = {}
+    exec("\n".join(lines), {"abs": abs, "_inputs": _inputs, "_nonfinite": _nonfinite},
+         namespace)
+    return namespace["formula"]
+
+
+def _inputs(xs, n):
+    xs = tuple(xs)
+    if len(xs) < n:
+        raise ExprError(f"formula needs {n} values, got {len(xs)}")
+    vals = [float(x) for x in xs[:n]]
+    for i, v in enumerate(vals):
+        if not math.isfinite(v):
+            raise ExprError(f"input x{i + 1} is not finite: {v!r}")
+    return vals
+
+
+def _nonfinite(regs, base):
+    # Names the first non-finite temp, as checking every instruction would;
+    # straight-line code has assigned every temp up to the failed check.
+    k = 0
+    while math.isfinite(regs[f"r{base + k}"]):
+        k += 1
+    raise ExprError(f"non-finite intermediate {regs[f'r{base + k}']!r} at t{k}")

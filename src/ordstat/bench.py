@@ -25,6 +25,7 @@ from .expr import build_selection_expr, compile_to_pyfunc, cse
 from .selection import (
     EvalStats,
     _check_naive_budget,
+    resolve_budget,
     select_memo,
     select_naive,
 )
@@ -195,7 +196,7 @@ def backend_table(length: int, rank: int, *, repeats: int = 5, seed: int = 0,
     Modes are labeled like "memo[python]" or "naive[cython]". All backends
     must agree exactly on the result.
     """
-    _check_naive_budget(length, rank, budget)
+    _check_naive_budget(length, rank, resolve_budget(budget))
     values = _fixed_sequence(length, seed)
     expected = oracle_select(rank, values)
     records = []

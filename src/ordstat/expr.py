@@ -20,10 +20,12 @@ halving renders as a /2 suffix, and min/max render as min{a, b}/max{a, b}.
 parse_text inverts both the infix and the sexpr renderings.
 
 emit_slp flattens a graph of either form into single-assignment
-instructions ("t3 = sub t0 t2" lines, min and max included). That one
-flattening feeds both evaluators: interpret_slp (and eval_expr, which runs
-it) interprets the instructions, and compile_to_pyfunc generates a plain
-Python function from them for fast repeated evaluation.
+instructions ("t3 = sub t0 t2" lines, min and max included), which
+interpret_slp (and eval_expr, which runs it) interprets. compile_to_pyfunc
+packs the same instructions, in the same order, into registers and hands
+them to the active kernel backend, which returns a callable for fast
+repeated evaluation: the C extension runs the program directly, the
+pure-Python backend generates Python source from it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ from __future__ import annotations
 import math
 import operator
 import re
-import weakref
+from array import array
 from dataclasses import dataclass
 from functools import reduce
+from weakref import KeyedRef
 
-from ._pykernels import _fill_levels
+from . import _backend
+from ._pykernels import SLP_OPS, _fill_levels
 from .errors import BudgetError, ExprError, RankError, SequenceError, TextParseError
 from .selection import naive_call_count, resolve_budget
 
@@ -50,9 +54,16 @@ _ARITY = {
     "max": 2,
 }
 
-# Live nodes by (kind, payload, children...); a const key also carries the
-# sign, since -0.0 == 0.0 would otherwise merge the two constants.
-_INTERNED = weakref.WeakValueDictionary()
+# Weak references to live nodes by (kind, payload, children...); a const
+# key also carries the sign, since -0.0 == 0.0 would otherwise merge the
+# two constants. A node's death removes its entry (see _forget).
+_INTERNED = {}
+
+
+def _forget(ref, table=_INTERNED):
+    # A dead reference may already have been replaced by a live node.
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 class Expr:
@@ -85,13 +96,14 @@ class Expr:
             key = (kind, payload, math.copysign(1.0, payload))
         else:
             key = (kind, payload) + children
-        node = _INTERNED.get(key)
+        ref = _INTERNED.get(key)
+        node = ref() if ref is not None else None
         if node is None:
             node = object.__new__(cls)
             node.kind = kind
             node.payload = payload
             node.children = children
-            node = _INTERNED.setdefault(key, node)
+            _INTERNED[key] = KeyedRef(node, _forget, key)
         return node
 
     def __repr__(self):
@@ -546,8 +558,8 @@ def emit_slp(expr: Expr) -> CompiledProgram:
     return _flatten(expr)
 
 
-# The SLP ops as Python functions (interpret_slp) and as Python source
-# (compile_to_pyfunc); both compare min/max the same way.
+# The SLP ops as Python functions; compiled programs (see
+# _pykernels.compile_slp) compare min/max the same way.
 _SLP_OPS = {
     "add": operator.add,
     "sub": operator.sub,
@@ -556,14 +568,7 @@ _SLP_OPS = {
     "min": lambda a, b: a if a <= b else b,
     "max": lambda a, b: a if a >= b else b,
 }
-_PY_SOURCE = {
-    "add": "{0} + {1}",
-    "sub": "{0} - {1}",
-    "abs": "abs({0})",
-    "halve": "{0} / 2",
-    "min": "{0} if {0} <= {1} else {1}",
-    "max": "{0} if {0} >= {1} else {1}",
-}
+_OPCODE = {op: code for code, op in enumerate(SLP_OPS)}
 
 
 def interpret_slp(program: CompiledProgram, assignment) -> float:
@@ -596,32 +601,44 @@ def interpret_slp(program: CompiledProgram, assignment) -> float:
     return load(program.result)
 
 
-def compile_to_pyfunc(expr: Expr):
-    """Compile to a Python function f(values) over a 0-based sequence.
+def _pack(expr: Expr):
+    """The (n_vars, consts, code, result) program that compile_slp takes.
 
-    A speed utility for drivers that evaluate one formula many times; the
-    code is generated from the same instruction list interpret_slp runs,
-    and results match eval_expr, but no finiteness checks run.
+    Registers are [x1..xN, constants, temps], N the largest variable index.
+    Each distinct constant node gets one pool entry, so -0.0 and 0.0 stay
+    apart, and the temps are _flatten's instructions in _flatten's order;
+    a unary op names its operand twice.
     """
-    program = _flatten(expr)
-    lines = ["def _compiled(xs):"]
-    loaded = set()
+    order = _postorder(expr)
+    n_vars = max((node.payload for node in order if node.kind == "var"), default=0)
+    consts = [node.payload for node in order if node.kind == "const"]
+    reg = {}
+    next_const = n_vars
+    dest = n_vars + len(consts)
+    code = []
+    for node in order:
+        kind = node.kind
+        if kind == "var":
+            reg[id(node)] = node.payload - 1
+        elif kind == "const":
+            reg[id(node)] = next_const
+            next_const += 1
+        else:
+            kids = node.children
+            code += (_OPCODE[kind], reg[id(kids[0])], reg[id(kids[-1])])
+            reg[id(node)] = dest
+            dest += 1
+    return n_vars, consts, array("i", code), reg[id(expr)]
 
-    def operand(ref):
-        tag, v = ref
-        if tag == "t":
-            return f"t{v}"
-        if tag == "c":
-            return repr(v)
-        if v not in loaded:
-            loaded.add(v)
-            lines.append(f"    x{v} = xs[{v - 1}]")
-        return f"x{v}"
 
-    for ins in program.instructions:
-        src = _PY_SOURCE[ins.op].format(*[operand(a) for a in ins.args])
-        lines.append(f"    t{ins.dest} = {src}")
-    lines.append(f"    return {operand(program.result)}")
-    namespace = {}
-    exec("\n".join(lines), {"abs": abs}, namespace)
-    return namespace["_compiled"]
+def compile_to_pyfunc(expr: Expr):
+    """Compile to a function f(values) over a 0-based sequence.
+
+    A speed utility for drivers that evaluate one formula many times. The
+    active kernel backend builds f from the instructions interpret_slp
+    runs, in the same order, so results match eval_expr bit for bit. f
+    converts x1..xN (N the largest variable index) with float() and
+    returns a float; a missing or non-finite input, or a non-finite
+    intermediate, raises ExprError, as eval_expr does.
+    """
+    return _backend.kernels().compile_slp(*_pack(expr))

@@ -50,12 +50,12 @@ class RealSequence:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         if not vals:
             raise SequenceError("sequence must contain at least one value")
-        for v in vals:
-            if not math.isfinite(v):
-                raise SequenceError(f"sequence values must be finite, got {v!r}")
+        if not all(map(math.isfinite, vals)):
+            bad = next(v for v in vals if not math.isfinite(v))
+            raise SequenceError(f"sequence values must be finite, got {bad!r}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -175,8 +175,9 @@ def _check_rank(rank: int, n_len: int) -> int:
     return rank
 
 
-def _check_naive_budget(n_len: int, rank: int, budget: int | None) -> None:
-    limit = resolve_budget(budget)
+# The budget checks take the limit resolve_budget returned, so one
+# resolution can serve several selections (see median).
+def _check_naive_budget(n_len: int, rank: int, limit: int) -> None:
     count = naive_call_count(n_len, rank)
     if count > limit:
         raise BudgetError(
@@ -197,8 +198,7 @@ def memo_state_count(n_len: int, rank: int) -> int:
     return math.comb(n_len + 1, rank - 1)
 
 
-def _check_memo_budget(n_len: int, rank: int, budget: int | None) -> None:
-    limit = resolve_budget(budget)
+def _check_memo_budget(n_len: int, rank: int, limit: int) -> None:
     if memo_state_count(n_len, rank) > limit:
         raise BudgetError(
             f"memoized selection of rank {rank} from {n_len} elements may "
@@ -207,9 +207,8 @@ def _check_memo_budget(n_len: int, rank: int, budget: int | None) -> None:
         )
 
 
-def _check_fullrange_budget(n_len: int, rank: int, budget: int | None) -> None:
+def _check_fullrange_budget(n_len: int, rank: int, limit: int) -> None:
     # Full-range elimination reaches every t-subset of the positions.
-    limit = resolve_budget(budget)
     states = 0
     for t in range(rank):
         states += math.comb(n_len, t)
@@ -231,7 +230,11 @@ def select_naive(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     """
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
-    _check_naive_budget(len(seq), rank, budget)
+    return _naive(rank, seq, stats, resolve_budget(budget))
+
+
+def _naive(rank: int, seq: RealSequence, stats: EvalStats | None, limit: int) -> float:
+    _check_naive_budget(len(seq), rank, limit)
     value, recursive, base = _backend.kernels().select_naive(seq.values, rank)
     if stats is not None:
         stats.recursive_calls += recursive
@@ -251,7 +254,11 @@ def select_memo(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     """
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
-    _check_memo_budget(len(seq), rank, budget)
+    return _memo(rank, seq, stats, resolve_budget(budget))
+
+
+def _memo(rank: int, seq: RealSequence, stats: EvalStats | None, limit: int) -> float:
+    _check_memo_budget(len(seq), rank, limit)
     value, recursive, base, hits = _backend.kernels().select_memo(seq.values, rank)
     if stats is not None:
         stats.recursive_calls += recursive
@@ -266,25 +273,27 @@ def select_fullrange(rank: int, seq: SequenceLike, *, budget: int | None = None)
     the verification suites assert exactly that."""
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
-    _check_fullrange_budget(len(seq), rank, budget)
+    _check_fullrange_budget(len(seq), rank, resolve_budget(budget))
     return _backend.kernels().select_fullrange(seq.values, rank)
 
 
-_SELECTORS = {"naive": select_naive, "memo": select_memo}
+_SELECTORS = {"naive": _naive, "memo": _memo}
 
 
 def median(seq: SequenceLike, *, mode: str = "memo",
            stats: EvalStats | None = None, budget: int | None = None) -> float:
     """Median via selection: the middle rank for odd length, the average of
-    the two middle ranks for even length."""
+    the two middle ranks for even length. The budget is resolved once and
+    bounds each selection."""
     seq = as_real_sequence(seq)
     try:
         pick = _SELECTORS[mode]
     except KeyError:
         raise ValueError(f"mode must be one of {sorted(_SELECTORS)}, got {mode!r}") from None
+    limit = resolve_budget(budget)
     n_len = len(seq)
     if n_len % 2 == 1:
-        return pick((n_len + 1) // 2, seq, stats, budget=budget)
-    lo = pick(n_len // 2, seq, stats, budget=budget)
-    hi = pick(n_len // 2 + 1, seq, stats, budget=budget)
+        return pick((n_len + 1) // 2, seq, stats, limit)
+    lo = pick(n_len // 2, seq, stats, limit)
+    hi = pick(n_len // 2 + 1, seq, stats, limit)
     return (lo + hi) / 2

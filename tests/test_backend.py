@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import sys
 
 import pytest
@@ -39,3 +40,20 @@ def test_kernels_refuse_rank_out_of_range(backend):
             entry((), 1)
         with pytest.raises(ValueError):
             entry((1.0, 2.0), 3)
+
+
+def public_entries(module):
+    """Public callables a module defines itself (imports excluded)."""
+    return {name for name, value in vars(module).items()
+            if not name.startswith("_") and callable(value)
+            and not inspect.isclass(value)
+            and getattr(value, "__module__", None) == module.__name__}
+
+
+def test_twins_expose_the_same_entry_points(compiled_build_error):
+    if compiled_build_error is not None:
+        pytest.skip(f"compiled kernels unavailable: {compiled_build_error}")
+    python, compiled = get_kernels("python"), get_kernels("cython")
+    assert public_entries(python) == public_entries(compiled)
+    assert {"select_naive", "select_memo", "select_fullrange",
+            "compile_slp"} <= public_entries(python)

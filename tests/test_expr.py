@@ -1,6 +1,10 @@
+import functools
 import gc
+import itertools
 import math
 import random
+import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,8 @@ from hypothesis import strategies as st
 import ordstat as o
 from ordstat import BudgetError, ExprError, RankError, TextParseError
 from ordstat import expr as expr_module
+from ordstat._backend import get_kernels
+from ordstat._pykernels import SLP_OPS
 from ordstat.expr import Expr
 
 x1, x2, x3 = o.var(1), o.var(2), o.var(3)
@@ -413,6 +419,130 @@ class TestCompileToPyfunc:
     def test_constants_embedded(self):
         fn = o.compile_to_pyfunc(o.add(x1, o.const(2.5)))
         assert fn([1.0]) == 3.5
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+SIGNED_ZERO_ALPHABET = (-0.0, 0.0, 1.0)
+
+
+@functools.cache
+def interpreted(n_vars, rank, form):
+    """interpret_slp's bit patterns on every tuple over the signed-zero
+    alphabet and on 20 seeded random float vectors, with those inputs."""
+    program = o.emit_slp(o.build_selection_expr(n_vars, rank, form))
+    rng = random.Random(97 * n_vars + rank)
+    inputs = list(itertools.product(SIGNED_ZERO_ALPHABET, repeat=n_vars))
+    inputs += [tuple(rng.uniform(-1e6, 1e6) for _ in range(n_vars)) for _ in range(20)]
+    want = [bits(o.interpret_slp(program, dict(enumerate(xs, 1)))) for xs in inputs]
+    return inputs, want
+
+
+class TestCompiledFormulas:
+    @pytest.mark.parametrize("n_vars", range(1, 8))
+    def test_bit_for_bit_with_interpret_slp(self, backend, n_vars):
+        for rank in range(1, n_vars + 1):
+            for form in ("minmax", "arithmetic"):
+                fn = o.compile_to_pyfunc(o.build_selection_expr(n_vars, rank, form))
+                inputs, want = interpreted(n_vars, rank, form)
+                assert [bits(fn(xs)) for xs in inputs] == want, (rank, form)
+
+    def test_negative_zero_constant_keeps_its_sign(self, backend):
+        fn = o.compile_to_pyfunc(o.add(x1, o.const(-0.0)))
+        assert bits(fn([-0.0])) == bits(-0.0)
+        assert bits(fn([0.0])) == bits(0.0)
+        both = o.compile_to_pyfunc(o.add(o.add(x1, o.const(0.0)), o.const(-0.0)))
+        assert bits(both([-0.0])) == bits(0.0)
+
+    def test_integer_inputs_give_floats(self, backend):
+        for form in ("minmax", "arithmetic"):
+            fn = o.compile_to_pyfunc(o.build_selection_expr(3, 2, form))
+            value = fn([5, 1, 9])
+            assert type(value) is float and value == 5.0
+        assert type(o.compile_to_pyfunc(x1)([7])) is float
+
+    def test_non_finite_result_raises(self, backend):
+        fn = o.compile_to_pyfunc(o.build_selection_expr(3, 2, "arithmetic"))
+        with pytest.raises(ExprError, match="non-finite intermediate inf at t0"):
+            fn([1e308, 1.5e308, 1.6e308])
+        with pytest.raises(ExprError, match="non-finite intermediate"):
+            o.eval_expr(o.build_selection_expr(3, 2, "arithmetic"),
+                        {1: 1e308, 2: 1.5e308, 3: 1.6e308})
+
+    def test_non_finite_dropped_by_min_still_raises(self, backend):
+        # min(inf - inf, x2) would silently pick x2 without the check
+        big = o.add(x1, x1)
+        fn = o.compile_to_pyfunc(o.min_of(o.sub(big, big), x2))
+        with pytest.raises(ExprError, match="non-finite intermediate inf at t0"):
+            fn([1e308, 1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_raises(self, backend, bad):
+        fn = o.compile_to_pyfunc(o.build_selection_expr(3, 2, "minmax"))
+        with pytest.raises(ExprError, match=f"input x2 is not finite: {bad!r}"):
+            fn([1.0, bad, 2.0])
+
+    def test_missing_input_raises(self, backend):
+        fn = o.compile_to_pyfunc(o.add(x1, x3))
+        with pytest.raises(ExprError, match="needs 3 values, got 2"):
+            fn([1.0, 2.0])
+        assert fn([1.0, 5.0, 2.0, float("nan")]) == 3.0
+
+    def test_random_programs_raise_as_interpret_slp_does(self, backend):
+        # Packed programs with dead code, min/max over overflowing sums and
+        # constants, run on near-overflow inputs: the compiled function
+        # returns interpret_slp's bits or raises its ExprError message.
+        rng = random.Random(41)
+        compile_slp = get_kernels(backend).compile_slp
+        for _ in range(400):
+            n_vars = rng.randint(1, 3)
+            consts = rng.sample([0.0, -0.0, 1.5, -1e308], rng.randint(0, 2))
+            base = n_vars + len(consts)
+            code, instructions = [], []
+
+            def ref(r):
+                if r < n_vars:
+                    return ("x", r + 1)
+                return ("c", consts[r - n_vars]) if r < base else ("t", r - base)
+
+            for k in range(rng.randint(1, 8)):
+                op, a, b = rng.randrange(6), rng.randrange(base + k), rng.randrange(base + k)
+                code += (op, a, b)
+                name = SLP_OPS[op]
+                args = (ref(a),) if name in ("abs", "halve") else (ref(a), ref(b))
+                instructions.append(o.SlpInstruction(k, name, args))
+            result = rng.randrange(base + len(instructions))
+            program = o.CompiledProgram(tuple(instructions), ref(result))
+            fn = compile_slp(n_vars, consts, array("i", code), result)
+            for _ in range(4):
+                xs = [rng.choice([1e308, -1e308, 1.5, 0.0, -0.0]) for _ in range(n_vars)]
+                outcomes = []
+                for run in (lambda: fn(xs), lambda: o.interpret_slp(program, dict(enumerate(xs, 1)))):
+                    try:
+                        outcomes.append(bits(run()))
+                    except ExprError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (n_vars, consts, code, result, xs)
+
+    @pytest.mark.parametrize("args,match", [
+        ((1, [], array("i", [6, 0, 0]), 1), "unknown op 6"),
+        ((1, [], array("i", [-1, 0, 0]), 1), "unknown op -1"),
+        ((1, [], array("i", [0, 0, 1]), 1), "must lie below its register 1"),
+        ((1, [], array("i", [0, -1, 0]), 1), "must lie below"),
+        ((1, [2.0], array("i", [0, 0, 1, 2, 3, 0]), 3), "instruction 1: .* register 3"),
+        ((1, [], array("i", [0, 0, 0]), 2), "result register 2 out of range"),
+        ((1, [], array("i", [0, 0, 0]), -1), "result register -1"),
+        ((0, [], array("i"), 0), "result register 0 out of range"),
+        ((1, [], array("i", [0, 0]), 1), "triples"),
+        ((1, [], array("q", [0, 0, 0]), 1), r"array\('i'\)"),
+        ((-1, [], array("i"), 0), "must not be negative"),
+        ((1, [float("inf")], array("i"), 0), "constant 0 is not finite"),
+    ])
+    def test_malformed_program_refused(self, backend, args, match):
+        with pytest.raises(ValueError, match=match):
+            get_kernels(backend).compile_slp(*args)
 
 
 class TestFormatReal:

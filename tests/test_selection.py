@@ -50,8 +50,8 @@ class TestRealSequence:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(SequenceError):
-            RealSequence([1.0, bad])
+        with pytest.raises(SequenceError, match=f"must be finite, got {bad!r}"):
+            RealSequence([1.0, bad, float("nan")])
 
     def test_duplicates_permitted(self):
         assert RealSequence([2, 2, 2]).values == (2.0, 2.0, 2.0)
@@ -396,6 +396,23 @@ class TestMedian:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             o.median([1.0], mode="sorted")
+
+    @pytest.mark.parametrize("mode", ["naive", "memo"])
+    def test_budget_resolved_once(self, monkeypatch, mode):
+        calls = []
+
+        def counting(budget=None):
+            calls.append(budget)
+            return resolve(budget)
+
+        resolve = o.selection.resolve_budget
+        monkeypatch.setattr(o.selection, "resolve_budget", counting)
+        monkeypatch.setenv(o.BUDGET_ENV_VAR, "100")
+        assert o.median([4, 1, 3, 2], mode=mode) == 2.5
+        assert calls == [None]
+        monkeypatch.setenv(o.BUDGET_ENV_VAR, "1")
+        with pytest.raises(BudgetError):
+            o.median([4, 1, 3, 2], mode=mode)
 
     @given(st.lists(st.integers(min_value=-100, max_value=100),
                     min_size=1, max_size=9))
