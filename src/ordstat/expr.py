@@ -573,32 +573,46 @@ _OPCODE = {op: code for code, op in enumerate(SLP_OPS)}
 
 def interpret_slp(program: CompiledProgram, assignment) -> float:
     """Run a straight-line program under a {1-based index: value}
-    assignment; non-finite inputs or intermediates raise ExprError."""
+    assignment; non-finite inputs or intermediates raise ExprError. Each
+    variable is converted and checked at its first reference, so errors
+    surface in program order."""
     temps = []
-
-    def load(ref):
-        tag, v = ref
-        if tag == "t":
-            return temps[v]
-        if tag == "c":
-            return v
-        try:
-            val = float(assignment[v])
-        except (KeyError, IndexError):
-            raise ExprError(f"assignment is missing variable x{v}") from None
-        if not math.isfinite(val):
-            raise ExprError(f"assignment for x{v} is not finite: {val!r}")
-        return val
-
+    xs = {}
+    # Operand loads are inlined: a call per operand cost more than the ops.
     for ins in program.instructions:
         fn = _SLP_OPS.get(ins.op)
         if fn is None:
             raise ExprError(f"unknown op {ins.op!r}")
-        r = fn(*[load(a) for a in ins.args])
+        args = []
+        for tag, v in ins.args:
+            if tag == "t":
+                args.append(temps[v])
+            elif tag == "c":
+                args.append(v)
+            else:
+                args.append(xs[v] if v in xs else _variable(assignment, v, xs))
+        r = fn(*args)
         if not math.isfinite(r):
             raise ExprError(f"non-finite intermediate {r!r} at t{ins.dest}")
         temps.append(r)
-    return load(program.result)
+    tag, v = program.result
+    if tag == "t":
+        return temps[v]
+    if tag == "c":
+        return v
+    return xs[v] if v in xs else _variable(assignment, v, xs)
+
+
+def _variable(assignment, v: int, xs: dict) -> float:
+    """x{v} from the assignment as a finite float, remembered in xs."""
+    try:
+        val = float(assignment[v])
+    except (KeyError, IndexError):
+        raise ExprError(f"assignment is missing variable x{v}") from None
+    if not math.isfinite(val):
+        raise ExprError(f"assignment for x{v} is not finite: {val!r}")
+    xs[v] = val
+    return val
 
 
 def _pack(expr: Expr):

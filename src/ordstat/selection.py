@@ -9,7 +9,10 @@ elimination indices are all 1-based.
 Two evaluation strategies share that recursion: select_naive re-solves
 every subproblem, select_memo caches results keyed on the set of surviving
 original positions. Both compare elements directly, so results are exact
-copies of input values. The two-argument identities
+copies of input values. select_ranks selects several ranks of one sequence
+in one call: it validates the sequence and resolves the budget once, then
+runs the same kernel per rank; median and the verify suites use it. The
+two-argument identities
 
     min(a, b) = (a + b - |a - b|) / 2
     max(a, b) = (a + b + |a - b|) / 2
@@ -176,7 +179,7 @@ def _check_rank(rank: int, n_len: int) -> int:
 
 
 # The budget checks take the limit resolve_budget returned, so one
-# resolution can serve several selections (see median).
+# resolution can serve several selections (see select_ranks).
 def _check_naive_budget(n_len: int, rank: int, limit: int) -> None:
     count = naive_call_count(n_len, rank)
     if count > limit:
@@ -230,11 +233,13 @@ def select_naive(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     """
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
-    return _naive(rank, seq, stats, resolve_budget(budget))
+    _check_naive_budget(len(seq), rank, resolve_budget(budget))
+    return _naive(rank, seq, stats)
 
 
-def _naive(rank: int, seq: RealSequence, stats: EvalStats | None, limit: int) -> float:
-    _check_naive_budget(len(seq), rank, limit)
+# The kernel calls behind the public selectors. Callers have checked the
+# rank and the budget already.
+def _naive(rank: int, seq: RealSequence, stats: EvalStats | None) -> float:
     value, recursive, base = _backend.kernels().select_naive(seq.values, rank)
     if stats is not None:
         stats.recursive_calls += recursive
@@ -254,11 +259,11 @@ def select_memo(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     """
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
-    return _memo(rank, seq, stats, resolve_budget(budget))
+    _check_memo_budget(len(seq), rank, resolve_budget(budget))
+    return _memo(rank, seq, stats)
 
 
-def _memo(rank: int, seq: RealSequence, stats: EvalStats | None, limit: int) -> float:
-    _check_memo_budget(len(seq), rank, limit)
+def _memo(rank: int, seq: RealSequence, stats: EvalStats | None) -> float:
     value, recursive, base, hits = _backend.kernels().select_memo(seq.values, rank)
     if stats is not None:
         stats.recursive_calls += recursive
@@ -274,26 +279,53 @@ def select_fullrange(rank: int, seq: SequenceLike, *, budget: int | None = None)
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
     _check_fullrange_budget(len(seq), rank, resolve_budget(budget))
+    return _fullrange(rank, seq, None)
+
+
+def _fullrange(rank: int, seq: RealSequence, stats: EvalStats | None) -> float:
+    # stats goes unused: the full-range kernel keeps no counters.
     return _backend.kernels().select_fullrange(seq.values, rank)
 
 
-_SELECTORS = {"naive": _naive, "memo": _memo}
+def select_ranks(seq: SequenceLike, ranks: Iterable[int], *, mode: str = "memo",
+                 stats: EvalStats | None = None, budget: int | None = None) -> tuple:
+    """The values at several ranks of one sequence, in the order given.
+
+    Each value, and what it adds to ``stats``, equals bit for bit the
+    single call select_naive, select_memo or select_fullrange (``mode``)
+    at that rank; fullrange adds no counters. The sequence is validated
+    once and the budget resolved once. Every rank, and then every rank's
+    budget, is checked before the first kernel runs, so a RankError or
+    BudgetError leaves ``stats`` untouched.
+    """
+    seq = as_real_sequence(seq)
+    if mode == "naive":
+        check, pick = _check_naive_budget, _naive
+    elif mode == "memo":
+        check, pick = _check_memo_budget, _memo
+    elif mode == "fullrange":
+        check, pick = _check_fullrange_budget, _fullrange
+    else:
+        raise ValueError(
+            f"mode must be one of ['fullrange', 'memo', 'naive'], got {mode!r}")
+    n_len = len(seq)
+    ranks = [_check_rank(rank, n_len) for rank in ranks]
+    limit = resolve_budget(budget)
+    for rank in ranks:
+        check(n_len, rank, limit)
+    return tuple([pick(rank, seq, stats) for rank in ranks])
 
 
 def median(seq: SequenceLike, *, mode: str = "memo",
            stats: EvalStats | None = None, budget: int | None = None) -> float:
     """Median via selection: the middle rank for odd length, the average of
-    the two middle ranks for even length. The budget is resolved once and
-    bounds each selection."""
+    the two middle ranks for even length, both from one select_ranks call.
+    ``mode`` is naive or memo."""
     seq = as_real_sequence(seq)
-    try:
-        pick = _SELECTORS[mode]
-    except KeyError:
-        raise ValueError(f"mode must be one of {sorted(_SELECTORS)}, got {mode!r}") from None
-    limit = resolve_budget(budget)
-    n_len = len(seq)
-    if n_len % 2 == 1:
-        return pick((n_len + 1) // 2, seq, stats, limit)
-    lo = pick(n_len // 2, seq, stats, limit)
-    hi = pick(n_len // 2 + 1, seq, stats, limit)
+    if mode not in ("memo", "naive"):
+        raise ValueError(f"mode must be one of ['memo', 'naive'], got {mode!r}")
+    half = len(seq) // 2
+    if len(seq) % 2 == 1:
+        return select_ranks(seq, (half + 1,), mode=mode, stats=stats, budget=budget)[0]
+    lo, hi = select_ranks(seq, (half, half + 1), mode=mode, stats=stats, budget=budget)
     return (lo + hi) / 2

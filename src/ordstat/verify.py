@@ -13,6 +13,12 @@ of the input values). Arithmetic-form checks use an input-scale tolerance:
 |actual - expected| <= tolerance * max(1, max_k |x_k|). Failures record
 (input, rank, expected, actual, mode); median checks use rank 0.
 
+Each suite call resolves the selection budget (ORDSTAT_BUDGET) once and
+validates each sequence once, as a RealSequence that every selector of
+that sequence reuses. exhaustive_verify selects all ranks of one mode in
+one select_ranks call, so under a budget too small for the plan the
+naive ranks of a sequence are all checked before any memo rank.
+
 Case enumeration can be partitioned with ``shard=(index, count)``; shards
 are disjoint by sequence and merge_reports recombines them into a canonical
 report independent of the partitioning.
@@ -29,11 +35,14 @@ from dataclasses import dataclass
 from .errors import BudgetError, RankError
 from .expr import build_selection_expr, compile_to_pyfunc
 from .selection import (
+    RealSequence,
     median,
     naive_call_count,
+    resolve_budget,
     select_fullrange,
     select_memo,
     select_naive,
+    select_ranks,
 )
 
 DEFAULT_CASE_BUDGET = 5_000_000
@@ -101,14 +110,21 @@ class VerifyReport:
 
 def merge_reports(reports) -> VerifyReport:
     """Combine shard reports; failure order is canonicalized so the result
-    does not depend on how the work was split."""
+    does not depend on how the work was split. Inputs are ordered by value
+    and, between equal zeros, -0.0 before 0.0."""
     cases = 0
     failures = []
     for rep in reports:
         cases += rep.cases_run
         failures.extend(rep.failures)
-    failures.sort(key=lambda f: (f.mode, len(f.input), f.input, f.rank))
+    failures.sort(key=lambda f: (f.mode, len(f.input), _signed(f.input), f.rank))
     return VerifyReport(cases, tuple(failures))
+
+
+def _signed(values):
+    # -0.0 == 0.0 would leave two such inputs in shard order; the sign
+    # tells them apart and orders nothing else differently.
+    return tuple((v, math.copysign(1.0, v)) for v in values)
 
 
 def oracle_select(rank: int, seq) -> float:
@@ -163,14 +179,15 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
     """
     if plan is None:
         plan = VerifyPlan()
-    limit = DEFAULT_CASE_BUDGET if case_budget is None else case_budget
+    case_limit = DEFAULT_CASE_BUDGET if case_budget is None else case_budget
     base = len(plan.alphabet)
     total = sum(base ** length * (length + 1) for length in range(1, plan.max_n + 1))
-    if total > limit:
+    if total > case_limit:
         raise BudgetError(
-            f"plan implies {total} cases, over the case budget of {limit}"
+            f"plan implies {total} cases, over the case budget of {case_limit}"
         )
     index, count = _check_shard(shard)
+    limit = resolve_budget()
 
     exprs = _ExprCache()
     failures = []
@@ -181,21 +198,26 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
             seq_no += 1
             if (seq_no - 1) % count != index:
                 continue
+            seq = RealSequence(combo)
             ordered = sorted(combo)
-            for rank in range(1, length + 1):
+            ranks = range(1, length + 1)
+            naive_ranks = [rank % length + 1 for rank in ranks] if inject_fault else ranks
+            naive = select_ranks(seq, naive_ranks, mode="naive", budget=limit)
+            memo = select_ranks(seq, ranks, mode="memo", budget=limit)
+            full = select_ranks(seq, ranks, mode="fullrange", budget=limit)
+            for rank in ranks:
                 expected = ordered[rank - 1]
-                naive_rank = rank % length + 1 if inject_fault else rank
                 checks = (
-                    ("naive", select_naive(naive_rank, combo)),
-                    ("memo", select_memo(rank, combo)),
-                    ("fullrange", select_fullrange(rank, combo)),
+                    ("naive", naive[rank - 1]),
+                    ("memo", memo[rank - 1]),
+                    ("fullrange", full[rank - 1]),
                     ("expr-minmax", exprs.get(length, rank, "minmax")(combo)),
                 )
                 for mode, actual in checks:
                     if actual != expected:
                         failures.append(VerifyFailure(combo, rank, expected, actual, mode))
                 cases += 1
-            actual_md = median(combo, mode="memo")
+            actual_md = median(seq, budget=limit)
             expected_md = _oracle_median(combo)
             if actual_md != expected_md:
                 failures.append(VerifyFailure(combo, 0, expected_md, actual_md, "median"))
@@ -244,6 +266,7 @@ def random_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False)
     if plan.random_trials < 1:
         raise ValueError("random_verify needs random_trials >= 1")
     rng = random.Random(plan.seed)
+    limit = resolve_budget()
     exprs = _ExprCache()
     failures = []
     cases = 0
@@ -256,19 +279,20 @@ def random_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False)
         pattern = _PATTERNS[trial % len(_PATTERNS)]
         values = _random_sequence(rng, length, pattern)
         combo = tuple(values)
+        seq = RealSequence(combo)
         rank = rng.randint(1, length)
         expected = oracle_select(rank, combo)
         scale = max(1.0, max(abs(v) for v in combo))
 
         memo_rank = rank % length + 1 if inject_fault else rank
-        actual = select_memo(memo_rank, combo)
+        actual = select_memo(memo_rank, seq, budget=limit)
         if actual != expected:
             record(combo, rank, expected, actual, "memo")
-        actual = select_fullrange(rank, combo)
+        actual = select_fullrange(rank, seq, budget=limit)
         if actual != expected:
             record(combo, rank, expected, actual, "fullrange")
         if naive_call_count(length, rank) <= _NAIVE_TRIAL_CAP:
-            actual = select_naive(rank, combo)
+            actual = select_naive(rank, seq, budget=limit)
             if actual != expected:
                 record(combo, rank, expected, actual, "naive")
         actual = exprs.get(length, rank, "minmax")(combo)
@@ -277,7 +301,7 @@ def random_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False)
         actual = exprs.get(length, rank, "arithmetic")(combo)
         if abs(actual - expected) > plan.tolerance * scale:
             record(combo, rank, expected, actual, "expr-arith")
-        actual_md = median(combo, mode="memo")
+        actual_md = median(seq, budget=limit)
         expected_md = _oracle_median(combo)
         if actual_md != expected_md:
             record(combo, 0, expected_md, actual_md, "median")

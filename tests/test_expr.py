@@ -404,6 +404,40 @@ class TestSlp:
         with pytest.raises(ExprError):
             o.interpret_slp(prog, {1: 1.0})
 
+    @pytest.mark.parametrize("code,result,assignment,message", [
+        # t0 overflows before t1 reads the missing x2
+        ([("add", "x1", "x1"), ("add", "t0", "x2")], ("t", 1), {1: 1e308},
+         "non-finite intermediate inf at t0"),
+        # t0 reads the missing x2 before t1 overflows
+        ([("add", "x2", "x2"), ("add", "x1", "x1")], ("t", 1), {1: 1e308},
+         "missing variable x2"),
+        # operands load left to right
+        ([("add", "x1", "x2")], ("t", 0), {1: math.nan}, "x1 is not finite: nan"),
+        ([("add", "x1", "x2")], ("t", 0), {2: math.nan}, "missing variable x1"),
+        # the result is loaded after every instruction ran
+        ([("add", "x1", "x1")], ("x", 3), {1: 1e308}, "non-finite intermediate inf at t0"),
+        ([("add", "x1", "x1")], ("x", 3), {1: 1.0}, "missing variable x3"),
+    ])
+    def test_interpret_first_error_in_program_order(self, code, result, assignment, message):
+        def ref(token):
+            return ("t" if token[0] == "t" else "x", int(token[1:]))
+
+        instructions = tuple(o.SlpInstruction(k, op, (ref(a), ref(b)))
+                             for k, (op, a, b) in enumerate(code))
+        with pytest.raises(ExprError, match=message):
+            o.interpret_slp(o.CompiledProgram(instructions, result), assignment)
+
+    def test_interpret_reads_each_variable_once(self):
+        class Counting(dict):
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+        reads = []
+        prog = o.emit_slp(o.build_selection_expr(4, 2, "arithmetic"))
+        assert o.interpret_slp(prog, Counting({1: 3.0, 2: 1.0, 3: 4.0, 4: 2.0})) == 2.0
+        assert sorted(reads) == [1, 2, 3, 4]
+
 
 class TestCompileToPyfunc:
     def test_matches_eval_expr(self):

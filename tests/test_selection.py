@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -381,6 +382,89 @@ class TestMemoFill:
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(saved)
+
+
+SINGLE = {
+    "naive": o.select_naive,
+    "memo": o.select_memo,
+    "fullrange": lambda rank, seq, stats: o.select_fullrange(rank, seq),
+}
+
+
+def signed_zero_tuples(length):
+    """Every tuple over {-0.0, 0.0, 1.0} up to length 5, a seeded sample of
+    60 above that."""
+    tuples = list(itertools.product((-0.0, 0.0, 1.0), repeat=length))
+    if length <= 5:
+        return tuples
+    return random.Random(length).sample(tuples, 60)
+
+
+class TestSelectRanks:
+    @pytest.mark.parametrize("mode", ["naive", "memo", "fullrange"])
+    def test_equals_single_calls_bit_for_bit(self, backend, mode):
+        for length in range(1, 8):
+            # every rank twice, in both directions
+            ranks = [*range(length, 0, -1), *range(1, length + 1)]
+            for values in signed_zero_tuples(length):
+                batch_stats, single_stats = EvalStats(), EvalStats()
+                got = o.select_ranks(values, ranks, mode=mode, stats=batch_stats)
+                want = [SINGLE[mode](rank, values, single_stats) for rank in ranks]
+                assert type(got) is tuple
+                assert [(v, math.copysign(1, v)) for v in got] == \
+                    [(v, math.copysign(1, v)) for v in want], (values, mode)
+                assert batch_stats == single_stats, (values, mode)
+
+    def test_empty_ranks(self, backend):
+        for mode in SINGLE:
+            assert o.select_ranks([2.0, 1.0], (), mode=mode) == ()
+
+    @pytest.mark.parametrize("mode", ["naive", "memo", "fullrange"])
+    @pytest.mark.parametrize("ranks,error", [
+        ((1, 2, 13), RankError),
+        ((0, 1, 2), RankError),
+        ((1, 2, 7), BudgetError),
+        ((7, 13), RankError),  # every rank is checked before any budget
+    ])
+    def test_refused_before_any_kernel_runs(self, backend, monkeypatch, mode, ranks, error):
+        # With a budget of 100, ranks 1 and 2 of 12 values fit every mode
+        # and rank 7 fits none.
+        values = [float(k % 5) for k in range(12)]
+        stats = EvalStats(recursive_calls=1)
+
+        def no_kernel():
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(o.selection._backend, "kernels", no_kernel)
+        with pytest.raises(error):
+            o.select_ranks(values, ranks, mode=mode, stats=stats, budget=100)
+        assert stats == EvalStats(recursive_calls=1)
+
+    @pytest.mark.parametrize("mode", ["naive", "memo", "fullrange"])
+    def test_budget_resolved_once(self, monkeypatch, mode):
+        calls = []
+
+        def counting(budget=None):
+            calls.append(budget)
+            return resolve(budget)
+
+        resolve = o.selection.resolve_budget
+        monkeypatch.setattr(o.selection, "resolve_budget", counting)
+        monkeypatch.setenv(o.BUDGET_ENV_VAR, "100")
+        assert o.select_ranks([4, 1, 3, 2], (1, 2, 3, 4), mode=mode) == (1, 2, 3, 4)
+        assert calls == [None]
+        assert o.select_ranks([4, 1, 3, 2], (2, 3), mode=mode, budget=50) == (2, 3)
+        assert calls == [None, 50]
+
+    def test_bad_mode(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            o.select_ranks([1.0], (1,), mode="sorted")
+
+    def test_sequence_validated(self):
+        with pytest.raises(SequenceError):
+            o.select_ranks([], (1,))
+        with pytest.raises(SequenceError):
+            o.select_ranks([1.0, float("nan")], (1,))
 
 
 class TestMedian:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -92,6 +93,18 @@ class TestExhaustive:
         assert shards.to_json() == whole.to_json()
 
 
+    def test_shards_keep_signed_zeros_apart(self):
+        # -0.0 == 0.0: without the sign in the merge key, failures on
+        # (-0.0, 1.0) and (0.0, 1.0) kept the order of the shards.
+        plan = VerifyPlan(max_n=3, alphabet=(-0.0, 0.0, 1.0))
+        whole = o.merge_reports([o.exhaustive_verify(plan, inject_fault=True)])
+        for count in (2, 3):
+            merged = o.merge_reports(
+                [o.exhaustive_verify(plan, shard=(i, count), inject_fault=True)
+                 for i in range(count)])
+            assert merged.to_json() == whole.to_json(), count
+
+
 class TestRandom:
     def test_clean_run(self):
         report = o.random_verify(VerifyPlan(max_n=9, random_trials=300, seed=1))
@@ -143,3 +156,52 @@ class TestReports:
         b = o.exhaustive_verify(VerifyPlan(max_n=2))
         merged = o.merge_reports([a, b])
         assert merged.cases_run == a.cases_run + b.cases_run
+
+
+# SHA-256 of to_json() for fixed plans, taken from the selectors called one
+# rank at a time, before select_ranks: the batched path must give the same
+# cases, failures and failure order.
+GOLDEN = [
+    pytest.param("exhaustive", False,
+                 "ed9a6a28ee19e859e0dabf89caf54067cd7cb44996db197e127a600ed53bc8d7",
+                 id="exhaustive"),
+    pytest.param("exhaustive", True,
+                 "66455719e12d7216d05c5f14bcde75ff6a696db360ae5a4f404aae20694ffe02",
+                 id="exhaustive-fault"),
+    pytest.param("random", False,
+                 "8a8496e6e8d72c7808df7250aed60c5d636f843fa4d714137dc56212a936f7ee",
+                 id="random"),
+    pytest.param("random", True,
+                 "d21c9db2a0122fd6a952671b8eedbbea5a6f1d2071bc35ab202035c4ce0ffb8a",
+                 id="random-fault"),
+]
+GOLDEN_PLANS = {
+    "exhaustive": (o.exhaustive_verify, VerifyPlan(max_n=4, alphabet=(-0.0, 0.0, 1.0, 2.5))),
+    "random": (o.random_verify, VerifyPlan(max_n=7, random_trials=60, seed=5)),
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("suite,fault,digest", GOLDEN)
+    def test_report_hash(self, backend, suite, fault, digest):
+        run, plan = GOLDEN_PLANS[suite]
+        report = run(plan, inject_fault=fault)
+        assert report.ok is not fault
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("suite", sorted(GOLDEN_PLANS))
+    def test_budget_resolved_once(self, monkeypatch, suite):
+        calls = []
+
+        def counting(budget=None):
+            calls.append(budget)
+            return resolve(budget)
+
+        resolve = o.selection.resolve_budget
+        monkeypatch.setattr(o.selection, "resolve_budget", counting)
+        monkeypatch.setattr(o.verify, "resolve_budget", counting)
+        monkeypatch.setenv(o.BUDGET_ENV_VAR, "5000")
+        run, plan = GOLDEN_PLANS[suite]
+        assert run(plan).ok
+        assert calls.count(None) == 1
+        assert set(calls) == {None, 5000}
