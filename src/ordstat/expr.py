@@ -19,12 +19,17 @@ left, binary + and - are always parenthesized, absolute value uses bars,
 halving renders as a /2 suffix, and min/max render as min{a, b}/max{a, b}.
 parse_text inverts both the infix and the sexpr renderings.
 
-emit_slp flattens a graph of either form into single-assignment
-instructions ("t3 = sub t0 t2" lines, min and max included), which
-interpret_slp (and eval_expr, which runs it) interprets. compile_to_pyfunc
-packs the same instructions, in the same order, into registers and hands
-them to the active kernel backend, which returns a callable for fast
-repeated evaluation: the C extension runs the program directly, the
+A graph's straight-line program (SLP) is one packed register program per
+root. One walk numbers every distinct operation node as a temp, children
+first, and measures the graph's tree size, node count and depth on the
+way. The program is built the first time anything asks for it and kept
+on the root; it holds numbers only, so it keeps no other node alive.
+Every SLP consumer reads that one record: cse, metrics_of and form_of
+take its sizes and opcodes, emit_slp lists it as single-assignment
+instructions ("t3 = sub t0 t2" lines, min and max included) that
+interpret_slp runs (eval_expr runs them too), and compile_to_pyfunc hands
+it as it is to the active kernel backend, which returns a callable for
+fast repeated evaluation: the C extension runs the program directly, the
 pure-Python backend generates Python source from it.
 """
 
@@ -33,10 +38,10 @@ from __future__ import annotations
 import math
 import operator
 import re
+import weakref
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from weakref import KeyedRef
 
 from . import _backend
 from ._pykernels import SLP_OPS, _fill_levels
@@ -60,10 +65,17 @@ _ARITY = {
 _INTERNED = {}
 
 
-def _forget(ref, table=_INTERNED):
+class _Ref(weakref.ref):
+    """Weak reference to an interned node, carrying its table key. Unlike
+    weakref.KeyedRef it runs no Python code when it is made."""
+
+    __slots__ = ("key",)
+
+
+def _forget(dead, table=_INTERNED):
     # A dead reference may already have been replaced by a live node.
-    if table.get(ref.key) is ref:
-        del table[ref.key]
+    if table.get(dead.key) is dead:
+        del table[dead.key]
 
 
 class Expr:
@@ -71,7 +83,7 @@ class Expr:
     constant value) and child nodes. Nodes are interned, so structurally
     equal nodes are the same object and compare by identity."""
 
-    __slots__ = ("kind", "payload", "children", "__weakref__")
+    __slots__ = ("kind", "payload", "children", "_program", "__weakref__")
 
     def __new__(cls, kind, payload=None, children=()):
         arity = _ARITY.get(kind)
@@ -96,18 +108,32 @@ class Expr:
             key = (kind, payload, math.copysign(1.0, payload))
         else:
             key = (kind, payload) + children
-        ref = _INTERNED.get(key)
-        node = ref() if ref is not None else None
-        if node is None:
-            node = object.__new__(cls)
-            node.kind = kind
-            node.payload = payload
-            node.children = children
-            _INTERNED[key] = KeyedRef(node, _forget, key)
-        return node
+        return _intern(key, kind, payload, children)
 
     def __repr__(self):
         return f"Expr<{_describe(self)}>"
+
+
+def _intern(key, kind, payload, children):
+    """The live node under `key`, or a new one; callers have checked the
+    parts. A new node's program (see _program_of) is computed on demand."""
+    entry = _INTERNED.get(key)
+    node = entry() if entry is not None else None
+    if node is None:
+        node = object.__new__(Expr)
+        node.kind = kind
+        node.payload = payload
+        node.children = children
+        node._program = None
+        entry = _INTERNED[key] = _Ref(node, _forget)
+        entry.key = key
+    return node
+
+
+def _op(kind, *children):
+    """Operation node over nodes that already exist, for code in this
+    module whose kinds and arities are right by construction."""
+    return _intern((kind, None) + children, kind, None, children)
 
 
 def var(index: int) -> Expr:
@@ -170,7 +196,7 @@ def _postorder(root: Expr) -> list[Expr]:
 
 
 def contains_minmax(expr: Expr) -> bool:
-    return any(node.kind in ("min", "max") for node in _postorder(expr))
+    return not _MINMAX_OPS.isdisjoint(_program_of(expr).code[::3])
 
 
 def form_of(expr: Expr) -> str:
@@ -199,12 +225,7 @@ def cse(expr: Expr) -> tuple[Expr, ExprMetrics]:
 
 
 def metrics_of(expr: Expr) -> ExprMetrics:
-    tree = {}
-    depth = {}
-    for node in _postorder(expr):
-        tree[id(node)] = 1 + sum(tree[id(c)] for c in node.children)
-        depth[id(node)] = 1 + max((depth[id(c)] for c in node.children), default=0)
-    return ExprMetrics(tree[id(expr)], len(tree), depth[id(expr)])
+    return _program_of(expr).metrics
 
 
 def _check_build_budget(n_vars: int, rank: int, budget: int | None) -> None:
@@ -269,15 +290,18 @@ def lower_minmax_to_arith(expr: Expr) -> Expr:
     """
     out = {}
     for node in _postorder(expr):
-        kids = tuple(out[id(c)] for c in node.children)
-        if node.kind == "min":
-            a, b = kids
-            new = halve(sub(add(a, b), abs_of(sub(a, b))))
-        elif node.kind == "max":
-            a, b = kids
-            new = halve(add(add(a, b), abs_of(sub(a, b))))
+        kind = node.kind
+        kids = node.children
+        if kind == "min" or kind == "max":
+            a = out[id(kids[0])]
+            b = out[id(kids[1])]
+            spread = _op("abs", _op("sub", a, b))
+            new = _op("halve", _op("sub" if kind == "min" else "add", _op("add", a, b), spread))
+        elif not kids:
+            new = node
         else:
-            new = Expr(node.kind, node.payload, kids)
+            lowered = tuple([out[id(c)] for c in kids])
+            new = node if lowered == kids else _op(kind, *lowered)
         out[id(node)] = new
     return out[id(expr)]
 
@@ -285,12 +309,12 @@ def lower_minmax_to_arith(expr: Expr) -> Expr:
 def eval_expr(expr: Expr, assignment) -> float:
     """Bottom-up evaluation under a {1-based index: value} assignment.
 
-    Runs interpret_slp on the flattened expression: min/max evaluate by
-    comparison, halve divides by exactly 2. Missing variables and
-    non-finite inputs or intermediates raise ExprError, the latter naming
-    the offending instruction.
+    Runs interpret_slp on the expression's program, as emit_slp lists it:
+    min/max evaluate by comparison, halve divides by exactly 2. Missing
+    variables and non-finite inputs or intermediates raise ExprError, the
+    latter naming the offending instruction.
     """
-    return interpret_slp(_flatten(expr), assignment)
+    return interpret_slp(_program_of(expr).slp(), assignment)
 
 
 def format_real(x: float) -> str:
@@ -435,17 +459,32 @@ class _InfixParser:
             num = self.take()
             if not _NUMBER.match(num):
                 raise TextParseError(f"expected a number after '-', found {num!r}")
-            return const(-float(num))
+            return _leaf("const", "-" + num)
         self.take()
         if tok.startswith("x") and tok[1:].isdigit():
-            return var(int(tok[1:]))
+            return _leaf("var", tok[1:])
         if _NUMBER.match(tok):
-            return const(float(tok))
+            return _leaf("const", tok)
         raise TextParseError(f"unexpected token {tok!r}")
 
 
+def _leaf(kind, text):
+    """The var or const node whose payload is written `text`. A payload
+    that does not convert, or that the node refuses (x0, 1e999), makes
+    the formula malformed text."""
+    try:
+        return var(int(text)) if kind == "var" else const(float(text))
+    except ValueError as exc:  # ExprError is a ValueError too
+        name = "variable index" if kind == "var" else "constant"
+        raise TextParseError(f"bad {name} {text!r}: {exc}") from None
+
+
 def parse_text(text: str, syntax: str = "infix") -> Expr:
-    """Parse a rendering produced by emit_text back into an expression."""
+    """Parse a rendering produced by emit_text back into an expression.
+
+    Any text that is no such rendering, including x0 and constants that
+    overflow to infinity, raises TextParseError; an unknown `syntax`
+    raises ExprError."""
     if syntax == "infix":
         parser = _InfixParser(_tokenize_infix(text))
         node = parser.parse_chain()
@@ -471,17 +510,13 @@ def _parse_sexpr(tokens, pos):
         raise TextParseError("unexpected end of expression")
     head = tokens[pos]
     pos += 1
-    if head == "var":
+    if head in ("var", "const"):
+        if pos >= len(tokens):
+            raise TextParseError("unexpected end of expression")
         tok = tokens[pos]
-        if not tok.isdigit():
+        if head == "var" and not tok.isdigit():
             raise TextParseError(f"bad variable index {tok!r}")
-        node = var(int(tok))
-        pos += 1
-    elif head == "const":
-        try:
-            node = const(float(tokens[pos]))
-        except ValueError:
-            raise TextParseError(f"bad constant {tokens[pos]!r}") from None
+        node = _leaf(head, tok)
         pos += 1
     else:
         arity = _ARITY.get(head)
@@ -533,29 +568,123 @@ def _ref_text(ref) -> str:
     return format_real(v)
 
 
-def _flatten(expr: Expr) -> CompiledProgram:
-    """One instruction per distinct operation node, children first; leaves
-    become operand refs. The evaluators call this rather than emit_slp, so
-    a wrapper around emit_slp sees only programs that callers asked for."""
-    refs = {}
-    instructions = []
-    for node in _postorder(expr):
-        if node.kind == "var":
-            refs[id(node)] = ("x", node.payload)
-        elif node.kind == "const":
-            refs[id(node)] = ("c", node.payload)
+_OPCODE = {op: code for code, op in enumerate(SLP_OPS)}
+_UNARY_OPS = {_OPCODE["abs"], _OPCODE["halve"]}
+_MINMAX_OPS = {_OPCODE["min"], _OPCODE["max"]}
+
+
+class _Program:
+    """A root's straight-line program, packed as compile_slp takes it, and
+    the root's metrics. Registers are [x1..xN, constants, temps], N the
+    largest variable index; each distinct constant node has one pool
+    entry, so -0.0 and 0.0 stay apart. Temp k is the k-th distinct
+    operation node in _postorder's order and is written by the k-th
+    (op, a, b) triple of `code`; a unary op names its operand twice.
+    `code` is a list, so any variable index can be listed and measured;
+    only compile_to_pyfunc packs it into 32-bit registers. The record
+    holds numbers only, no node, so keeping it on its root keeps no graph
+    alive."""
+
+    __slots__ = ("n_vars", "consts", "code", "result", "metrics")
+
+    def __init__(self, n_vars, consts, code, result, metrics):
+        self.n_vars = n_vars
+        self.consts = consts
+        self.code = code
+        self.result = result
+        self.metrics = metrics
+
+    def slp(self) -> CompiledProgram:
+        """The program as SlpInstruction lines, read off `code`."""
+        n_vars = self.n_vars
+        refs = [("c", v) for v in self.consts]  # register n_vars + i
+        instructions = []
+        it = iter(self.code)
+        for dest, (op, a, b) in enumerate(zip(it, it, it)):
+            ra = ("x", a + 1) if a < n_vars else refs[a - n_vars]
+            if op in _UNARY_OPS:
+                args = (ra,)
+            else:
+                args = (ra, ("x", b + 1) if b < n_vars else refs[b - n_vars])
+            instructions.append(SlpInstruction(dest, SLP_OPS[op], args))
+            refs.append(("t", dest))
+        r = self.result
+        return CompiledProgram(tuple(instructions),
+                               ("x", r + 1) if r < n_vars else refs[r - n_vars])
+
+
+def _program_of(expr: Expr) -> _Program:
+    """The root's _Program, built by one walk the first time it is asked
+    for and then kept on the root: interned nodes never change."""
+    program = expr._program
+    if program is None:
+        program = expr._program = _build_program(expr)
+    return program
+
+
+def _build_program(root: Expr) -> _Program:
+    # A node is finished once its children are: nodes finish in
+    # _postorder's order, and tree size and depth are known at that point.
+    # Operand registers wait until the walk has counted variables and
+    # constants, which come first in the register file.
+    size = {}  # id -> (tree nodes, depth) of every finished node
+    reg = {}  # id -> register of every variable and operation node
+    const_nodes = []
+    ops = []
+    n_vars = 0
+    stack = [root]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        node = stack[-1]
+        if id(node) in size:
+            pop()
+            continue
+        kids = node.children
+        if len(kids) == 2:
+            a, b = kids
+            sa = size.get(id(a))
+            sb = size.get(id(b))
+            if sa is None or sb is None:
+                if sb is None:
+                    push(b)
+                if sa is None:
+                    push(a)
+                continue
+            size[id(node)] = (1 + sa[0] + sb[0], 1 + (sa[1] if sa[1] > sb[1] else sb[1]))
+            ops.append(node)
+        elif kids:
+            sa = size.get(id(kids[0]))
+            if sa is None:
+                push(kids[0])
+                continue
+            size[id(node)] = (1 + sa[0], 1 + sa[1])
+            ops.append(node)
         else:
-            args = tuple(refs[id(c)] for c in node.children)
-            dest = len(instructions)
-            instructions.append(SlpInstruction(dest, node.kind, args))
-            refs[id(node)] = ("t", dest)
-    return CompiledProgram(tuple(instructions), refs[id(expr)])
+            size[id(node)] = (1, 1)
+            if node.kind == "var":
+                reg[id(node)] = node.payload - 1
+                if node.payload > n_vars:
+                    n_vars = node.payload
+            else:
+                const_nodes.append(node)
+        pop()
+    for i, node in enumerate(const_nodes, n_vars):
+        reg[id(node)] = i
+    code = []
+    for dest, node in enumerate(ops, n_vars + len(const_nodes)):
+        kids = node.children
+        code += (_OPCODE[node.kind], reg[id(kids[0])], reg[id(kids[-1])])
+        reg[id(node)] = dest
+    tree, depth = size[id(root)]
+    return _Program(n_vars, tuple([node.payload for node in const_nodes]), code,
+                    reg[id(root)], ExprMetrics(tree, len(size), depth))
 
 
 def emit_slp(expr: Expr) -> CompiledProgram:
     """Flatten an expression of either form into one instruction per
-    distinct operation node."""
-    return _flatten(expr)
+    distinct operation node, children first; leaves become operand refs."""
+    return _program_of(expr).slp()
 
 
 # The SLP ops as Python functions; compiled programs (see
@@ -568,7 +697,6 @@ _SLP_OPS = {
     "min": lambda a, b: a if a <= b else b,
     "max": lambda a, b: a if a >= b else b,
 }
-_OPCODE = {op: code for code, op in enumerate(SLP_OPS)}
 
 
 def interpret_slp(program: CompiledProgram, assignment) -> float:
@@ -615,36 +743,6 @@ def _variable(assignment, v: int, xs: dict) -> float:
     return val
 
 
-def _pack(expr: Expr):
-    """The (n_vars, consts, code, result) program that compile_slp takes.
-
-    Registers are [x1..xN, constants, temps], N the largest variable index.
-    Each distinct constant node gets one pool entry, so -0.0 and 0.0 stay
-    apart, and the temps are _flatten's instructions in _flatten's order;
-    a unary op names its operand twice.
-    """
-    order = _postorder(expr)
-    n_vars = max((node.payload for node in order if node.kind == "var"), default=0)
-    consts = [node.payload for node in order if node.kind == "const"]
-    reg = {}
-    next_const = n_vars
-    dest = n_vars + len(consts)
-    code = []
-    for node in order:
-        kind = node.kind
-        if kind == "var":
-            reg[id(node)] = node.payload - 1
-        elif kind == "const":
-            reg[id(node)] = next_const
-            next_const += 1
-        else:
-            kids = node.children
-            code += (_OPCODE[kind], reg[id(kids[0])], reg[id(kids[-1])])
-            reg[id(node)] = dest
-            dest += 1
-    return n_vars, consts, array("i", code), reg[id(expr)]
-
-
 def compile_to_pyfunc(expr: Expr):
     """Compile to a function f(values) over a 0-based sequence.
 
@@ -655,4 +753,6 @@ def compile_to_pyfunc(expr: Expr):
     returns a float; a missing or non-finite input, or a non-finite
     intermediate, raises ExprError, as eval_expr does.
     """
-    return _backend.kernels().compile_slp(*_pack(expr))
+    program = _program_of(expr)
+    return _backend.kernels().compile_slp(program.n_vars, program.consts,
+                                          array("i", program.code), program.result)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import ordstat as o
 from ordstat import BudgetError, ExprError, RankError, TextParseError
 from ordstat import expr as expr_module
-from ordstat._backend import get_kernels
+from ordstat._backend import active_backend, available_backends, get_kernels, set_backend
 from ordstat._pykernels import SLP_OPS
 from ordstat.expr import Expr
 
@@ -21,6 +21,17 @@ x1, x2, x3 = o.var(1), o.var(2), o.var(3)
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
+
+
+_BINARY = st.sampled_from(["add", "sub", "min", "max"])
+_UNARY = st.sampled_from(["abs", "halve"])
+formulas = st.recursive(
+    st.one_of(st.integers(1, 12).map(o.var),
+              st.floats(allow_nan=False, allow_infinity=False).map(o.const)),
+    lambda kids: st.one_of(
+        st.builds(lambda kind, a, b: Expr(kind, None, (a, b)), _BINARY, kids, kids),
+        st.builds(lambda kind, a: Expr(kind, None, (a,)), _UNARY, kids)),
+    max_leaves=10)
 
 
 def min2_arith():
@@ -85,6 +96,8 @@ class TestInterning:
         assert len(expr_module._INTERNED) == before
 
     def test_dropped_graph_leaves_the_table_without_collector(self):
+        # Every stage, the program kept on each root and the compiled
+        # callables included, must let the graph go by reference counts.
         gc.collect()
         gc.disable()
         try:
@@ -93,8 +106,42 @@ class TestInterning:
             assert len(expr_module._INTERNED) > before
             del e
             assert len(expr_module._INTERNED) == before
+
+            tree = o.build_selection_expr(9, 5, "minmax")
+            root, _ = o.cse(o.lower_minmax_to_arith(tree))
+            o.emit_slp(root)
+            o.emit_slp(tree)
+            fns = []
+            previous = active_backend()
+            try:
+                for name in available_backends():
+                    set_backend(name)
+                    fns += [o.compile_to_pyfunc(root), o.compile_to_pyfunc(tree)]
+            finally:
+                set_backend(previous)
+            xs = [float(v) for v in range(9, 0, -1)]
+            assert o.eval_expr(root, dict(enumerate(xs, 1))) == 5.0
+            assert [fn(xs) for fn in fns] == [5.0] * len(fns)
+            assert len(expr_module._INTERNED) > before
+            del tree, root, fns
+            assert len(expr_module._INTERNED) == before
         finally:
             gc.enable()
+
+    def test_one_walk_per_root(self, monkeypatch):
+        root = o.build_selection_expr(7, 4, "arithmetic")
+        walks = []
+        for name in ("_postorder", "_build_program"):
+            real = getattr(expr_module, name)
+            monkeypatch.setattr(expr_module, name, lambda r, real=real: walks.append(r) or real(r))
+        first = o.emit_slp(root).to_text()
+        _, metrics = o.cse(root)
+        fn = o.compile_to_pyfunc(root)
+        assert o.metrics_of(root) == metrics
+        assert o.form_of(root) == "arithmetic"
+        assert o.emit_slp(root).to_text() == first
+        assert fn([4.0, 7.0, 1.0, 3.0, 6.0, 2.0, 5.0]) == 4.0
+        assert len(walks) <= 1
 
     def test_negative_zero_constant_keeps_its_sign(self):
         zero = o.const(0.0)
@@ -325,18 +372,31 @@ class TestParseText:
     @pytest.mark.parametrize("bad", [
         "", "x1 +", "min{x1 x2}", "(x1", "x1)", "|x1", "x1/3", "x1//2",
         "min{x1, x2", "1.2.3", "x1 x2", "foo", "(var x)", "x0",
+        "1e999", "-1e999", "x1 + 1e400",
     ])
     def test_infix_rejects(self, bad):
-        with pytest.raises((TextParseError, ExprError)):
+        with pytest.raises(TextParseError):
             o.parse_text(bad)
 
     @pytest.mark.parametrize("bad", [
         "", "(var)", "(var 1.5)", "(mul (var 1) (var 2))", "(add (var 1))",
-        "(var 1) extra", "((var 1))",
+        "(var 1) extra", "((var 1))", "(var", "(const", "(var 0)", "(var 00)",
+        "(const 1e999)", "(const nan)", "(const -inf)", "(const x)", "(var \u00b2)",
     ])
     def test_sexpr_rejects(self, bad):
-        with pytest.raises((TextParseError, ExprError)):
+        with pytest.raises(TextParseError):
             o.parse_text(bad, "sexpr")
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas, st.sampled_from(["infix", "sexpr"]))
+    def test_every_prefix_parses_or_raises_text_parse_error(self, e, syntax):
+        text = o.emit_text(e, syntax)
+        assert o.parse_text(text, syntax) is e
+        for end in range(len(text)):
+            try:
+                o.parse_text(text[:end], syntax)
+            except TextParseError:
+                pass
 
     def test_scientific_notation(self):
         assert o.parse_text("1e-05") == o.const(1e-05)
@@ -365,6 +425,12 @@ class TestSlp:
             "t4 = halve t3\n"
             "result t4"
         )
+
+    def test_index_past_32_bits_is_listed_and_measured(self):
+        e = o.add(o.var(2**40), o.const(1.0))
+        assert o.emit_slp(e).to_text() == "t0 = add x1099511627776 1\nresult t0"
+        assert o.metrics_of(e) == o.ExprMetrics(3, 3, 2)
+        assert o.form_of(e) == "arithmetic"
 
     def test_negative_zero_operand_text(self):
         prog = o.emit_slp(o.add(x1, o.const(-0.0)))
@@ -489,6 +555,16 @@ class TestCompiledFormulas:
         assert bits(fn([0.0])) == bits(0.0)
         both = o.compile_to_pyfunc(o.add(o.add(x1, o.const(0.0)), o.const(-0.0)))
         assert bits(both([-0.0])) == bits(0.0)
+
+    def test_constants_keep_their_registers(self, backend):
+        # Non-commutative uses of several constants, signed zeros among them.
+        e = o.sub(o.sub(o.const(5.0), x1), o.halve(o.add(o.const(-0.0), o.const(2.0))))
+        e = o.max_of(e, o.add(o.const(0.0), o.sub(x2, o.const(-3.5))))
+        fn = o.compile_to_pyfunc(e)
+        program = o.emit_slp(e)
+        for xs in ([0.0, -9.0], [-0.0, -0.0], [1.5, 4.0], [-7.0, -20.0]):
+            assert bits(fn(xs)) == bits(o.interpret_slp(program, dict(enumerate(xs, 1))))
+        assert fn([0.0, -9.0]) == 4.0
 
     def test_integer_inputs_give_floats(self, backend):
         for form in ("minmax", "arithmetic"):
