@@ -15,13 +15,15 @@ backends, are what the memoized recursion would count:
 select_memo runs no recursion: it fills the survivor sets level by level
 (see _fill_levels) and reads the three counters off the level sizes.
 
-compile_slp turns a packed straight-line program into a callable. Here
-that is Python source, generated from the program and run through exec;
-the C twin interprets the program on a register file instead.
+compile_slp turns a packed straight-line program into a callable. Both
+twins check the program once and then run it on a register file, one
+loop over its (op, a, b) triples that checks every value; here that loop
+is _run_slp, which expr.eval_expr runs too.
 """
 
 import math
-from itertools import combinations
+import operator
+from itertools import combinations, count
 
 from .errors import ExprError
 
@@ -117,10 +119,11 @@ def select_fullrange(values, rank):
 
 
 # Opcodes of a packed straight-line program, numbered by position here and
-# in _ckernels.c. Unary ops ignore their second operand.
+# in _ckernels.c, and the value each computes from its operands (a, b).
+# Unary ops ignore b; min and max compare as the C twin does.
 SLP_OPS = ("add", "sub", "abs", "halve", "min", "max")
-_SOURCE = ("{0} + {1}", "{0} - {1}", "abs({0})", "{0} / 2",
-           "{0} if {0} <= {1} else {1}", "{0} if {0} >= {1} else {1}")
+_SLP_FNS = (operator.add, operator.sub, lambda a, b: abs(a), lambda a, b: a / 2,
+            lambda a, b: a if a <= b else b, lambda a, b: a if a >= b else b)
 
 
 def compile_slp(n_vars, consts, code, result):
@@ -151,42 +154,19 @@ def compile_slp(n_vars, consts, code, result):
     n_regs = base + len(code) // 3
     if not 0 <= result < n_regs:
         raise ValueError(f"result register {result} out of range 0..{n_regs - 1}")
-    ops = [code[i:i + 3] for i in range(0, len(code), 3)]
-    for k, (op, a, b) in enumerate(ops):
+    it = iter(code)
+    for k, (op, a, b) in enumerate(zip(it, it, it)):
         if not 0 <= op < len(SLP_OPS):
             raise ValueError(f"instruction {k}: unknown op {op}")
         if not (0 <= a < base + k and 0 <= b < base + k):
             raise ValueError(f"instruction {k}: operands ({a}, {b}) "
                              f"must lie below its register {base + k}")
-    # add, sub, abs and halve turn a non-finite operand into a non-finite
-    # value; only min and max can drop one. So the first non-finite value
-    # reaches the result, a value nothing reads, or an add/sub/abs/halve
-    # value that min or max reads, and checking just those registers
-    # raises exactly when checking every instruction would.
-    checked = {result}
-    read = set()
-    for op, a, b in ops:
-        read.update((a,) if SLP_OPS[op] in ("abs", "halve") else (a, b))
-        if SLP_OPS[op] in ("min", "max"):
-            checked.update(r for r in (a, b)
-                           if r >= base and SLP_OPS[ops[r - base][0]] not in ("min", "max"))
-    checked.update(r for r in range(base, n_regs) if r not in read)
+    tail = consts + [None] * (n_regs - base)
 
-    names = [f"r{i}" for i in range(n_vars)] + [repr(v) for v in consts]
-    lines = ["def formula(xs):"]
-    if n_vars:
-        lines.append(f"    {', '.join(names[:n_vars])}, = _inputs(xs, {n_vars})")
-    for dest, (op, a, b) in enumerate(ops, base):
-        names.append(f"r{dest}")
-        lines.append(f"    r{dest} = " + _SOURCE[op].format(names[a], names[b]))
-        if dest in checked:
-            # x - x is 0.0 for a finite x and nan otherwise, and nan is true.
-            lines.append(f"    if r{dest} - r{dest}: _nonfinite(locals(), {base})")
-    lines.append(f"    return {names[result]}")
-    namespace = {}
-    exec("\n".join(lines), {"abs": abs, "_inputs": _inputs, "_nonfinite": _nonfinite},
-         namespace)
-    return namespace["formula"]
+    def formula(xs):
+        return _run_slp(_inputs(xs, n_vars) + tail, base, code, result)
+
+    return formula
 
 
 def _inputs(xs, n):
@@ -200,10 +180,17 @@ def _inputs(xs, n):
     return vals
 
 
-def _nonfinite(regs, base):
-    # Names the first non-finite temp, as checking every instruction would;
-    # straight-line code has assigned every temp up to the failed check.
-    k = 0
-    while math.isfinite(regs[f"r{base + k}"]):
-        k += 1
-    raise ExprError(f"non-finite intermediate {regs[f'r{base + k}']!r} at t{k}")
+def _run_slp(regs, base, code, result):
+    """Run checked (op, a, b) triples on `regs`, where instruction k writes
+    register base + k, and return register `result`. A non-finite value
+    raises ExprError. `regs` may load an input at its first read (see
+    expr.eval_expr): operands are read left to right, in program order."""
+    fns = _SLP_FNS
+    it = iter(code)
+    for dest, op, a, b in zip(count(base), it, it, it):
+        v = fns[op](regs[a], regs[b])
+        # v - v is 0.0 for a finite v and nan otherwise, and nan is true.
+        if v - v:
+            raise ExprError(f"non-finite intermediate {v!r} at t{dest - base}")
+        regs[dest] = v
+    return regs[result]

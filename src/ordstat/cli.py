@@ -12,7 +12,8 @@ rejected in both grammars.
 Exit status: 0 on success, 1 when a verify run reports failures, 2 on
 input/parse errors, 3 on rank, budget, or formula errors. The recursion
 budget can be overridden per command with --budget or globally with the
-ORDSTAT_BUDGET environment variable (flag wins).
+ORDSTAT_BUDGET environment variable (flag wins). emit refuses, before
+rendering, formula text of more tree nodes than the budget (not --slp).
 """
 
 from __future__ import annotations
@@ -29,18 +30,20 @@ from .bench import (
     records_to_csv,
     records_to_json,
 )
-from .errors import OrdstatError, SequenceError, TextParseError
+from .errors import BudgetError, OrdstatError, SequenceError, TextParseError
 from .expr import (
     build_selection_expr,
     compile_to_pyfunc,
     emit_slp,
     emit_text,
     format_real,
+    metrics_of,
 )
 from .selection import (
     EvalStats,
     as_real_sequence,
     median,
+    resolve_budget,
     select_fullrange,
     select_memo,
     select_naive,
@@ -150,6 +153,9 @@ def cmd_emit(args) -> int:
         print(emit_slp(expr).to_text())
         return 0
     expr = build_selection_expr(args.n, args.rank, args.form, budget=args.budget)
+    nodes, limit = metrics_of(expr).node_count_tree, resolve_budget(args.budget)
+    if nodes > limit:
+        raise BudgetError(f"formula text of {nodes} tree nodes is over the budget of {limit}")
     print(emit_text(expr, args.syntax))
     return 0
 

@@ -27,16 +27,16 @@ on the root; it holds numbers only, so it keeps no other node alive.
 Every SLP consumer reads that one record: cse, metrics_of and form_of
 take its sizes and opcodes, emit_slp lists it as single-assignment
 instructions ("t3 = sub t0 t2" lines, min and max included) that
-interpret_slp runs (eval_expr runs them too), and compile_to_pyfunc hands
-it as it is to the active kernel backend, which returns a callable for
-fast repeated evaluation: the C extension runs the program directly, the
-pure-Python backend generates Python source from it.
+interpret_slp runs, eval_expr runs it with the pure-Python backend's
+register loop, and compile_to_pyfunc hands it as it is to the active
+kernel backend, which checks it once and returns a callable for fast
+repeated evaluation. interpret_slp walks the listing on its own and is
+the reference both backends are tested against.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 import weakref
 from array import array
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import _backend
-from ._pykernels import SLP_OPS, _fill_levels
+from ._pykernels import _SLP_FNS, SLP_OPS, _fill_levels, _run_slp
 from .errors import BudgetError, ExprError, RankError, SequenceError, TextParseError
 from .selection import naive_call_count, resolve_budget
 
@@ -309,12 +309,27 @@ def lower_minmax_to_arith(expr: Expr) -> Expr:
 def eval_expr(expr: Expr, assignment) -> float:
     """Bottom-up evaluation under a {1-based index: value} assignment.
 
-    Runs interpret_slp on the expression's program, as emit_slp lists it:
-    min/max evaluate by comparison, halve divides by exactly 2. Missing
-    variables and non-finite inputs or intermediates raise ExprError, the
-    latter naming the offending instruction.
+    Runs the program emit_slp lists in the pure-Python backend's register
+    loop: min/max evaluate by comparison, halve divides by exactly 2.
+    Missing variables and non-finite inputs or intermediates raise
+    ExprError in interpret_slp's order, the latter naming the instruction.
     """
-    return interpret_slp(_program_of(expr).slp(), assignment)
+    program = _program_of(expr)
+    regs = _Registers(enumerate(program.consts, program.n_vars))
+    regs.assignment = assignment
+    return _run_slp(regs, program.n_vars + len(program.consts), program.code,
+                    program.result)
+
+
+class _Registers(dict):
+    """eval_expr's registers: variable register r loads x{r + 1} from the
+    assignment at its first read, and unread variables take no room."""
+
+    __slots__ = ("assignment",)
+
+    def __missing__(self, r):
+        value = self[r] = _variable(self.assignment, r + 1)
+        return value
 
 
 def format_real(x: float) -> str:
@@ -484,19 +499,22 @@ def parse_text(text: str, syntax: str = "infix") -> Expr:
 
     Any text that is no such rendering, including x0 and constants that
     overflow to infinity, raises TextParseError; an unknown `syntax`
-    raises ExprError."""
-    if syntax == "infix":
-        parser = _InfixParser(_tokenize_infix(text))
-        node = parser.parse_chain()
-        if parser.peek() is not None:
-            raise TextParseError(f"trailing input from {parser.peek()!r}")
-        return node
-    if syntax == "sexpr":
-        tokens = re.findall(r"[()]|[^\s()]+", text)
-        node, rest = _parse_sexpr(tokens, 0)
-        if rest != len(tokens):
-            raise TextParseError(f"trailing input from {tokens[rest]!r}")
-        return node
+    raises ExprError. Text nested past the recursion limit is refused too."""
+    try:
+        if syntax == "infix":
+            parser = _InfixParser(_tokenize_infix(text))
+            node = parser.parse_chain()
+            if parser.peek() is not None:
+                raise TextParseError(f"trailing input from {parser.peek()!r}")
+            return node
+        if syntax == "sexpr":
+            tokens = re.findall(r"[()]|[^\s()]+", text)
+            node, rest = _parse_sexpr(tokens, 0)
+            if rest != len(tokens):
+                raise TextParseError(f"trailing input from {tokens[rest]!r}")
+            return node
+    except RecursionError:
+        raise TextParseError("formula nests too deeply to parse") from None
     raise ExprError(f"syntax must be 'infix' or 'sexpr', got {syntax!r}")
 
 
@@ -580,10 +598,10 @@ class _Program:
     entry, so -0.0 and 0.0 stay apart. Temp k is the k-th distinct
     operation node in _postorder's order and is written by the k-th
     (op, a, b) triple of `code`; a unary op names its operand twice.
-    `code` is a list, so any variable index can be listed and measured;
-    only compile_to_pyfunc packs it into 32-bit registers. The record
-    holds numbers only, no node, so keeping it on its root keeps no graph
-    alive."""
+    `code` is a list, so any variable index can be listed, measured and
+    evaluated; only compile_to_pyfunc packs it into 32-bit registers. The
+    record holds numbers only, no node, so keeping it on its root keeps no
+    graph alive."""
 
     __slots__ = ("n_vars", "consts", "code", "result", "metrics")
 
@@ -687,18 +705,6 @@ def emit_slp(expr: Expr) -> CompiledProgram:
     return _program_of(expr).slp()
 
 
-# The SLP ops as Python functions; compiled programs (see
-# _pykernels.compile_slp) compare min/max the same way.
-_SLP_OPS = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "abs": abs,
-    "halve": lambda a: a / 2,
-    "min": lambda a, b: a if a <= b else b,
-    "max": lambda a, b: a if a >= b else b,
-}
-
-
 def interpret_slp(program: CompiledProgram, assignment) -> float:
     """Run a straight-line program under a {1-based index: value}
     assignment; non-finite inputs or intermediates raise ExprError. Each
@@ -708,8 +714,8 @@ def interpret_slp(program: CompiledProgram, assignment) -> float:
     xs = {}
     # Operand loads are inlined: a call per operand cost more than the ops.
     for ins in program.instructions:
-        fn = _SLP_OPS.get(ins.op)
-        if fn is None:
+        code = _OPCODE.get(ins.op)
+        if code is None:
             raise ExprError(f"unknown op {ins.op!r}")
         args = []
         for tag, v in ins.args:
@@ -718,8 +724,8 @@ def interpret_slp(program: CompiledProgram, assignment) -> float:
             elif tag == "c":
                 args.append(v)
             else:
-                args.append(xs[v] if v in xs else _variable(assignment, v, xs))
-        r = fn(*args)
+                args.append(xs[v] if v in xs else xs.setdefault(v, _variable(assignment, v)))
+        r = _SLP_FNS[code](args[0], args[-1])
         if not math.isfinite(r):
             raise ExprError(f"non-finite intermediate {r!r} at t{ins.dest}")
         temps.append(r)
@@ -728,18 +734,17 @@ def interpret_slp(program: CompiledProgram, assignment) -> float:
         return temps[v]
     if tag == "c":
         return v
-    return xs[v] if v in xs else _variable(assignment, v, xs)
+    return xs[v] if v in xs else _variable(assignment, v)
 
 
-def _variable(assignment, v: int, xs: dict) -> float:
-    """x{v} from the assignment as a finite float, remembered in xs."""
+def _variable(assignment, v: int) -> float:
+    """x{v} from the assignment as a finite float."""
     try:
         val = float(assignment[v])
     except (KeyError, IndexError):
         raise ExprError(f"assignment is missing variable x{v}") from None
     if not math.isfinite(val):
         raise ExprError(f"assignment for x{v} is not finite: {val!r}")
-    xs[v] = val
     return val
 
 
@@ -747,11 +752,12 @@ def compile_to_pyfunc(expr: Expr):
     """Compile to a function f(values) over a 0-based sequence.
 
     A speed utility for drivers that evaluate one formula many times. The
-    active kernel backend builds f from the instructions interpret_slp
-    runs, in the same order, so results match eval_expr bit for bit. f
-    converts x1..xN (N the largest variable index) with float() and
-    returns a float; a missing or non-finite input, or a non-finite
-    intermediate, raises ExprError, as eval_expr does.
+    active kernel backend checks the packed program that eval_expr runs
+    once, and f then runs its instructions in the same order, so results
+    match eval_expr bit for bit. f converts x1..xN (N the largest variable
+    index) with float() and returns a float; a missing or non-finite
+    input, or a non-finite intermediate, raises ExprError, as eval_expr
+    does.
     """
     program = _program_of(expr)
     return _backend.kernels().compile_slp(program.n_vars, program.consts,

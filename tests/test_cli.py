@@ -158,6 +158,16 @@ class TestEmit:
                              capsys=capsys)
         assert code == 3
 
+    def test_text_over_budget_exits_3_before_rendering(self, capsys):
+        # The graph builds within the budget; its text would be a tree of
+        # 9.6e9 nodes.
+        code, out, err = run_cli(["emit", "--n", "9", "--rank", "5", "--form", "arithmetic"],
+                                 capsys=capsys)
+        assert (code, out) == (3, "")
+        assert "9577187241 tree nodes" in err
+        code, out, _ = run_cli(["emit", "--n", "9", "--rank", "5", "--slp"], capsys=capsys)
+        assert code == 0 and out.endswith("\nresult t3329\n")
+
 
 class TestVerifyCommand:
     def test_single_random_trial(self, capsys):

@@ -1,3 +1,4 @@
+import builtins
 import functools
 import gc
 import itertools
@@ -373,6 +374,7 @@ class TestParseText:
         "", "x1 +", "min{x1 x2}", "(x1", "x1)", "|x1", "x1/3", "x1//2",
         "min{x1, x2", "1.2.3", "x1 x2", "foo", "(var x)", "x0",
         "1e999", "-1e999", "x1 + 1e400",
+        pytest.param("(" * 400 + "x1" + ")" * 400, id="400-nested-parens"),
     ])
     def test_infix_rejects(self, bad):
         with pytest.raises(TextParseError):
@@ -382,6 +384,7 @@ class TestParseText:
         "", "(var)", "(var 1.5)", "(mul (var 1) (var 2))", "(add (var 1))",
         "(var 1) extra", "((var 1))", "(var", "(const", "(var 0)", "(var 00)",
         "(const 1e999)", "(const nan)", "(const -inf)", "(const x)", "(var \u00b2)",
+        pytest.param("(abs " * 2000 + "(var 1)" + ")" * 2000, id="2000-nested-abs"),
     ])
     def test_sexpr_rejects(self, bad):
         with pytest.raises(TextParseError):
@@ -431,6 +434,7 @@ class TestSlp:
         assert o.emit_slp(e).to_text() == "t0 = add x1099511627776 1\nresult t0"
         assert o.metrics_of(e) == o.ExprMetrics(3, 3, 2)
         assert o.form_of(e) == "arithmetic"
+        assert o.eval_expr(e, {2**40: 1.5}) == 2.5
 
     def test_negative_zero_operand_text(self):
         prog = o.emit_slp(o.add(x1, o.const(-0.0)))
@@ -500,9 +504,52 @@ class TestSlp:
                 return super().__getitem__(key)
 
         reads = []
-        prog = o.emit_slp(o.build_selection_expr(4, 2, "arithmetic"))
-        assert o.interpret_slp(prog, Counting({1: 3.0, 2: 1.0, 3: 4.0, 4: 2.0})) == 2.0
+        e = o.build_selection_expr(4, 2, "arithmetic")
+        assert o.interpret_slp(o.emit_slp(e), Counting({1: 3.0, 2: 1.0, 3: 4.0, 4: 2.0})) == 2.0
         assert sorted(reads) == [1, 2, 3, 4]
+        reads.clear()
+        assert o.eval_expr(e, Counting({1: 3.0, 2: 1.0, 3: 4.0, 4: 2.0})) == 2.0
+        assert sorted(reads) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("e,assignment,message", [
+        # t0 overflows before t1 reads the missing x2
+        (o.add(o.add(x1, x1), x2), {1: 1e308}, "non-finite intermediate inf at t0"),
+        # t0 reads the missing x2 before t1 overflows
+        (o.add(o.add(x2, x2), o.add(x1, x1)), {1: 1e308}, "missing variable x2"),
+        # operands load left to right
+        (o.add(x1, x2), {1: math.nan}, "x1 is not finite: nan"),
+        (o.add(x1, x2), {2: math.nan}, "missing variable x1"),
+    ])
+    def test_eval_expr_first_error_in_program_order(self, e, assignment, message):
+        for run in (o.eval_expr, lambda e, a: o.interpret_slp(o.emit_slp(e), a)):
+            with pytest.raises(ExprError, match=message):
+                run(e, assignment)
+
+    def test_eval_expr_matches_interpret_slp_on_random_graphs(self):
+        # Graphs over overflowing sums, signed zeros and constants, evaluated
+        # under assignments that may lack a variable: eval_expr returns
+        # interpret_slp's bits or raises its ExprError message.
+        rng = random.Random(43)
+        for _ in range(400):
+            pool = [o.var(i) for i in range(1, 4)]
+            pool += [o.const(v) for v in rng.sample([0.0, -0.0, 1.5, -1e308], 2)]
+            for _ in range(rng.randint(1, 8)):
+                kind = rng.choice(SLP_OPS)
+                kids = [rng.choice(pool) for _ in range(1 if kind in ("abs", "halve") else 2)]
+                pool.append(Expr(kind, None, kids))
+            e = pool[-1]
+            program = o.emit_slp(e)
+            for _ in range(4):
+                assignment = {i: rng.choice([1e308, -1e308, 1.5, 0.0, -0.0])
+                              for i in range(1, 4) if rng.random() < 0.9}
+                outcomes = []
+                for run in (lambda: o.eval_expr(e, assignment),
+                            lambda: o.interpret_slp(program, assignment)):
+                    try:
+                        outcomes.append(bits(run()))
+                    except ExprError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (program.to_text(), assignment)
 
 
 class TestCompileToPyfunc:
@@ -653,6 +700,21 @@ class TestCompiledFormulas:
     def test_malformed_program_refused(self, backend, args, match):
         with pytest.raises(ValueError, match=match):
             get_kernels(backend).compile_slp(*args)
+
+    def test_python_backend_runs_no_generated_code(self, monkeypatch):
+        e = o.build_selection_expr(6, 3, "arithmetic")
+        program = expr_module._program_of(e)
+        xs = [4.0, -2.5, 7.0, 0.0, 1e3, 3.25]
+        want = o.interpret_slp(o.emit_slp(e), dict(enumerate(xs, 1)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exec, eval or compile called")
+
+        for name in ("exec", "eval", "compile"):
+            monkeypatch.setattr(builtins, name, refuse)
+        fn = get_kernels("python").compile_slp(program.n_vars, program.consts,
+                                               array("i", program.code), program.result)
+        assert bits(fn(xs)) == bits(want) == bits(3.25)
 
 
 class TestFormatReal:
