@@ -14,6 +14,14 @@
  * one index space: no hash map, no bitmask, no limit on N. Every size is
  * computed with overflow checks before anything is allocated.
  *
+ * select_memo shares work along colex prefixes in two places (memo_fill
+ * has the details). Its deepest level, the first minima over the kept
+ * sets, is built up one member at a time, in place: each minimum is one
+ * comparison away from that of its set without the largest member. And
+ * in the fold, each child's rank is the state's rank plus an offset that
+ * changes only below the highest position a colex step changes.
+ * select_fullrange shares neither, and stays an independent cross-check.
+ *
  * compile_slp turns a packed straight-line program (see
  * _pykernels.compile_slp, which defines it) into a callable that runs
  * each op on a double register file: no Python source is generated or
@@ -87,18 +95,20 @@ check_level(size_t size, const char *kernel, size_t n, size_t rank)
     return 0;
 }
 
-/* Advances c[0..k) to the next k-subset in colex order. */
-static void
+/* Advances c[0..k) to the next k-subset in colex order; returns the
+ * highest index it changed. */
+static size_t
 next_colex(size_t *c, size_t k)
 {
     size_t i, j = 0;
     if (k == 0)
-        return;
+        return 0;
     while (j + 1 < k && c[j] + 1 == c[j + 1])
         j++;
     c[j]++;
     for (i = 0; i < j; i++)
         c[i] = i;
+    return j;
 }
 
 static void
@@ -151,13 +161,30 @@ naive(const double *cur, size_t len, size_t m, double *scratch, size_t cap,
  * then S itself. A child that takes p ranks at or above C(p, K), and S
  * keeps its rank r < C(p, K) one level down, so level p overwrites
  * level p + 1 in place: slot r is read only by S, just before S writes it.
+ *
+ * The deepest level is built up from prefixes, one member per pass. The
+ * first minimum over {c_0 < ... < c_{k-1}} is one comparison with
+ * xs[c_{k-1}] away from the first minimum over {c_0, ..., c_{k-2}}, whose
+ * rank is C(c_{k-1}, k) lower. Pass k holds every k-subset of
+ * range(rank - 1 + k), the k-member prefixes of the deepest states, in
+ * the array that holds pass k - 1: with t = c_{k-1} running down, and the
+ * rank below t running down too, each write lands at or above its source
+ * and above every source still to be read. That is about C(n + 1, K)
+ * comparisons, where one minimum per state takes C(n, K) * (K - 1).
+ *
+ * In the fold, child j of the state at rank r ranks
+ * C(p, K) + r + off_j, with off_j = sum_{i>j} C(c_i, i) - sum_{i>=j}
+ * C(c_i, i + 1) kept from one state to the next: a colex step changes
+ * c_0..c_h only, and off below h + 1 is all it recomputes. The offsets
+ * are size_t and wrap; the sum is exact.
+ *
  * Counters follow _pykernels.select_memo's closed form. */
 static int
 memo_fill(const double *xs, size_t n, size_t rank, double *value, u64 counts[3])
 {
-    size_t keep = n - rank + 1, i, j, p, r, size, top, tail, suf;
-    size_t *c = NULL, *kid = NULL;
-    double *level = NULL, best, v;
+    size_t keep = n - rank + 1, i, h, k, t, p, r, size, top, *c = NULL;
+    size_t *tail, *low, *off;
+    double *level = NULL, *with_t, best, v, x;
     u64 states = 0, above, recursive;
     Pascal b = {NULL, 0};
     int rc = -1;
@@ -168,21 +195,26 @@ memo_fill(const double *xs, size_t n, size_t rank, double *value, u64 counts[3])
     if (check_level(top, "memoized selection", n, rank) < 0)
         goto done;
     level = PyMem_Malloc(top * sizeof(double));
-    c = PyMem_Malloc(keep * sizeof(size_t));
-    kid = PyMem_Malloc(keep * sizeof(size_t));
-    if (level == NULL || c == NULL || kid == NULL) {
+    /* c[0..K), then tail, low and off of K + 1 entries each:
+     * tail_j = sum_{i>=j} C(c_i, i + 1), low_j = sum_{i>=j} C(c_i, i). */
+    c = PyMem_Malloc((4 * keep + 3) * sizeof(size_t));
+    if (level == NULL || c == NULL) {
         PyErr_NoMemory();
         goto done;
     }
+    tail = c + keep;
+    low = tail + keep + 1;
+    off = low + keep + 1;
 
-    first_colex(c, keep);
-    for (r = 0; r < top; r++) {
-        best = xs[c[0]];
-        for (i = 1; i < keep; i++)
-            if (xs[c[i]] < best)
-                best = xs[c[i]];
-        level[r] = best;
-        next_colex(c, keep);
+    for (r = 0; r < rank; r++)
+        level[r] = xs[r];
+    for (k = 2; k <= keep; k++) {
+        for (t = rank + k - 2; t + 1 >= k; t--) {
+            with_t = level + binom(&b, t, k);
+            x = xs[t];
+            for (r = binom(&b, t, k - 1); r-- > 0;)
+                with_t[r] = x < level[r] ? x : level[r];
+        }
     }
     states = top;
 
@@ -190,29 +222,26 @@ memo_fill(const double *xs, size_t n, size_t rank, double *value, u64 counts[3])
         size = binom(&b, p, keep);
         states += size;
         first_colex(c, keep);
+        tail[keep] = low[keep] = 0;
+        h = keep - 1;
         for (r = 0; r < size; r++) {
-            /* rank of S - {c_j} + {p}: size + sum_{i<j} C(c_i, i + 1)
-             * + sum_{i>j} C(c_i, i); tail = sum_{i>=j} C(c_i, i + 1). */
-            tail = 0;
-            suf = 0;
-            for (j = keep; j-- > 0;) {
-                tail += binom(&b, c[j], j + 1);
-                kid[j] = size + (r - tail) + suf;
-                suf += binom(&b, c[j], j);
+            for (i = h + 1; i-- > 0;) {
+                tail[i] = tail[i + 1] + binom(&b, c[i], i + 1);
+                low[i] = low[i + 1] + binom(&b, c[i], i);
+                off[i] = low[i + 1] - tail[i];
             }
-            best = level[kid[0]];
-            for (j = 1; j < keep; j++) {
-                v = level[kid[j]];
+            best = level[size + r + off[0]];
+            for (i = 1; i < keep; i++) {
+                v = level[size + r + off[i]];
                 if (v > best)
                     best = v;
             }
             if (level[r] > best)
                 best = level[r];
             level[r] = best;
-            next_colex(c, keep);
+            h = next_colex(c, keep);
         }
     }
-
     above = states - top;
     if (above != 0 && (u64)(keep + 1) > (ULLONG_MAX - 1) / above) {
         PyErr_Format(PyExc_OverflowError,
@@ -230,7 +259,6 @@ done:
     PyMem_Free(b.t);
     PyMem_Free(level);
     PyMem_Free(c);
-    PyMem_Free(kid);
     return rc;
 }
 

@@ -14,6 +14,11 @@ backends, are what the memoized recursion would count:
 
 select_memo runs no recursion: it fills the survivor sets level by level
 (see _fill_levels) and reads the three counters off the level sizes.
+expr.build_selection_expr runs the same fill on expressions. Its caller
+names the leaf of a survivor set by `atom`, the value of one position
+(a float here, a variable there), and `step`, one step of the left fold
+over the set's atoms (the first minimum here, min_of there); `fold`
+combines a state's children (max, or a left fold of max_of).
 
 compile_slp turns a packed straight-line program into a callable. Both
 twins check the program once and then run it on a register file, one
@@ -23,12 +28,12 @@ is _run_slp, which expr.eval_expr runs too.
 
 import math
 import operator
-from itertools import combinations, count
+from itertools import combinations, count, repeat
 
 from .errors import ExprError
 
 
-def _fill_levels(n, rank, leaf, fold):
+def _fill_levels(n, rank, atom, step, fold):
     """Evaluate the rank-`rank` elimination recursion over positions
     0..n-1 bottom-up, deepest level first. Returns (root, sizes), where
     sizes lists the number of survivor sets per level, deepest first.
@@ -38,16 +43,34 @@ def _fill_levels(n, rank, leaf, fold):
     p = R + t - 1 on plus R - 1 positions kept in range(p). A state is the
     bitmask S of those kept positions, and every (R - 1)-subset of range(p)
     is reachable. Its children, in elimination order, are S - {s} + {p}
-    for each s in S ascending, then S itself. The deepest level (p = n)
-    maps each S to leaf(S), S as an ascending tuple of positions; every
-    other level maps S to fold(children in elimination order). Only two
-    levels are alive at any time.
+    for each s in S ascending, then S itself. Every level above the
+    deepest maps S to fold(children in elimination order). Only two levels
+    are alive at any time.
+
+    The deepest level (p = n) maps S = {c_0 < ... < c_{K-1}}, K = R - 1,
+    to the left fold step(...step(atom(c_0), atom(c_1))..., atom(c_{K-1})).
+    It is built from prefixes, one member more per pass: in colex order the
+    k-subsets with largest member t follow those of range(t), and they are
+    the first C(t, k - 1) states of the pass below, the (k - 1)-subsets of
+    range(t), each with t added. So each state is one `step` (its value)
+    and one OR (its bitmask) away from a state of the pass below. Pass k
+    holds the k-subsets of range(rank - 1 + k), the k-member prefixes of
+    the deepest states, and all passes take about C(n + 1, K) steps where
+    one fold per state would take C(n, K) * K.
     """
     keep = n - rank + 1
     bit = [1 << i for i in range(n)]
-    level = {}
-    for S in combinations(range(n), keep):
-        level[sum([bit[i] for i in S])] = leaf(S)
+    values = [atom(i) for i in range(rank)]
+    masks = bit[:rank]
+    for k in range(2, keep + 1):
+        below, below_masks = values, masks
+        values, masks = [], []
+        for t in range(k - 1, rank + k - 1):
+            width = math.comb(t, k - 1)
+            values += map(step, below[:width], repeat(atom(t), width))
+            high = bit[t]
+            masks += [mask | high for mask in below_masks[:width]]
+    level = dict(zip(masks, values))
     sizes = [len(level)]
     for p in range(n - 1, keep - 1, -1):
         top = bit[p]
@@ -88,7 +111,10 @@ def select_memo(values, rank):
     """
     xs = tuple(values)
     n = len(xs)
-    value, sizes = _fill_levels(n, rank, lambda S: min([xs[i] for i in S]), max)
+    if not 1 <= rank <= n:
+        raise ValueError(f"rank {rank} out of range 1..{n}")
+    value, sizes = _fill_levels(n, rank, xs.__getitem__,
+                                lambda acc, x: x if x < acc else acc, max)
     states = sum(sizes)
     recursive = 1 + (n - rank + 2) * (states - sizes[0])
     return value, recursive, sizes[0], recursive - states

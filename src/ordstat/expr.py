@@ -273,8 +273,8 @@ def build_selection_expr(n_vars: int, rank: int, form: str = "minmax",
         raise ExprError(f"form must be 'minmax' or 'arithmetic', got {form!r}")
     _check_build_budget(n_vars, rank, budget)
 
-    root, _ = _fill_levels(n_vars, rank,
-                           lambda S: reduce(min_of, [var(i + 1) for i in S]),
+    variables = [var(i + 1) for i in range(n_vars)]
+    root, _ = _fill_levels(n_vars, rank, variables.__getitem__, min_of,
                            lambda kids: reduce(max_of, kids))
     if form == "arithmetic":
         root = lower_minmax_to_arith(root)

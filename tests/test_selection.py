@@ -25,6 +25,11 @@ def sort_oracle(rank, values):
     return sorted(float(v) for v in values)[rank - 1]
 
 
+def signed(value):
+    """A float with its sign, so that -0.0 and 0.0 compare unequal."""
+    return value, math.copysign(1, value)
+
+
 class TestRealSequence:
     def test_values_coerced_to_float(self):
         seq = RealSequence((5, 1, 9))
@@ -361,6 +366,34 @@ class TestMemoFill:
                     assert memo == naive
                     assert math.copysign(1, memo) == math.copysign(1, naive), \
                         (values, rank)
+
+    @pytest.mark.parametrize("length", range(7, 12))
+    def test_seeded_signed_zero_ties_match_naive(self, backend, length):
+        # Past the exhaustive lengths above, where the colex steps of the
+        # leaf passes and of the fold change high positions.
+        rng = random.Random(length)
+        for _ in range(4):
+            values = [rng.choice((-0.0, 0.0, 1.0, -1.0)) for _ in range(length)]
+            for rank in range(1, length + 1):
+                assert signed(o.select_memo(rank, values)) == \
+                    signed(o.select_naive(rank, values)), (values, rank)
+
+    @pytest.mark.parametrize("length, rank", [(65, 2), (65, 3), (96, 2), (96, 3)])
+    def test_long_signed_zero_ties_match_naive(self, backend, length, rank):
+        rng = random.Random(length * rank)
+        values = [rng.choice((-0.0, 0.0, 1.0)) for _ in range(length)]
+        assert signed(o.select_memo(rank, values)) == \
+            signed(o.select_naive(rank, values))
+
+    def test_edge_shapes_match_naive(self, backend):
+        # Rank 1 runs every leaf pass and no fold level; rank N runs no
+        # leaf pass and every fold level; N = 1 is both.
+        rng = random.Random(1)
+        for length in range(1, 17):
+            values = [rng.choice((-0.0, 0.0, 1.0)) for _ in range(length)]
+            for rank in {1, length}:
+                assert signed(o.select_memo(rank, values)) == \
+                    signed(o.select_naive(rank, values)), (values, rank)
 
     def test_fullrange_signed_zero_ties_match_reference(self, backend):
         from ordstat import _pykernels
