@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import json
 import random
-import statistics
 import time
-from dataclasses import asdict, dataclass
 
 from ._backend import available_backends, get_kernels
+from ._record import FrozenRecord, slot_setters
 from .errors import OrdstatError
 from .expr import build_selection_expr, compile_to_pyfunc, cse
 from .selection import (
@@ -29,21 +28,31 @@ from .selection import (
     select_memo,
     select_naive,
 )
-from .verify import oracle_select
+from .verify import _oracle_median, oracle_select
 
 CSV_HEADER = "N,n,mode,base_case_calls,memo_hits,tree_nodes,dag_nodes,wall_time_s"
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    N: int
-    n: int
-    mode: str
-    base_case_calls: int
-    memo_hits: int
-    tree_nodes: int
-    dag_nodes: int
-    wall_time_s: float
+class BenchRecord(FrozenRecord):
+    """One row of a benchmark table; the fields are the CSV_HEADER columns."""
+
+    __slots__ = ("N", "n", "mode", "base_case_calls", "memo_hits", "tree_nodes",
+                 "dag_nodes", "wall_time_s")
+
+    def __init__(self, N: int, n: int, mode: str, base_case_calls: int, memo_hits: int,
+                 tree_nodes: int, dag_nodes: int, wall_time_s: float):
+        _set_N(self, N)
+        _set_n(self, n)
+        _set_mode(self, mode)
+        _set_base_case_calls(self, base_case_calls)
+        _set_memo_hits(self, memo_hits)
+        _set_tree_nodes(self, tree_nodes)
+        _set_dag_nodes(self, dag_nodes)
+        _set_wall_time_s(self, wall_time_s)
+
+
+(_set_N, _set_n, _set_mode, _set_base_case_calls, _set_memo_hits, _set_tree_nodes,
+ _set_dag_nodes, _set_wall_time_s) = slot_setters(BenchRecord)
 
 
 def _format_seconds(t: float) -> str:
@@ -61,8 +70,8 @@ def records_to_csv(records) -> str:
 
 
 def records_to_json(records) -> str:
-    return json.dumps([asdict(r) for r in records], sort_keys=True,
-                      separators=(",", ":"))
+    rows = [{name: getattr(r, name) for name in BenchRecord.__slots__} for r in records]
+    return json.dumps(rows, sort_keys=True, separators=(",", ":"))
 
 
 def _median_time(fn, repeats: int) -> float:
@@ -73,7 +82,7 @@ def _median_time(fn, repeats: int) -> float:
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return _oracle_median(times)
 
 
 def _fixed_sequence(length: int, seed: int = 0):
@@ -178,7 +187,7 @@ def compare_wallclock(length: int, trials: int, seed: int = 0, *,
                 f"mode disagreement on {xs!r} at rank {rank}: memo {v_memo!r}, "
                 f"expr {v_expr!r}, oracle {v_oracle!r}"
             )
-    med = {mode: statistics.median(ts) for mode, ts in times.items()}
+    med = {mode: _oracle_median(ts) for mode, ts in times.items()}
     return [
         BenchRecord(length, rank, "memo", memo_stats.base_case_calls,
                     memo_stats.memo_hits, 0, 0, med["memo"]),

@@ -78,7 +78,12 @@ def parse_sequence_text(text: str) -> list:
         for item in data:
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise TextParseError(f"JSON array items must be numbers, got {item!r}")
-            values.append(float(item))
+            try:
+                values.append(float(item))
+            except OverflowError:  # an integer past the float range
+                digits = str(item)
+                raise TextParseError(f"JSON number {digits[:12]}... of {len(digits)} "
+                                     f"characters is out of float range") from None
         return values
     tokens = [t for t in re.split(r"[\s,]+", stripped) if t]
     if not tokens:
@@ -92,14 +97,15 @@ def parse_sequence_text(text: str) -> list:
 
 
 def _read_values(args) -> list:
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    name = "stdin" if args.input == "-" else args.input
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise TextParseError(f"cannot read {args.input}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TextParseError(f"cannot read {name}: {exc}") from None
     return parse_sequence_text(text)
 
 

@@ -40,11 +40,11 @@ import math
 import re
 import weakref
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 
 from . import _backend
 from ._pykernels import _SLP_FNS, SLP_OPS, _fill_levels, _run_slp
+from ._record import FrozenRecord, slot_setters
 from .errors import BudgetError, ExprError, RankError, SequenceError, TextParseError
 from .selection import naive_call_count, resolve_budget
 
@@ -204,14 +204,19 @@ def form_of(expr: Expr) -> str:
     return "minmax" if contains_minmax(expr) else "arithmetic"
 
 
-@dataclass(frozen=True)
-class ExprMetrics:
+class ExprMetrics(FrozenRecord):
     """Size of an expression as a tree (every occurrence counted) versus as
     a shared graph (distinct nodes), plus the node depth."""
 
-    node_count_tree: int
-    node_count_dag: int
-    depth: int
+    __slots__ = ("node_count_tree", "node_count_dag", "depth")
+
+    def __init__(self, node_count_tree: int, node_count_dag: int, depth: int):
+        _set_tree(self, node_count_tree)
+        _set_dag(self, node_count_dag)
+        _set_depth(self, depth)
+
+
+_set_tree, _set_dag, _set_depth = slot_setters(ExprMetrics)
 
 
 def cse(expr: Expr) -> tuple[Expr, ExprMetrics]:
@@ -550,23 +555,30 @@ def _parse_sexpr(tokens, pos):
     return node, pos + 1
 
 
-@dataclass(frozen=True)
-class SlpInstruction:
+class SlpInstruction(FrozenRecord):
     """Single assignment: dest temp, op in {add, sub, abs, halve, min, max},
     operand refs of the shape ("x", index) | ("t", temp) | ("c", value)."""
 
-    dest: int
-    op: str
-    args: tuple
+    __slots__ = ("dest", "op", "args")
+
+    def __init__(self, dest: int, op: str, args: tuple):
+        _set_dest(self, dest)
+        _set_op(self, op)
+        _set_args(self, args)
 
 
-@dataclass(frozen=True)
-class CompiledProgram:
+_set_dest, _set_op, _set_args = slot_setters(SlpInstruction)
+
+
+class CompiledProgram(FrozenRecord):
     """Straight-line program; instructions are in dependency order and every
     temp is assigned exactly once."""
 
-    instructions: tuple
-    result: tuple
+    __slots__ = ("instructions", "result")
+
+    def __init__(self, instructions: tuple, result: tuple):
+        _set_instructions(self, instructions)
+        _set_result(self, result)
 
     def to_text(self) -> str:
         lines = [
@@ -575,6 +587,9 @@ class CompiledProgram:
         ]
         lines.append("result " + _ref_text(self.result))
         return "\n".join(lines)
+
+
+_set_instructions, _set_result = slot_setters(CompiledProgram)
 
 
 def _ref_text(ref) -> str:

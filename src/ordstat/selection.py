@@ -32,34 +32,33 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from . import _backend
+from ._record import FrozenRecord, Record, slot_setters
 from .errors import BudgetError, RankError, SequenceError
 
 DEFAULT_BUDGET = 1 << 24
 BUDGET_ENV_VAR = "ORDSTAT_BUDGET"
 
 
-@dataclass(frozen=True)
-class RealSequence:
+class RealSequence(FrozenRecord):
     """A non-empty, finite sequence of finite real values (as floats).
 
     Positions are 1-based in every operation that takes an index; the raw
     ``values`` tuple is ordinary 0-based Python storage.
     """
 
-    values: tuple[float, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        vals = tuple(map(float, self.values))
+    def __init__(self, values: Iterable[float]):
+        vals = tuple(map(float, values))
         if not vals:
             raise SequenceError("sequence must contain at least one value")
         if not all(map(math.isfinite, vals)):
             bad = next(v for v in vals if not math.isfinite(v))
             raise SequenceError(f"sequence values must be finite, got {bad!r}")
-        object.__setattr__(self, "values", vals)
+        _set_values(self, vals)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -74,7 +73,9 @@ class RealSequence:
         return self.values[k - 1]
 
 
-SequenceLike = Union[RealSequence, Iterable[float]]
+(_set_values,) = slot_setters(RealSequence)
+
+SequenceLike = RealSequence | Iterable[float]
 
 
 def as_real_sequence(seq: SequenceLike) -> RealSequence:
@@ -83,13 +84,16 @@ def as_real_sequence(seq: SequenceLike) -> RealSequence:
     return RealSequence(tuple(seq))
 
 
-@dataclass
-class EvalStats:
+class EvalStats(Record):
     """Caller-owned counters accumulated across selector calls."""
 
-    recursive_calls: int = 0
-    base_case_calls: int = 0
-    memo_hits: int = 0
+    __slots__ = ("recursive_calls", "base_case_calls", "memo_hits")
+
+    def __init__(self, recursive_calls: int = 0, base_case_calls: int = 0,
+                 memo_hits: int = 0):
+        self.recursive_calls = recursive_calls
+        self.base_case_calls = base_case_calls
+        self.memo_hits = memo_hits
 
 
 # Largest magnitude the branchless helpers accept: with |a|, |b| <= 2**1022

@@ -30,8 +30,8 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
 
+from ._record import FrozenRecord, slot_setters
 from .errors import BudgetError, RankError
 from .expr import build_selection_expr, compile_to_pyfunc
 from .selection import (
@@ -51,50 +51,64 @@ DEFAULT_CASE_BUDGET = 5_000_000
 _NAIVE_TRIAL_CAP = 4096
 
 
-@dataclass(frozen=True)
-class VerifyPlan:
+class VerifyPlan(FrozenRecord):
     """Suite parameters; exhaustive runs use max_n and alphabet, random runs
     use max_n, random_trials, seed and tolerance."""
 
-    max_n: int = 7
-    alphabet: tuple = (0.0, 1.0, 2.0, 3.0)
-    random_trials: int = 1000
-    seed: int = 0
-    tolerance: float = 1e-9
+    __slots__ = ("max_n", "alphabet", "random_trials", "seed", "tolerance")
 
-    def __post_init__(self):
-        if self.max_n < 1:
-            raise ValueError(f"max_n must be at least 1, got {self.max_n}")
-        alphabet = tuple(float(a) for a in self.alphabet)
+    def __init__(self, max_n: int = 7, alphabet: tuple = (0.0, 1.0, 2.0, 3.0),
+                 random_trials: int = 1000, seed: int = 0, tolerance: float = 1e-9):
+        if max_n < 1:
+            raise ValueError(f"max_n must be at least 1, got {max_n}")
+        alphabet = tuple(float(a) for a in alphabet)
         if not alphabet:
             raise ValueError("alphabet must be non-empty")
         if not all(math.isfinite(a) for a in alphabet):
             raise ValueError("alphabet values must be finite")
-        object.__setattr__(self, "alphabet", alphabet)
-        if self.random_trials < 0:
-            raise ValueError(f"random_trials must be nonnegative, got {self.random_trials}")
-        if not (isinstance(self.tolerance, (int, float)) and self.tolerance >= 0):
-            raise ValueError(f"tolerance must be nonnegative, got {self.tolerance!r}")
+        if random_trials < 0:
+            raise ValueError(f"random_trials must be nonnegative, got {random_trials}")
+        if not (isinstance(tolerance, (int, float)) and tolerance >= 0):
+            raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
+        _set_max_n(self, max_n)
+        _set_alphabet(self, alphabet)
+        _set_random_trials(self, random_trials)
+        _set_seed(self, seed)
+        _set_tolerance(self, tolerance)
 
 
-@dataclass(frozen=True)
-class VerifyFailure:
+(_set_max_n, _set_alphabet, _set_random_trials, _set_seed,
+ _set_tolerance) = slot_setters(VerifyPlan)
+
+
+class VerifyFailure(FrozenRecord):
     """One mismatch; ``rank`` is 0 for median checks."""
 
-    input: tuple
-    rank: int
-    expected: float
-    actual: float
-    mode: str
+    __slots__ = ("input", "rank", "expected", "actual", "mode")
+
+    def __init__(self, input: tuple, rank: int, expected: float, actual: float,
+                 mode: str):
+        _set_input(self, input)
+        _set_rank(self, rank)
+        _set_expected(self, expected)
+        _set_actual(self, actual)
+        _set_mode(self, mode)
 
     def as_tuple(self):
         return (list(self.input), self.rank, self.expected, self.actual, self.mode)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    cases_run: int
-    failures: tuple
+_set_input, _set_rank, _set_expected, _set_actual, _set_mode = slot_setters(VerifyFailure)
+
+
+class VerifyReport(FrozenRecord):
+    """Outcome of a suite run: cases checked and the failures found."""
+
+    __slots__ = ("cases_run", "failures")
+
+    def __init__(self, cases_run: int, failures: tuple):
+        _set_cases_run(self, cases_run)
+        _set_failures(self, failures)
 
     @property
     def ok(self) -> bool:
@@ -106,6 +120,9 @@ class VerifyReport:
             "failures": [f.as_tuple() for f in self.failures],
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+_set_cases_run, _set_failures = slot_setters(VerifyReport)
 
 
 def merge_reports(reports) -> VerifyReport:

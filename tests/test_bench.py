@@ -5,7 +5,7 @@ import json
 import pytest
 
 import ordstat as o
-from ordstat import CSV_HEADER, BenchRecord, BudgetError, OrdstatError
+from ordstat import CSV_HEADER, BudgetError, OrdstatError
 
 
 class TestCountCalls:
@@ -101,11 +101,6 @@ class TestSerialization:
     def test_empty(self):
         assert o.records_to_csv([]) == CSV_HEADER + "\n"
         assert json.loads(o.records_to_json([])) == []
-
-    def test_record_is_frozen(self):
-        rec = BenchRecord(1, 1, "growth", 1, 0, 1, 1, 0.0)
-        with pytest.raises(AttributeError):
-            rec.N = 2
 
 
 class TestCrossChecks:

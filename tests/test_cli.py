@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +80,28 @@ class TestSelect:
         code, out, _ = run_cli(["select", "--rank", "4", str(path)],
                                capsys=capsys)
         assert (code, out) == (0, "9\n")
+
+    def test_huge_json_integer_exits_2(self, monkeypatch, capsys):
+        # float() of a 400-digit int overflows; 1e999 already exits 2.
+        code, out, err = run_cli(["select", "--rank", "1"], f"[{'9' * 400}, 1]",
+                                 monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == ("ordstat: JSON number 999999999999... of 400 characters "
+                       "is out of float range\n")
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "values.txt"
+        path.write_bytes(b"1 2 \xff 3")
+        code, out, err = run_cli(["select", "--rank", "1", str(path)], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ordstat: cannot read {path}: 'utf-8' codec can't decode")
+
+    def test_non_utf8_stdin_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1 \xff"),
+                                                          encoding="utf-8"))
+        code, out, err = run_cli(["median"], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("ordstat: cannot read stdin: 'utf-8' codec can't decode")
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(["select", "--rank", "1", "/no/such/file"],
@@ -211,6 +237,13 @@ class TestVerifyCommand:
             capsys=capsys)
         assert code == 3
 
+    def test_huge_json_integer_alphabet_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "--exhaustive", "--max-n", "1", "--alphabet", f"[0, -{'9' * 400}]"],
+            capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "JSON number -99999999999... of 401 characters" in err
+
     def test_bad_plan_exits_3(self, capsys):
         code, _, _ = run_cli(["verify", "--exhaustive", "--max-n", "0"],
                              capsys=capsys)
@@ -275,3 +308,17 @@ class TestDeterminism:
     def test_bench_byte_identical(self, capsys):
         argv = ["bench", "--growth", "--max-n", "5", "--repeats", "0"]
         assert run_cli(argv, capsys=capsys) == run_cli(argv, capsys=capsys)
+
+
+def test_cli_import_skips_heavy_stdlib_modules():
+    # -S keeps site's own imports (.pth files) out of the count.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "ORDSTAT_BACKEND"}
+    env["PYTHONPATH"] = str(src)
+    code = ("import sys, ordstat.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'statistics', 'typing'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
