@@ -14,13 +14,14 @@
  * one index space: no hash map, no bitmask, no limit on N. Every size is
  * computed with overflow checks before anything is allocated.
  *
- * select_memo shares work along colex prefixes in two places (memo_fill
- * has the details). Its deepest level, the first minima over the kept
- * sets, is built up one member at a time, in place: each minimum is one
- * comparison away from that of its set without the largest member. And
- * in the fold, each child's rank is the state's rank plus an offset that
- * changes only below the highest position a colex step changes.
- * select_fullrange shares neither, and stays an independent cross-check.
+ * select_memo evaluates the memoized recursion's max-min normal form:
+ * every level above the deepest takes a maximum, so the value is the
+ * first maximum of the deepest level's minima, and memo_fill builds that
+ * one level, in place, each minimum one comparison away from that of its
+ * set without the largest member. Its counters are still those the
+ * memoized recursion would count. select_fullrange folds every level over
+ * removed sets, shares nothing with memo_fill, and stays an independent
+ * cross-check.
  *
  * compile_slp turns a packed straight-line program (see
  * _pykernels.compile_slp, which defines it) into a callable that runs
@@ -95,20 +96,18 @@ check_level(size_t size, const char *kernel, size_t n, size_t rank)
     return 0;
 }
 
-/* Advances c[0..k) to the next k-subset in colex order; returns the
- * highest index it changed. */
-static size_t
+/* Advances c[0..k) to the next k-subset in colex order. */
+static void
 next_colex(size_t *c, size_t k)
 {
     size_t i, j = 0;
     if (k == 0)
-        return 0;
+        return;
     while (j + 1 < k && c[j] + 1 == c[j + 1])
         j++;
     c[j]++;
     for (i = 0; i < j; i++)
         c[i] = i;
-    return j;
 }
 
 static void
@@ -152,39 +151,40 @@ naive(const double *cur, size_t len, size_t m, double *scratch, size_t cap,
 }
 
 
-/* ---- select_memo: the level fill of _pykernels._fill_levels ---------- */
+/* ---- select_memo: the max-min normal form of the recursion ---------- */
 
-/* With K = n - rank + 1 kept positions, the level with prefix p holds the
- * K-subsets S of range(p), p from n down to K. The deepest level (p = n)
- * maps S to the first minimum of xs over S. Every other level maps S to
- * the first maximum over its children S - {c_j} + {p} for j ascending,
- * then S itself. A child that takes p ranks at or above C(p, K), and S
- * keeps its rank r < C(p, K) one level down, so level p overwrites
- * level p + 1 in place: slot r is read only by S, just before S writes it.
+/* With K = n - rank + 1 kept positions, the memoized recursion's deepest
+ * level maps each K-subset S of range(n) to the first minimum of xs over
+ * S, and every level above it takes a first maximum over its children.
+ * A maximum of maxima is the first maximum over the deepest level in the
+ * order the recursion first visits it, which is descending lexicographic
+ * order of the subsets. So memo_fill builds only that level and scans it.
  *
- * The deepest level is built up from prefixes, one member per pass. The
- * first minimum over {c_0 < ... < c_{k-1}} is one comparison with
- * xs[c_{k-1}] away from the first minimum over {c_0, ..., c_{k-2}}, whose
- * rank is C(c_{k-1}, k) lower. Pass k holds every k-subset of
- * range(rank - 1 + k), the k-member prefixes of the deepest states, in
- * the array that holds pass k - 1: with t = c_{k-1} running down, and the
- * rank below t running down too, each write lands at or above its source
- * and above every source still to be read. That is about C(n + 1, K)
- * comparisons, where one minimum per state takes C(n, K) * (K - 1).
+ * The level is built in colex order over ys, xs reversed (ys[q] =
+ * xs[n - 1 - q]): ascending colex order in q is descending lexicographic
+ * order in the original positions, so the first maximum in array order is
+ * the recursion's. Each minimum keeps the later of two equal ys, which is
+ * the earlier of the two xs, as the recursion's first minimum does. That
+ * keeps the sign the recursion returns when -0.0 and 0.0 tie.
  *
- * In the fold, child j of the state at rank r ranks
- * C(p, K) + r + off_j, with off_j = sum_{i>j} C(c_i, i) - sum_{i>=j}
- * C(c_i, i + 1) kept from one state to the next: a colex step changes
- * c_0..c_h only, and off below h + 1 is all it recomputes. The offsets
- * are size_t and wrap; the sum is exact.
+ * The level is built up from prefixes, one member per pass. The minimum
+ * over {c_0 < ... < c_{k-1}} is one comparison with ys[c_{k-1}] away from
+ * the minimum over {c_0, ..., c_{k-2}}, whose rank is C(c_{k-1}, k) lower.
+ * Pass k holds every k-subset of range(rank - 1 + k), the k-member
+ * prefixes of the deepest states, in the array that holds pass k - 1:
+ * with t = c_{k-1} running down, and the rank below t running down too,
+ * each write lands at or above its source and above every source still to
+ * be read. That is about C(n + 1, K) comparisons, where one minimum per
+ * state takes C(n, K) * (K - 1).
  *
- * Counters follow _pykernels.select_memo's closed form. */
+ * The counters are still those the memoized recursion would count, in
+ * _pykernels.select_memo's closed form over the level sizes C(p, K) for
+ * p from n down to K. */
 static int
 memo_fill(const double *xs, size_t n, size_t rank, double *value, u64 counts[3])
 {
-    size_t keep = n - rank + 1, i, h, k, t, p, r, size, top, *c = NULL;
-    size_t *tail, *low, *off;
-    double *level = NULL, *with_t, best, v, x;
+    size_t keep = n - rank + 1, k, t, p, r, top;
+    double *level = NULL, *with_t, best, x;
     u64 states = 0, above, recursive;
     Pascal b = {NULL, 0};
     int rc = -1;
@@ -195,53 +195,28 @@ memo_fill(const double *xs, size_t n, size_t rank, double *value, u64 counts[3])
     if (check_level(top, "memoized selection", n, rank) < 0)
         goto done;
     level = PyMem_Malloc(top * sizeof(double));
-    /* c[0..K), then tail, low and off of K + 1 entries each:
-     * tail_j = sum_{i>=j} C(c_i, i + 1), low_j = sum_{i>=j} C(c_i, i). */
-    c = PyMem_Malloc((4 * keep + 3) * sizeof(size_t));
-    if (level == NULL || c == NULL) {
+    if (level == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    tail = c + keep;
-    low = tail + keep + 1;
-    off = low + keep + 1;
 
     for (r = 0; r < rank; r++)
-        level[r] = xs[r];
+        level[r] = xs[n - 1 - r];
     for (k = 2; k <= keep; k++) {
         for (t = rank + k - 2; t + 1 >= k; t--) {
             with_t = level + binom(&b, t, k);
-            x = xs[t];
+            x = xs[n - 1 - t];
             for (r = binom(&b, t, k - 1); r-- > 0;)
-                with_t[r] = x < level[r] ? x : level[r];
+                with_t[r] = x <= level[r] ? x : level[r];
         }
     }
-    states = top;
+    best = level[0];
+    for (r = 1; r < top; r++)
+        if (level[r] > best)
+            best = level[r];
 
-    for (p = n - 1; p >= keep; p--) {
-        size = binom(&b, p, keep);
-        states += size;
-        first_colex(c, keep);
-        tail[keep] = low[keep] = 0;
-        h = keep - 1;
-        for (r = 0; r < size; r++) {
-            for (i = h + 1; i-- > 0;) {
-                tail[i] = tail[i + 1] + binom(&b, c[i], i + 1);
-                low[i] = low[i + 1] + binom(&b, c[i], i);
-                off[i] = low[i + 1] - tail[i];
-            }
-            best = level[size + r + off[0]];
-            for (i = 1; i < keep; i++) {
-                v = level[size + r + off[i]];
-                if (v > best)
-                    best = v;
-            }
-            if (level[r] > best)
-                best = level[r];
-            level[r] = best;
-            h = next_colex(c, keep);
-        }
-    }
+    for (p = keep; p <= n; p++)
+        states += binom(&b, p, keep);
     above = states - top;
     if (above != 0 && (u64)(keep + 1) > (ULLONG_MAX - 1) / above) {
         PyErr_Format(PyExc_OverflowError,
@@ -250,7 +225,7 @@ memo_fill(const double *xs, size_t n, size_t rank, double *value, u64 counts[3])
         goto done;
     }
     recursive = 1 + (u64)(keep + 1) * above;
-    *value = level[0];
+    *value = best;
     counts[0] = recursive;
     counts[1] = top;
     counts[2] = recursive - states;
@@ -258,7 +233,6 @@ memo_fill(const double *xs, size_t n, size_t rank, double *value, u64 counts[3])
 done:
     PyMem_Free(b.t);
     PyMem_Free(level);
-    PyMem_Free(c);
     return rc;
 }
 
@@ -700,8 +674,9 @@ static PyMethodDef methods[] = {
      "Plain elimination recursion."},
     {"select_memo", (PyCFunction)(void (*)(void))select_memo, METH_FASTCALL,
      "select_memo(values, rank) -> (value, recursive_calls, base_case_calls, "
-     "memo_hits)\n\nThe recursion filled level by level over dense survivor "
-     "levels; counters are those of the memoized recursion."},
+     "memo_hits)\n\nThe first maximum of the leaf minima, the memoized "
+     "recursion's max-min normal form; counters are those the memoized "
+     "recursion would count."},
     {"select_fullrange", (PyCFunction)(void (*)(void))select_fullrange,
      METH_FASTCALL,
      "select_fullrange(values, rank) -> value\n\n"

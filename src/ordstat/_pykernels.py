@@ -12,13 +12,14 @@ backends, are what the memoized recursion would count:
   * base_case_calls  counts rank-1 entries that compute a minimum,
   * memo_hits        counts entries answered from the cache.
 
-select_memo runs no recursion: it fills the survivor sets level by level
-(see _fill_levels) and reads the three counters off the level sizes.
-expr.build_selection_expr runs the same fill on expressions. Its caller
-names the leaf of a survivor set by `atom`, the value of one position
-(a float here, a variable there), and `step`, one step of the left fold
-over the set's atoms (the first minimum here, min_of there); `fold`
-combines a state's children (max, or a left fold of max_of).
+select_memo runs neither the recursion nor its fold: every fold level
+takes a maximum, so it evaluates the max-min normal form, the first
+maximum of the leaf minima (see _leaves), and reads the three
+counters off the level sizes the memoized recursion would fill.
+expr._fill_levels builds the same leaves from variables and folds them
+level by level into a formula. `atom` names the value of one position (a
+float or a variable), and `step` one step of the left fold over a
+leaf's atoms (a minimum, or min_of).
 
 compile_slp turns a packed straight-line program into a callable. Both
 twins check the program once and then run it on a register file, one
@@ -28,62 +29,34 @@ is _run_slp, which expr.eval_expr runs too.
 
 import math
 import operator
-from itertools import combinations, count, repeat
+from itertools import count, repeat
 
 from .errors import ExprError
 
 
-def _fill_levels(n, rank, atom, step, fold):
-    """Evaluate the rank-`rank` elimination recursion over positions
-    0..n-1 bottom-up, deepest level first. Returns (root, sizes), where
-    sizes lists the number of survivor sets per level, deepest first.
+def _leaves(n, keep, atom, step):
+    """The left folds step(...step(atom(c_0), atom(c_1))..., atom(c_{K-1}))
+    over every K-subset c_0 < ... < c_{K-1} of range(n), K = keep >= 1, as
+    a list in colex order (ascending largest member, then the rest alike).
 
-    With R = n - rank + 2, elimination always takes one of the first R
-    survivors, so after t removals the survivors are the positions from
-    p = R + t - 1 on plus R - 1 positions kept in range(p). A state is the
-    bitmask S of those kept positions, and every (R - 1)-subset of range(p)
-    is reachable. Its children, in elimination order, are S - {s} + {p}
-    for each s in S ascending, then S itself. Every level above the
-    deepest maps S to fold(children in elimination order). Only two levels
-    are alive at any time.
-
-    The deepest level (p = n) maps S = {c_0 < ... < c_{K-1}}, K = R - 1,
-    to the left fold step(...step(atom(c_0), atom(c_1))..., atom(c_{K-1})).
-    It is built from prefixes, one member more per pass: in colex order the
-    k-subsets with largest member t follow those of range(t), and they are
-    the first C(t, k - 1) states of the pass below, the (k - 1)-subsets of
-    range(t), each with t added. So each state is one `step` (its value)
-    and one OR (its bitmask) away from a state of the pass below. Pass k
-    holds the k-subsets of range(rank - 1 + k), the k-member prefixes of
-    the deepest states, and all passes take about C(n + 1, K) steps where
-    one fold per state would take C(n, K) * K.
+    The list is built from prefixes, one member more per pass: in colex
+    order the k-subsets with largest member t follow those of range(t), and
+    they are the first C(t, k - 1) values of the pass below, the
+    (k - 1)-subsets of range(t), each with t added. So each value is one
+    `step` away from a value of the pass below. Pass k holds the k-subsets
+    of range(n - keep + k), the k-member prefixes of the last pass, and all
+    passes take about C(n + 1, K) steps where one left fold per subset
+    would take C(n, K) * K.
     """
-    keep = n - rank + 1
-    bit = [1 << i for i in range(n)]
-    values = [atom(i) for i in range(rank)]
-    masks = bit[:rank]
+    lead = n - keep + 1
+    values = [atom(i) for i in range(lead)]
     for k in range(2, keep + 1):
-        below, below_masks = values, masks
-        values, masks = [], []
-        for t in range(k - 1, rank + k - 1):
+        below = values
+        values = []
+        for t in range(k - 1, lead + k - 1):
             width = math.comb(t, k - 1)
             values += map(step, below[:width], repeat(atom(t), width))
-            high = bit[t]
-            masks += [mask | high for mask in below_masks[:width]]
-    level = dict(zip(masks, values))
-    sizes = [len(level)]
-    for p in range(n - 1, keep - 1, -1):
-        top = bit[p]
-        above = {}
-        for S in combinations(range(p), keep):
-            mask = sum([bit[i] for i in S])
-            kids = [level[mask ^ bit[s] | top] for s in S]
-            kids.append(level[mask])
-            above[mask] = fold(kids)
-        level = above
-        sizes.append(len(level))
-    (root,) = level.values()
-    return root, sizes
+    return values
 
 
 def select_naive(values, rank):
@@ -103,21 +76,30 @@ def select_naive(values, rank):
 
 
 def select_memo(values, rank):
-    """The recursion memoized on the set of surviving original positions,
-    filled level by level. Each survivor set is solved once; distinct
-    elimination orders that leave the same survivors share it, and every
-    further entry the recursion would make into it counts as a memo hit.
-    Returns (value, recursive_calls, base_case_calls, memo_hits).
+    """The memoized recursion's max-min normal form. Its deepest level maps
+    each (N - rank + 1)-subset of positions to its first minimum, and every
+    level above takes a first maximum, so the value is the first maximum
+    of those leaf minima in the order the recursion first visits them:
+    descending lexicographic in the positions. That is colex order over the
+    reversed values, with each minimum keeping the later of two equal ones
+    (the earlier position), so the first max of the list returns the
+    recursion's value, signed zeros included.
+
+    The counters are those the memoized recursion would count, read off
+    its level sizes C(p, K) for p from N down to K = N - rank + 1: every
+    survivor set is solved once, and every further entry into it is a
+    memo hit. Returns (value, recursive_calls, base_case_calls, memo_hits).
     """
     xs = tuple(values)
     n = len(xs)
     if not 1 <= rank <= n:
         raise ValueError(f"rank {rank} out of range 1..{n}")
-    value, sizes = _fill_levels(n, rank, xs.__getitem__,
-                                lambda acc, x: x if x < acc else acc, max)
-    states = sum(sizes)
-    recursive = 1 + (n - rank + 2) * (states - sizes[0])
-    return value, recursive, sizes[0], recursive - states
+    keep = n - rank + 1
+    leaves = _leaves(n, keep, xs[::-1].__getitem__,
+                     lambda acc, x: x if x <= acc else acc)
+    states = math.comb(n + 1, keep + 1)
+    recursive = 1 + (keep + 1) * (states - len(leaves))
+    return max(leaves), recursive, len(leaves), recursive - states
 
 
 def select_fullrange(values, rank):

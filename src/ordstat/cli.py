@@ -168,7 +168,7 @@ def cmd_emit(args) -> int:
 
 def cmd_verify(args) -> int:
     run_all = not (args.exhaustive or args.random)
-    alphabet = tuple(parse_sequence_text(args.alphabet))
+    alphabet = as_real_sequence(parse_sequence_text(args.alphabet)).values
     plan = VerifyPlan(max_n=args.max_n, alphabet=alphabet,
                       random_trials=args.trials, seed=args.seed,
                       tolerance=args.tolerance)

@@ -37,13 +37,15 @@ the reference both backends are tested against.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import weakref
 from array import array
 from functools import reduce
+from itertools import combinations
 
 from . import _backend
-from ._pykernels import _SLP_FNS, SLP_OPS, _fill_levels, _run_slp
+from ._pykernels import _SLP_FNS, SLP_OPS, _leaves, _run_slp
 from ._record import FrozenRecord, slot_setters
 from .errors import BudgetError, ExprError, RankError, SequenceError, TextParseError
 from .selection import naive_call_count, resolve_budget
@@ -256,6 +258,41 @@ def _check_build_budget(n_vars: int, rank: int, budget: int | None) -> None:
         paths = min(paths * branch, limit + 1)
 
 
+def _fill_levels(n, rank, atom, step, fold):
+    """Evaluate the rank-`rank` elimination recursion over positions
+    0..n-1 bottom-up, deepest level first, and return its root.
+
+    With R = n - rank + 2, elimination always takes one of the first R
+    survivors, so after t removals the survivors are the positions from
+    p = R + t - 1 on plus R - 1 positions kept in range(p). A state is the
+    bitmask S of those kept positions, and every (R - 1)-subset of range(p)
+    is reachable. Its children, in elimination order, are S - {s} + {p}
+    for each s in S ascending, then S itself. Every level above the
+    deepest maps S to fold(children in elimination order). Only two levels
+    are alive at any time.
+
+    The deepest level (p = n) maps S = {c_0 < ... < c_{K-1}}, K = R - 1,
+    to the left fold step(...step(atom(c_0), atom(c_1))..., atom(c_{K-1})).
+    _leaves builds those folds from shared prefixes, and the bitmasks
+    too, with OR as the step.
+    """
+    keep = n - rank + 1
+    bit = [1 << i for i in range(n)]
+    level = dict(zip(_leaves(n, keep, bit.__getitem__, operator.or_),
+                     _leaves(n, keep, atom, step)))
+    for p in range(n - 1, keep - 1, -1):
+        top = bit[p]
+        above = {}
+        for S in combinations(range(p), keep):
+            mask = sum([bit[i] for i in S])
+            kids = [level[mask ^ bit[s] | top] for s in S]
+            kids.append(level[mask])
+            above[mask] = fold(kids)
+        level = above
+    (root,) = level.values()
+    return root
+
+
 def build_selection_expr(n_vars: int, rank: int, form: str = "minmax",
                          *, budget: int | None = None) -> Expr:
     """Formula computing the rank-th smallest of variables x1..x{n_vars}.
@@ -265,8 +302,8 @@ def build_selection_expr(n_vars: int, rank: int, form: str = "minmax",
     subformulas of the first (length - rank + 2) eliminations, in
     elimination order. The arithmetic form is the same formula lowered to
     add/sub/abs/halve. Equal subformulas are one node (see Expr). The
-    graph is filled level by level, as the Python select_memo is, so no
-    recursion runs and no reference cycle outlives the call.
+    graph is filled level by level (see _fill_levels), so no recursion
+    runs and no reference cycle outlives the call.
     """
     n_vars = int(n_vars)
     if n_vars < 1:
@@ -279,8 +316,8 @@ def build_selection_expr(n_vars: int, rank: int, form: str = "minmax",
     _check_build_budget(n_vars, rank, budget)
 
     variables = [var(i + 1) for i in range(n_vars)]
-    root, _ = _fill_levels(n_vars, rank, variables.__getitem__, min_of,
-                           lambda kids: reduce(max_of, kids))
+    root = _fill_levels(n_vars, rank, variables.__getitem__, min_of,
+                        lambda kids: reduce(max_of, kids))
     if form == "arithmetic":
         root = lower_minmax_to_arith(root)
     return root

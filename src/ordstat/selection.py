@@ -7,8 +7,9 @@ sequence, and rank 1 is the plain minimum. Ranks, sequence positions and
 elimination indices are all 1-based.
 
 Two evaluation strategies share that recursion: select_naive re-solves
-every subproblem, select_memo caches results keyed on the set of surviving
-original positions. Both compare elements directly, so results are exact
+every subproblem, select_memo returns what the recursion memoized on the
+set of surviving original positions returns, as the first maximum of its
+leaf minima. Both compare elements directly, so results are exact
 copies of input values. select_ranks selects several ranks of one sequence
 in one call: it validates the sequence and resolves the budget once, then
 runs the same kernel per rank; median and the verify suites use it. The
@@ -253,13 +254,16 @@ def _naive(rank: int, seq: RealSequence, stats: EvalStats | None) -> float:
 
 def select_memo(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
                 *, budget: int | None = None) -> float:
-    """Same value as select_naive, bit for bit, with subproblems cached.
+    """Same value as select_naive, bit for bit: the memoized recursion's.
 
-    Subproblems are keyed on the set of surviving original positions, since
-    any elimination order that leaves the same survivors denotes the same
-    subsequence; there are memo_state_count(N, rank) of them, and the
-    budget bounds that number. Both backends fill them level by level, for
-    any N, in tables that live and die within this call.
+    The memoized recursion keys subproblems on the set of surviving
+    original positions, since any elimination order that leaves the same
+    survivors denotes the same subsequence; there are
+    memo_state_count(N, rank) of them, and the budget bounds that number.
+    Every level above its minima takes a max, so both backends evaluate
+    its max-min normal form, the first maximum of the leaf minima, for any
+    N, in a table that lives and dies within this call. The counters added
+    to `stats` are still those the memoized recursion would count.
     """
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))

@@ -244,6 +244,14 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert "JSON number -99999999999... of 401 characters" in err
 
+    def test_non_finite_alphabet_exits_2(self, capsys):
+        # 1e999 parses to inf; as select input it exits 2, and so here.
+        code, out, err = run_cli(
+            ["verify", "--exhaustive", "--max-n", "2", "--alphabet", "1e999"],
+            capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "sequence values must be finite, got inf" in err
+
     def test_bad_plan_exits_3(self, capsys):
         code, _, _ = run_cli(["verify", "--exhaustive", "--max-n", "0"],
                              capsys=capsys)

@@ -417,6 +417,32 @@ class TestMemoFill:
             sys.setrecursionlimit(saved)
 
 
+def test_memo_normal_form_matches_recursion_fill():
+    # select_memo takes the first maximum of the leaf minima; pin it to the
+    # memoized recursion filled level by level, each state folded with a
+    # first max. Every state above the leaves enters its keep + 1 children
+    # once, and the root is entered once more.
+    from ordstat import _backend
+    from ordstat.expr import _fill_levels
+    kernels = [_backend.get_kernels(name) for name in _backend.available_backends()]
+    length = 7
+    for values in itertools.product((-0.0, 0.0, 1.0), repeat=length):
+        for rank in range(1, length + 1):
+            folds = []
+            value = _fill_levels(length, rank, values.__getitem__,
+                                 lambda acc, x: x if x < acc else acc,
+                                 lambda kids: folds.append(1) or max(kids))
+            keep = length - rank + 1
+            leaves = math.comb(length, keep)
+            recursive = 1 + (keep + 1) * len(folds)
+            want = (signed(value), recursive, leaves,
+                    recursive - leaves - len(folds))
+            for kernels_module in kernels:
+                got, *counters = kernels_module.select_memo(values, rank)
+                assert (signed(got), *counters) == want, \
+                    (kernels_module.__name__, values, rank)
+
+
 SINGLE = {
     "naive": o.select_naive,
     "memo": o.select_memo,
