@@ -5,8 +5,8 @@
  * floats and a 1-based rank in 1..N (positional arguments only) and raises
  * ValueError for a rank outside that range.
  *
- * The memoized kernels keep the levels of the elimination recursion in
- * dense double arrays. A level's states are the k-subsets of a prefix
+ * The normal-form kernels keep one level of the elimination recursion in
+ * a dense double array. A level's states are the k-subsets of a prefix
  * range(p) of positions, and a subset {c_0 < ... < c_{k-1}} sits at its
  * colex rank C(c_0, 1) + C(c_1, 2) + ... + C(c_{k-1}, k) (the combinatorial
  * number system, Knuth TAOCP 4A, 7.2.1.3). The k-subsets of range(p) are
@@ -14,14 +14,13 @@
  * one index space: no hash map, no bitmask, no limit on N. Every size is
  * computed with overflow checks before anything is allocated.
  *
- * select_memo evaluates the memoized recursion's max-min normal form:
- * every level above the deepest takes a maximum, so the value is the
- * first maximum of the deepest level's minima, and memo_fill builds that
- * one level, in place, each minimum one comparison away from that of its
- * set without the largest member. Its counters are still those the
- * memoized recursion would count. select_fullrange folds every level over
- * removed sets, shares nothing with memo_fill, and stays an independent
- * cross-check.
+ * select_memo and select_fullrange evaluate the max-min normal form of
+ * their recursions, which is the same for both: every level above the
+ * deepest takes a maximum, so the value is the first maximum of the
+ * deepest level's minima, and leaf_max builds that one level, in place,
+ * each minimum one comparison away from that of its set without the
+ * largest member. select_memo adds the counters the memoized recursion
+ * would count (memo_counts); select_fullrange has none.
  *
  * compile_slp turns a packed straight-line program (see
  * _pykernels.compile_slp, which defines it) into a callable that runs
@@ -96,29 +95,6 @@ check_level(size_t size, const char *kernel, size_t n, size_t rank)
     return 0;
 }
 
-/* Advances c[0..k) to the next k-subset in colex order. */
-static void
-next_colex(size_t *c, size_t k)
-{
-    size_t i, j = 0;
-    if (k == 0)
-        return;
-    while (j + 1 < k && c[j] + 1 == c[j + 1])
-        j++;
-    c[j]++;
-    for (i = 0; i < j; i++)
-        c[i] = i;
-}
-
-static void
-first_colex(size_t *c, size_t k)
-{
-    size_t i;
-    for (i = 0; i < k; i++)
-        c[i] = i;
-}
-
-
 /* ---- select_naive: the plain recursion ------------------------------- */
 
 static double
@@ -151,14 +127,18 @@ naive(const double *cur, size_t len, size_t m, double *scratch, size_t cap,
 }
 
 
-/* ---- select_memo: the max-min normal form of the recursion ---------- */
+/* ---- the max-min normal form: select_memo and select_fullrange ------ */
 
 /* With K = n - rank + 1 kept positions, the memoized recursion's deepest
  * level maps each K-subset S of range(n) to the first minimum of xs over
  * S, and every level above it takes a first maximum over its children.
  * A maximum of maxima is the first maximum over the deepest level in the
  * order the recursion first visits it, which is descending lexicographic
- * order of the subsets. So memo_fill builds only that level and scans it.
+ * order of the subsets. The full-range recursion deletes at every position
+ * instead of the first n - rank + 2, but its leaves are the same K-subsets
+ * and it first reaches them in the same order (ascending lexicographic in
+ * the removed positions), so it has the same normal form. leaf_max builds
+ * only that level and scans it.
  *
  * The level is built in colex order over ys, xs reversed (ys[q] =
  * xs[n - 1 - q]): ascending colex order in q is descending lexicographic
@@ -177,36 +157,29 @@ naive(const double *cur, size_t len, size_t m, double *scratch, size_t cap,
  * be read. That is about C(n + 1, K) comparisons, where one minimum per
  * state takes C(n, K) * (K - 1).
  *
- * The counters are still those the memoized recursion would count, in
- * _pykernels.select_memo's closed form over the level sizes C(p, K) for
- * p from n down to K. */
+ * `b` holds C(x, k) for k <= K and x - k < rank; `kernel` names the
+ * caller in the error for a level too large to address. */
 static int
-memo_fill(const double *xs, size_t n, size_t rank, double *value, u64 counts[3])
+leaf_max(const Pascal *b, const double *xs, size_t n, size_t rank,
+         const char *kernel, double *value)
 {
-    size_t keep = n - rank + 1, k, t, p, r, top;
-    double *level = NULL, *with_t, best, x;
-    u64 states = 0, above, recursive;
-    Pascal b = {NULL, 0};
-    int rc = -1;
+    size_t keep = n - rank + 1, top = binom(b, n, keep), k, t, r;
+    double *level, *with_t, best, x;
 
-    if (pascal_init(&b, keep + 1, rank) < 0)
+    if (check_level(top, kernel, n, rank) < 0)
         return -1;
-    top = binom(&b, n, keep);
-    if (check_level(top, "memoized selection", n, rank) < 0)
-        goto done;
     level = PyMem_Malloc(top * sizeof(double));
     if (level == NULL) {
         PyErr_NoMemory();
-        goto done;
+        return -1;
     }
-
     for (r = 0; r < rank; r++)
         level[r] = xs[n - 1 - r];
     for (k = 2; k <= keep; k++) {
         for (t = rank + k - 2; t + 1 >= k; t--) {
-            with_t = level + binom(&b, t, k);
+            with_t = level + binom(b, t, k);
             x = xs[n - 1 - t];
-            for (r = binom(&b, t, k - 1); r-- > 0;)
+            for (r = binom(b, t, k - 1); r-- > 0;)
                 with_t[r] = x <= level[r] ? x : level[r];
         }
     }
@@ -214,101 +187,33 @@ memo_fill(const double *xs, size_t n, size_t rank, double *value, u64 counts[3])
     for (r = 1; r < top; r++)
         if (level[r] > best)
             best = level[r];
+    PyMem_Free(level);
+    *value = best;
+    return 0;
+}
+
+/* The counters the memoized recursion would count, in
+ * _pykernels.select_memo's closed form over the level sizes C(p, K) for
+ * p from n down to K. */
+static int
+memo_counts(const Pascal *b, size_t n, size_t rank, u64 counts[3])
+{
+    size_t keep = n - rank + 1, p;
+    u64 top = binom(b, n, keep), states = 0, above;
 
     for (p = keep; p <= n; p++)
-        states += binom(&b, p, keep);
+        states += binom(b, p, keep);
     above = states - top;
     if (above != 0 && (u64)(keep + 1) > (ULLONG_MAX - 1) / above) {
         PyErr_Format(PyExc_OverflowError,
                      "memoized selection of rank %zu from %zu elements: "
                      "call count overflows 64 bits", rank, n);
-        goto done;
-    }
-    recursive = 1 + (u64)(keep + 1) * above;
-    *value = best;
-    counts[0] = recursive;
-    counts[1] = top;
-    counts[2] = recursive - states;
-    rc = 0;
-done:
-    PyMem_Free(b.t);
-    PyMem_Free(level);
-    return rc;
-}
-
-
-/* ---- select_fullrange: its own fill over removed sets ---------------- */
-
-/* The level with t removals holds the t-subsets D of range(n), t from
- * rank - 1 down to 0. The deepest level maps D to the first minimum of xs
- * outside D in position order; every other level maps D to the first
- * maximum over D + {j} for every j outside D, ascending. Two levels are
- * kept, since a child can sit anywhere in the level below. */
-static int
-fullrange_fill(const double *xs, size_t n, size_t rank, double *value)
-{
-    size_t t, i, j, k, r, size, widest = 1, pre;
-    size_t *c = NULL, *suf = NULL;
-    double *cur = NULL, *below = NULL, *swap, best, v;
-    int rc = -1, leaf, first;
-    Pascal b = {NULL, 0};
-
-    if (pascal_init(&b, rank + 1, n + 1) < 0)
         return -1;
-    for (t = 0; t < rank; t++)
-        if (binom(&b, n, t) > widest)
-            widest = binom(&b, n, t);
-    if (check_level(widest, "full-range selection", n, rank) < 0)
-        goto done;
-    cur = PyMem_Malloc(widest * sizeof(double));
-    below = PyMem_Malloc(widest * sizeof(double));
-    c = PyMem_Malloc(rank * sizeof(size_t));
-    suf = PyMem_Malloc(rank * sizeof(size_t));
-    if (cur == NULL || below == NULL || c == NULL || suf == NULL) {
-        PyErr_NoMemory();
-        goto done;
     }
-
-    for (t = rank; t-- > 0;) {
-        size = binom(&b, n, t);
-        leaf = t == rank - 1;
-        first_colex(c, t);
-        for (r = 0; r < size; r++) {
-            /* rank of D + {j} with k members of D below j:
-             * sum_{i<k} C(c_i, i + 1) + C(j, k + 1) + sum_{i>=k} C(c_i, i + 2) */
-            suf[t] = 0;
-            for (i = t; i-- > 0;)
-                suf[i] = suf[i + 1] + binom(&b, c[i], i + 2);
-            best = 0.0;
-            first = 1;
-            pre = 0;
-            for (j = 0, k = 0; j < n; j++) {
-                if (k < t && c[k] == j) {
-                    pre += binom(&b, j, k + 1);
-                    k++;
-                    continue;
-                }
-                v = leaf ? xs[j] : below[pre + binom(&b, j, k + 1) + suf[k]];
-                if (first || (leaf ? v < best : v > best))
-                    best = v;
-                first = 0;
-            }
-            cur[r] = best;
-            next_colex(c, t);
-        }
-        swap = cur;
-        cur = below;
-        below = swap;
-    }
-    *value = below[0];
-    rc = 0;
-done:
-    PyMem_Free(b.t);
-    PyMem_Free(cur);
-    PyMem_Free(below);
-    PyMem_Free(c);
-    PyMem_Free(suf);
-    return rc;
+    counts[0] = 1 + (u64)(keep + 1) * above;
+    counts[1] = top;
+    counts[2] = counts[0] - states;
+    return 0;
 }
 
 
@@ -635,21 +540,26 @@ select_naive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return Py_BuildValue("(dKK)", value, recursive, base);
 }
 
+/* Both take the first maximum of the leaf minima from one binomial table
+ * with rows 0..K and columns 0..rank - 1; only select_memo counts. */
 static PyObject *
 select_memo(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     double *xs, value;
     size_t n, rank;
     u64 counts[3];
-    int rc;
+    Pascal b = {NULL, 0};
+    PyObject *out = NULL;
 
     if (parse_args(args, nargs, "select_memo", &xs, &n, &rank) < 0)
         return NULL;
-    rc = memo_fill(xs, n, rank, &value, counts);
+    if (pascal_init(&b, n - rank + 2, rank) == 0
+            && leaf_max(&b, xs, n, rank, "memoized selection", &value) == 0
+            && memo_counts(&b, n, rank, counts) == 0)
+        out = Py_BuildValue("(dKKK)", value, counts[0], counts[1], counts[2]);
+    PyMem_Free(b.t);
     PyMem_Free(xs);
-    if (rc < 0)
-        return NULL;
-    return Py_BuildValue("(dKKK)", value, counts[0], counts[1], counts[2]);
+    return out;
 }
 
 static PyObject *
@@ -657,15 +567,17 @@ select_fullrange(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     double *xs, value;
     size_t n, rank;
-    int rc;
+    Pascal b = {NULL, 0};
+    PyObject *out = NULL;
 
     if (parse_args(args, nargs, "select_fullrange", &xs, &n, &rank) < 0)
         return NULL;
-    rc = fullrange_fill(xs, n, rank, &value);
+    if (pascal_init(&b, n - rank + 2, rank) == 0
+            && leaf_max(&b, xs, n, rank, "full-range selection", &value) == 0)
+        out = PyFloat_FromDouble(value);
+    PyMem_Free(b.t);
     PyMem_Free(xs);
-    if (rc < 0)
-        return NULL;
-    return PyFloat_FromDouble(value);
+    return out;
 }
 
 static PyMethodDef methods[] = {
@@ -680,7 +592,8 @@ static PyMethodDef methods[] = {
     {"select_fullrange", (PyCFunction)(void (*)(void))select_fullrange,
      METH_FASTCALL,
      "select_fullrange(values, rank) -> value\n\n"
-     "Elimination over every position, filled over removed sets."},
+     "Elimination over every position: the same first maximum of the leaf "
+     "minima as select_memo, without counters."},
     {"compile_slp", (PyCFunction)(void (*)(void))compile_slp, METH_FASTCALL,
      "compile_slp(n_vars, consts, code, result) -> formula(values)\n\n"
      "Checks a packed straight-line program and returns a callable that "

@@ -12,10 +12,11 @@ backends, are what the memoized recursion would count:
   * base_case_calls  counts rank-1 entries that compute a minimum,
   * memo_hits        counts entries answered from the cache.
 
-select_memo runs neither the recursion nor its fold: every fold level
-takes a maximum, so it evaluates the max-min normal form, the first
-maximum of the leaf minima (see _leaves), and reads the three
-counters off the level sizes the memoized recursion would fill.
+select_memo and select_fullrange run neither recursion nor its fold:
+every fold level takes a maximum, so both evaluate the max-min normal
+form, the first maximum of the leaf minima (see _leaf_max), which the
+two recursions share. select_memo reads the three counters off the level
+sizes the memoized recursion would fill.
 expr._fill_levels builds the same leaves from variables and folds them
 level by level into a formula. `atom` names the value of one position (a
 float or a variable), and `step` one step of the left fold over a
@@ -59,8 +60,32 @@ def _leaves(n, keep, atom, step):
     return values
 
 
+def _checked(values, rank):
+    """values as a tuple, once rank lies in 1..N; the C twin's ValueError
+    otherwise."""
+    xs = tuple(values)
+    if not 1 <= rank <= len(xs):
+        raise ValueError(f"rank {rank} out of range 1..{len(xs)}")
+    return xs
+
+
+def _leaf_max(xs, rank):
+    """The max-min normal form shared by select_memo and select_fullrange.
+    Its deepest level maps each (N - rank + 1)-subset of positions to its
+    first minimum, and every level above takes a first maximum, so the
+    value is the first maximum of those leaf minima in the order the
+    recursion first visits them: descending lexicographic in the kept
+    positions, which is ascending lexicographic in the removed ones. That
+    is colex order over the reversed values, with each minimum keeping the
+    later of two equal ones (the earlier position), so the first max of the
+    list returns the recursion's value, signed zeros included."""
+    return max(_leaves(len(xs), len(xs) - rank + 1, xs[::-1].__getitem__,
+                       lambda acc, x: x if x <= acc else acc))
+
+
 def select_naive(values, rank):
     """Plain recursion. Returns (value, recursive_calls, base_case_calls)."""
+    xs = _checked(values, rank)
     counters = [0, 0]
 
     def go(xs, m):
@@ -71,59 +96,33 @@ def select_naive(values, rank):
         hi = len(xs) - m + 2
         return max(go(xs[:j] + xs[j + 1:], m - 1) for j in range(hi))
 
-    value = go(tuple(values), rank)
+    value = go(xs, rank)
     return value, counters[0], counters[1]
 
 
 def select_memo(values, rank):
-    """The memoized recursion's max-min normal form. Its deepest level maps
-    each (N - rank + 1)-subset of positions to its first minimum, and every
-    level above takes a first maximum, so the value is the first maximum
-    of those leaf minima in the order the recursion first visits them:
-    descending lexicographic in the positions. That is colex order over the
-    reversed values, with each minimum keeping the later of two equal ones
-    (the earlier position), so the first max of the list returns the
-    recursion's value, signed zeros included.
+    """The memoized recursion's max-min normal form (see _leaf_max).
 
     The counters are those the memoized recursion would count, read off
     its level sizes C(p, K) for p from N down to K = N - rank + 1: every
     survivor set is solved once, and every further entry into it is a
     memo hit. Returns (value, recursive_calls, base_case_calls, memo_hits).
     """
-    xs = tuple(values)
+    xs = _checked(values, rank)
     n = len(xs)
-    if not 1 <= rank <= n:
-        raise ValueError(f"rank {rank} out of range 1..{n}")
     keep = n - rank + 1
-    leaves = _leaves(n, keep, xs[::-1].__getitem__,
-                     lambda acc, x: x if x <= acc else acc)
+    leaves = math.comb(n, keep)
     states = math.comb(n + 1, keep + 1)
-    recursive = 1 + (keep + 1) * (states - len(leaves))
-    return max(leaves), recursive, len(leaves), recursive - states
+    recursive = 1 + (keep + 1) * (states - leaves)
+    return _leaf_max(xs, rank), recursive, leaves, recursive - states
 
 
 def select_fullrange(values, rank):
-    """Variant that scans every elimination index, not just the first
-    N - n + 2. Memoized internally; returns the value only."""
-    xs = tuple(values)
-    cache = {}
-
-    def go(idx, mask, m):
-        hit = cache.get(mask)
-        if hit is not None:
-            return hit
-        if m == 1:
-            best = min(xs[i] for i in idx)
-        else:
-            best = max(
-                go(idx[:j] + idx[j + 1:], mask & ~(1 << idx[j]), m - 1)
-                for j in range(len(idx))
-            )
-        cache[mask] = best
-        return best
-
-    n = len(xs)
-    return go(tuple(range(n)), (1 << n) - 1, rank)
+    """Variant that deletes at every position, not just the first
+    N - n + 2. Its leaves are select_memo's, first reached in the same
+    order, so it returns the same normal form (see _leaf_max); returns the
+    value only."""
+    return _leaf_max(_checked(values, rank), rank)
 
 
 # Opcodes of a packed straight-line program, numbered by position here and

@@ -282,8 +282,12 @@ def _memo(rank: int, seq: RealSequence, stats: EvalStats | None) -> float:
 
 def select_fullrange(rank: int, seq: SequenceLike, *, budget: int | None = None) -> float:
     """Diagnostic selector that scans every elimination index at each level
-    instead of stopping at N - n + 2. Always agrees with select_naive;
-    the verification suites assert exactly that."""
+    instead of stopping at N - n + 2. Its recursion reaches the same
+    leaves as select_memo's in the same order, so both backends evaluate
+    the same max-min normal form and it agrees with select_naive bit for
+    bit. The verification suites check it against the sort, and the tests
+    against select_naive. Its budget bounds the states the full-range
+    recursion would touch."""
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
     _check_fullrange_budget(len(seq), rank, resolve_budget(budget))
@@ -291,7 +295,8 @@ def select_fullrange(rank: int, seq: SequenceLike, *, budget: int | None = None)
 
 
 def _fullrange(rank: int, seq: RealSequence, stats: EvalStats | None) -> float:
-    # stats goes unused: the full-range kernel keeps no counters.
+    # stats goes unused: the full-range kernel evaluates select_memo's
+    # normal form and counts nothing.
     return _backend.kernels().select_fullrange(seq.values, rank)
 
 

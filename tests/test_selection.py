@@ -328,12 +328,14 @@ class TestWideMemo:
     def test_oversized_level_refused(self, backend):
         # C(201, 99) states: the default budget refuses them; with the
         # budget lifted, the compiled fill must refuse a level it cannot
-        # address instead of wrapping its size.
+        # address instead of wrapping its size. Full-range selection
+        # builds the same level.
         with pytest.raises(BudgetError):
             o.select_memo(100, range(200))
         if backend != "python":
-            with pytest.raises((MemoryError, OverflowError)):
-                o.select_memo(100, range(200), budget=10**70)
+            for select in (o.select_memo, o.select_fullrange):
+                with pytest.raises((MemoryError, OverflowError)):
+                    select(100, range(200), budget=10**70)
 
     def test_memo_state_count_quadratic_at_max_rank(self):
         from ordstat.selection import memo_state_count
@@ -358,14 +360,17 @@ class TestMemoFill:
                         1 + (length - rank + 2) * math.comb(length, rank - 2)
 
     def test_signed_zero_ties_match_naive(self, backend):
+        # select_fullrange shares the normal form with select_memo; the
+        # plain recursion shares no code with either.
         for length in range(1, 7):
             for values in itertools.product((-0.0, 0.0, 1.0), repeat=length):
                 for rank in range(1, length + 1):
                     naive = o.select_naive(rank, values)
-                    memo = o.select_memo(rank, values)
-                    assert memo == naive
-                    assert math.copysign(1, memo) == math.copysign(1, naive), \
-                        (values, rank)
+                    for select in (o.select_memo, o.select_fullrange):
+                        got = select(rank, values)
+                        assert got == naive
+                        assert math.copysign(1, got) == math.copysign(1, naive), \
+                            (select.__name__, values, rank)
 
     @pytest.mark.parametrize("length", range(7, 12))
     def test_seeded_signed_zero_ties_match_naive(self, backend, length):
@@ -375,8 +380,10 @@ class TestMemoFill:
         for _ in range(4):
             values = [rng.choice((-0.0, 0.0, 1.0, -1.0)) for _ in range(length)]
             for rank in range(1, length + 1):
-                assert signed(o.select_memo(rank, values)) == \
-                    signed(o.select_naive(rank, values)), (values, rank)
+                naive = signed(o.select_naive(rank, values))
+                assert signed(o.select_memo(rank, values)) == naive, (values, rank)
+                assert signed(o.select_fullrange(rank, values)) == naive, \
+                    (values, rank)
 
     @pytest.mark.parametrize("length, rank", [(65, 2), (65, 3), (96, 2), (96, 3)])
     def test_long_signed_zero_ties_match_naive(self, backend, length, rank):
