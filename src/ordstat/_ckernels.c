@@ -14,13 +14,13 @@
  * one index space: no hash map, no bitmask, no limit on N. Every size is
  * computed with overflow checks before anything is allocated.
  *
- * select_memo and select_fullrange evaluate the max-min normal form of
- * their recursions, which is the same for both: every level above the
- * deepest takes a maximum, so the value is the first maximum of the
- * deepest level's minima, and leaf_max builds that one level, in place,
- * each minimum one comparison away from that of its set without the
- * largest member. select_memo adds the counters the memoized recursion
- * would count (memo_counts); select_fullrange has none.
+ * select_memo and select_fullrange share one body, normal_form: both
+ * recursions have the same max-min normal form, since every level above
+ * the deepest takes a maximum, so the value is the first maximum of the
+ * deepest level's minima. leaf_max builds that one level, in place, each
+ * minimum one comparison away from that of its set without the largest
+ * member. select_memo adds the counters the memoized recursion would
+ * count (memo_counts); select_fullrange has none.
  *
  * compile_slp turns a packed straight-line program (see
  * _pykernels.compile_slp, which defines it) into a callable that runs
@@ -79,20 +79,6 @@ static inline size_t
 binom(const Pascal *b, size_t x, size_t k)
 {
     return x < k ? 0 : b->t[k * b->cols + (x - k)];
-}
-
-/* Refuses a level of `size` doubles that cannot be addressed, before any
- * allocation; a saturated binomial lands here too. */
-static int
-check_level(size_t size, const char *kernel, size_t n, size_t rank)
-{
-    if (size >= SIZE_MAX || size > PY_SSIZE_T_MAX / sizeof(double)) {
-        PyErr_Format(PyExc_OverflowError,
-                     "%s of rank %zu from %zu elements: a level of the fill "
-                     "has too many states to address", kernel, rank, n);
-        return -1;
-    }
-    return 0;
 }
 
 /* ---- select_naive: the plain recursion ------------------------------- */
@@ -166,8 +152,13 @@ leaf_max(const Pascal *b, const double *xs, size_t n, size_t rank,
     size_t keep = n - rank + 1, top = binom(b, n, keep), k, t, r;
     double *level, *with_t, best, x;
 
-    if (check_level(top, kernel, n, rank) < 0)
+    /* Refused before any allocation; a saturated binomial lands here too. */
+    if (top >= SIZE_MAX || top > PY_SSIZE_T_MAX / sizeof(double)) {
+        PyErr_Format(PyExc_OverflowError,
+                     "%s of rank %zu from %zu elements: a level of the fill "
+                     "has too many states to address", kernel, rank, n);
         return -1;
+    }
     level = PyMem_Malloc(top * sizeof(double));
     if (level == NULL) {
         PyErr_NoMemory();
@@ -540,10 +531,12 @@ select_naive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return Py_BuildValue("(dKK)", value, recursive, base);
 }
 
-/* Both take the first maximum of the leaf minima from one binomial table
- * with rows 0..K and columns 0..rank - 1; only select_memo counts. */
+/* Both entries take the first maximum of the leaf minima from one binomial
+ * table with rows 0..K and columns 0..rank - 1; `kernel` labels a level too
+ * large to address. Only select_memo counts, and returns its counters too. */
 static PyObject *
-select_memo(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+normal_form(PyObject *const *args, Py_ssize_t nargs, const char *name,
+            const char *kernel, int count)
 {
     double *xs, value;
     size_t n, rank;
@@ -551,33 +544,30 @@ select_memo(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Pascal b = {NULL, 0};
     PyObject *out = NULL;
 
-    if (parse_args(args, nargs, "select_memo", &xs, &n, &rank) < 0)
+    if (parse_args(args, nargs, name, &xs, &n, &rank) < 0)
         return NULL;
     if (pascal_init(&b, n - rank + 2, rank) == 0
-            && leaf_max(&b, xs, n, rank, "memoized selection", &value) == 0
-            && memo_counts(&b, n, rank, counts) == 0)
-        out = Py_BuildValue("(dKKK)", value, counts[0], counts[1], counts[2]);
+            && leaf_max(&b, xs, n, rank, kernel, &value) == 0) {
+        if (!count)
+            out = PyFloat_FromDouble(value);
+        else if (memo_counts(&b, n, rank, counts) == 0)
+            out = Py_BuildValue("(dKKK)", value, counts[0], counts[1], counts[2]);
+    }
     PyMem_Free(b.t);
     PyMem_Free(xs);
     return out;
 }
 
 static PyObject *
+select_memo(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    return normal_form(args, nargs, "select_memo", "memoized selection", 1);
+}
+
+static PyObject *
 select_fullrange(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    double *xs, value;
-    size_t n, rank;
-    Pascal b = {NULL, 0};
-    PyObject *out = NULL;
-
-    if (parse_args(args, nargs, "select_fullrange", &xs, &n, &rank) < 0)
-        return NULL;
-    if (pascal_init(&b, n - rank + 2, rank) == 0
-            && leaf_max(&b, xs, n, rank, "full-range selection", &value) == 0)
-        out = PyFloat_FromDouble(value);
-    PyMem_Free(b.t);
-    PyMem_Free(xs);
-    return out;
+    return normal_form(args, nargs, "select_fullrange", "full-range selection", 0);
 }
 
 static PyMethodDef methods[] = {

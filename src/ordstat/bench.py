@@ -24,6 +24,7 @@ from .expr import build_selection_expr, compile_to_pyfunc, cse
 from .selection import (
     EvalStats,
     _check_naive_budget,
+    naive_call_count,
     resolve_budget,
     select_memo,
     select_naive,
@@ -113,15 +114,16 @@ def growth_table(max_N: int, *, repeats: int = 3, budget: int | None = None):
     """
     if max_N < 1:
         raise ValueError(f"max_N must be at least 1, got {max_N}")
+    limit = resolve_budget(budget)
     records = []
     for length in range(1, max_N + 1):
         values = _fixed_sequence(length)
         for rank in range(1, length + 1):
             naive_stats = EvalStats()
-            naive_val = select_naive(rank, values, naive_stats, budget=budget)
+            naive_val = select_naive(rank, values, naive_stats, budget=limit)
             memo_stats = EvalStats()
-            memo_val = select_memo(rank, values, memo_stats, budget=budget)
-            closed = (length - rank + 2) ** (rank - 1)
+            memo_val = select_memo(rank, values, memo_stats, budget=limit)
+            closed = naive_call_count(length, rank)
             if naive_stats.base_case_calls != closed:
                 raise OrdstatError(
                     f"count law deviation at N={length} n={rank}: measured "
@@ -136,8 +138,8 @@ def growth_table(max_N: int, *, repeats: int = 3, budget: int | None = None):
                     f"mode disagreement at N={length} n={rank}: "
                     f"naive {naive_val!r}, memo {memo_val!r}"
                 )
-            _, m = cse(build_selection_expr(length, rank, "minmax", budget=budget))
-            wall = _median_time(lambda: select_memo(rank, values, budget=budget),
+            _, m = cse(build_selection_expr(length, rank, "minmax", budget=limit))
+            wall = _median_time(lambda: select_memo(rank, values, budget=limit),
                                 repeats)
             records.append(BenchRecord(length, rank, "growth",
                                        naive_stats.base_case_calls,
@@ -159,8 +161,9 @@ def compare_wallclock(length: int, trials: int, seed: int = 0, *,
         raise ValueError(f"length must be at least 1, got {length}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    limit = resolve_budget(budget)
     rank = (length + 1) // 2
-    expr = build_selection_expr(length, rank, "arithmetic", budget=budget)
+    expr = build_selection_expr(length, rank, "arithmetic", budget=limit)
     _, metrics = cse(expr)
     fn = compile_to_pyfunc(expr)
 
@@ -169,12 +172,12 @@ def compare_wallclock(length: int, trials: int, seed: int = 0, *,
               for _ in range(trials)]
 
     memo_stats = EvalStats()
-    select_memo(rank, inputs[0], memo_stats, budget=budget)
+    select_memo(rank, inputs[0], memo_stats, budget=limit)
 
     times = {"memo": [], "expr": [], "oracle": []}
     for xs in inputs:
         start = time.perf_counter()
-        v_memo = select_memo(rank, xs, budget=budget)
+        v_memo = select_memo(rank, xs, budget=limit)
         times["memo"].append(time.perf_counter() - start)
         start = time.perf_counter()
         v_expr = fn(xs)

@@ -10,9 +10,10 @@ starting with "[" is parsed as a JSON array instead. NaN and infinity are
 rejected in both grammars.
 
 Exit status: 0 on success, 1 when a verify run reports failures, 2 on
-input/parse errors, 3 on rank, budget, or formula errors. The recursion
-budget can be overridden per command with --budget or globally with the
-ORDSTAT_BUDGET environment variable (flag wins). emit refuses, before
+input/parse errors, 3 on rank, budget, or formula errors. select, median,
+emit and bench take --budget to override the work budget. Without it, and
+always for verify, ORDSTAT_BUDGET applies: read once by select, median and
+emit, once per suite or table by verify and bench. emit refuses, before
 rendering, formula text of more tree nodes than the budget (not --slp).
 """
 
@@ -30,7 +31,7 @@ from .bench import (
     records_to_csv,
     records_to_json,
 )
-from .errors import BudgetError, OrdstatError, SequenceError, TextParseError
+from .errors import OrdstatError, SequenceError, TextParseError
 from .expr import (
     build_selection_expr,
     compile_to_pyfunc,
@@ -41,6 +42,7 @@ from .expr import (
 )
 from .selection import (
     EvalStats,
+    _check_text_budget,
     as_real_sequence,
     median,
     resolve_budget,
@@ -154,14 +156,12 @@ def cmd_median(args) -> int:
 
 def cmd_emit(args) -> int:
     if args.slp:
-        expr = build_selection_expr(args.n, args.rank, "arithmetic",
-                                    budget=args.budget)
+        expr = build_selection_expr(args.n, args.rank, "arithmetic", budget=args.budget)
         print(emit_slp(expr).to_text())
         return 0
-    expr = build_selection_expr(args.n, args.rank, args.form, budget=args.budget)
-    nodes, limit = metrics_of(expr).node_count_tree, resolve_budget(args.budget)
-    if nodes > limit:
-        raise BudgetError(f"formula text of {nodes} tree nodes is over the budget of {limit}")
+    limit = resolve_budget(args.budget)
+    expr = build_selection_expr(args.n, args.rank, args.form, budget=limit)
+    _check_text_budget(metrics_of(expr).node_count_tree, limit)
     print(emit_text(expr, args.syntax))
     return 0
 

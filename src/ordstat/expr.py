@@ -47,8 +47,8 @@ from itertools import combinations
 from . import _backend
 from ._pykernels import _SLP_FNS, SLP_OPS, _leaves, _run_slp
 from ._record import FrozenRecord, slot_setters
-from .errors import BudgetError, ExprError, RankError, SequenceError, TextParseError
-from .selection import naive_call_count, resolve_budget
+from .errors import ExprError, SequenceError, TextParseError
+from .selection import _check_formula_budget, _check_rank, resolve_budget
 
 _ARITY = {
     "var": 0,
@@ -235,29 +235,6 @@ def metrics_of(expr: Expr) -> ExprMetrics:
     return _program_of(expr).metrics
 
 
-def _check_build_budget(n_vars: int, rank: int, budget: int | None) -> None:
-    limit = resolve_budget(budget)
-    count = naive_call_count(n_vars, rank)
-    if count > limit:
-        raise BudgetError(
-            f"selection formula for rank {rank} of {n_vars} variables implies "
-            f"{count} base cases, over the budget of {limit}"
-        )
-    # The shared graph holds at most one subproblem per distinct survivor
-    # set, each contributing O(n_vars) nodes; refuse graphs past the budget.
-    states = 0
-    paths = 1
-    branch = n_vars - rank + 2
-    for t in range(rank):
-        states += min(math.comb(n_vars, t), paths)
-        if states * (n_vars + 1) > limit:
-            raise BudgetError(
-                f"selection formula for rank {rank} of {n_vars} variables "
-                f"would exceed the node budget of {limit}"
-            )
-        paths = min(paths * branch, limit + 1)
-
-
 def _fill_levels(n, rank, atom, step, fold):
     """Evaluate the rank-`rank` elimination recursion over positions
     0..n-1 bottom-up, deepest level first, and return its root.
@@ -308,12 +285,10 @@ def build_selection_expr(n_vars: int, rank: int, form: str = "minmax",
     n_vars = int(n_vars)
     if n_vars < 1:
         raise SequenceError(f"need at least one variable, got {n_vars}")
-    rank = int(rank)
-    if not 1 <= rank <= n_vars:
-        raise RankError(f"rank {rank} out of range 1..{n_vars}")
+    rank = _check_rank(rank, n_vars)
     if form not in ("minmax", "arithmetic"):
         raise ExprError(f"form must be 'minmax' or 'arithmetic', got {form!r}")
-    _check_build_budget(n_vars, rank, budget)
+    _check_formula_budget(n_vars, rank, resolve_budget(budget))
 
     variables = [var(i + 1) for i in range(n_vars)]
     root = _fill_levels(n_vars, rank, variables.__getitem__, min_of,

@@ -19,14 +19,15 @@ two-argument identities
     max(a, b) = (a + b + |a - b|) / 2
 
 are exposed separately (pairwise_min_arith, pairwise_max_arith, min_chain,
-max_chain) and drive the expression backend in ordstat.expr; they are not
-used inside the selectors, which keeps selector output bit-exact.
+max_chain) as the scalar form of lower_minmax_to_arith's rewrite. Neither
+the selectors nor ordstat.expr call them, so selector output is bit-exact.
 
-Naive evaluation performs (N - n + 2)**(n - 1) base-case calls, so a
-budget guard refuses work above a limit (default 2**24 base calls,
-override with the ORDSTAT_BUDGET environment variable or the ``budget``
-argument). Memoized evaluation is guarded by its number of distinct
-subproblems instead, which is C(N + 1, n - 1) (see memo_state_count).
+All five budget rules live here and take the limit resolve_budget picks
+(``budget`` argument, else ORDSTAT_BUDGET, else 2**24) once per public
+call: naive selection counts (N - n + 2)**(n - 1) base-case calls,
+memoized selection its C(N + 1, n - 1) subproblems (memo_state_count),
+full-range selection the subsets it reaches, a formula its naive count
+and a bound on its graph, and formula text its tree nodes.
 """
 
 from __future__ import annotations
@@ -150,9 +151,21 @@ def max_chain(seq: SequenceLike) -> float:
     return acc
 
 
+def _integral(x, error, what: str) -> int:
+    # 3, 3.0 and True equal an integer and come back as one; 2.7 and "2" raise.
+    if type(x) is int:
+        return x
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be an integer, got {x!r}")
+
+
 def resolve_budget(budget: int | None = None) -> int:
     """Effective recursion budget: explicit argument, else ORDSTAT_BUDGET,
-    else DEFAULT_BUDGET."""
+    else DEFAULT_BUDGET. This is the only read of ORDSTAT_BUDGET."""
     if budget is None:
         raw = os.environ.get(BUDGET_ENV_VAR)
         if raw is None or not raw.strip():
@@ -161,7 +174,7 @@ def resolve_budget(budget: int | None = None) -> int:
             budget = int(raw)
         except ValueError:
             raise BudgetError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    budget = int(budget)
+    budget = _integral(budget, BudgetError, "budget")
     if budget < 1:
         raise BudgetError(f"budget must be positive, got {budget}")
     return budget
@@ -177,7 +190,7 @@ def naive_call_count(n_len: int, rank: int) -> int:
 
 
 def _check_rank(rank: int, n_len: int) -> int:
-    rank = int(rank)
+    rank = _integral(rank, RankError, "rank")
     if not 1 <= rank <= n_len:
         raise RankError(f"rank {rank} out of range 1..{n_len}")
     return rank
@@ -226,6 +239,31 @@ def _check_fullrange_budget(n_len: int, rank: int, limit: int) -> None:
                 f"may touch more than {limit} distinct subproblems; "
                 f"raise {BUDGET_ENV_VAR} if this is intended"
             )
+
+
+def _check_formula_budget(n_vars: int, rank: int, limit: int) -> None:
+    count = naive_call_count(n_vars, rank)
+    if count > limit:
+        raise BudgetError(
+            f"selection formula for rank {rank} of {n_vars} variables implies "
+            f"{count} base cases, over the budget of {limit}"
+        )
+    # The shared graph holds at most one subproblem per distinct survivor
+    # set, each contributing O(n_vars) nodes; refuse graphs past the budget.
+    states, paths, branch = 0, 1, n_vars - rank + 2
+    for t in range(rank):
+        states += min(math.comb(n_vars, t), paths)
+        if states * (n_vars + 1) > limit:
+            raise BudgetError(
+                f"selection formula for rank {rank} of {n_vars} variables "
+                f"would exceed the node budget of {limit}"
+            )
+        paths = min(paths * branch, limit + 1)
+
+
+def _check_text_budget(nodes: int, limit: int) -> None:
+    if nodes > limit:
+        raise BudgetError(f"formula text of {nodes} tree nodes is over the budget of {limit}")
 
 
 def select_naive(rank: int, seq: SequenceLike, stats: EvalStats | None = None,

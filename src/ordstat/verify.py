@@ -13,11 +13,12 @@ of the input values). Arithmetic-form checks use an input-scale tolerance:
 |actual - expected| <= tolerance * max(1, max_k |x_k|). Failures record
 (input, rank, expected, actual, mode); median checks use rank 0.
 
-Each suite call resolves the selection budget (ORDSTAT_BUDGET) once and
-validates each sequence once, as a RealSequence that every selector of
-that sequence reuses. exhaustive_verify selects all ranks of one mode in
-one select_ranks call, so under a budget too small for the plan the
-naive ranks of a sequence are all checked before any memo rank.
+Each suite call resolves the selection budget (ORDSTAT_BUDGET) once, for
+its selections and formula builds alike, and validates each sequence
+once, as a RealSequence that every selector of that sequence reuses.
+exhaustive_verify selects all ranks of one mode in one select_ranks call,
+so under a budget too small for the plan the naive ranks of a sequence
+are all checked before any memo rank.
 
 Case enumeration can be partitioned with ``shard=(index, count)``; shards
 are disjoint by sequence and merge_reports recombines them into a canonical
@@ -26,6 +27,7 @@ report independent of the partitioning.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -170,19 +172,11 @@ def _check_shard(shard):
     return index, count
 
 
-class _ExprCache:
-    """Compiled minmax/arithmetic evaluators per (length, rank)."""
-
-    def __init__(self):
-        self._funcs = {}
-
-    def get(self, length, rank, form):
-        key = (length, rank, form)
-        fn = self._funcs.get(key)
-        if fn is None:
-            fn = compile_to_pyfunc(build_selection_expr(length, rank, form))
-            self._funcs[key] = fn
-        return fn
+def _formulas(limit):
+    """Compiled minmax/arithmetic evaluators, built once per (length, rank,
+    form) under the suite's resolved budget."""
+    return functools.cache(lambda length, rank, form: compile_to_pyfunc(
+        build_selection_expr(length, rank, form, budget=limit)))
 
 
 def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False,
@@ -206,7 +200,7 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
     index, count = _check_shard(shard)
     limit = resolve_budget()
 
-    exprs = _ExprCache()
+    exprs = _formulas(limit)
     failures = []
     cases = 0
     seq_no = 0
@@ -228,7 +222,7 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
                     ("naive", naive[rank - 1]),
                     ("memo", memo[rank - 1]),
                     ("fullrange", full[rank - 1]),
-                    ("expr-minmax", exprs.get(length, rank, "minmax")(combo)),
+                    ("expr-minmax", exprs(length, rank, "minmax")(combo)),
                 )
                 for mode, actual in checks:
                     if actual != expected:
@@ -284,7 +278,7 @@ def random_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False)
         raise ValueError("random_verify needs random_trials >= 1")
     rng = random.Random(plan.seed)
     limit = resolve_budget()
-    exprs = _ExprCache()
+    exprs = _formulas(limit)
     failures = []
     cases = 0
 
@@ -312,10 +306,10 @@ def random_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False)
             actual = select_naive(rank, seq, budget=limit)
             if actual != expected:
                 record(combo, rank, expected, actual, "naive")
-        actual = exprs.get(length, rank, "minmax")(combo)
+        actual = exprs(length, rank, "minmax")(combo)
         if actual != expected:
             record(combo, rank, expected, actual, "expr-minmax")
-        actual = exprs.get(length, rank, "arithmetic")(combo)
+        actual = exprs(length, rank, "arithmetic")(combo)
         if abs(actual - expected) > plan.tolerance * scale:
             record(combo, rank, expected, actual, "expr-arith")
         actual_md = median(seq, budget=limit)
