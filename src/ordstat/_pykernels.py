@@ -25,7 +25,8 @@ leaf's atoms (a minimum, or min_of).
 compile_slp turns a packed straight-line program into a callable. Both
 twins check the program once and then run it on a register file, one
 loop over its (op, a, b) triples that checks every value; here that loop
-is _run_slp, which expr.eval_expr runs too.
+is _run_slp. expr.interpret_slp, which expr.eval_expr calls, is the
+reference both are tested against.
 """
 
 import math
@@ -188,10 +189,9 @@ def _inputs(xs, n):
 
 
 def _run_slp(regs, base, code, result):
-    """Run checked (op, a, b) triples on `regs`, where instruction k writes
-    register base + k, and return register `result`. A non-finite value
-    raises ExprError. `regs` may load an input at its first read (see
-    expr.eval_expr): operands are read left to right, in program order."""
+    """Run checked (op, a, b) triples on `regs`, a list that holds every
+    input and constant, where instruction k writes register base + k, and
+    return register `result`. A non-finite value raises ExprError."""
     fns = _SLP_FNS
     it = iter(code)
     for dest, op, a, b in zip(count(base), it, it, it):

@@ -24,14 +24,15 @@ root. One walk numbers every distinct operation node as a temp, children
 first, and measures the graph's tree size, node count and depth on the
 way. The program is built the first time anything asks for it and kept
 on the root; it holds numbers only, so it keeps no other node alive.
-Every SLP consumer reads that one record: cse, metrics_of and form_of
-take its sizes and opcodes, emit_slp lists it as single-assignment
-instructions ("t3 = sub t0 t2" lines, min and max included) that
-interpret_slp runs, eval_expr runs it with the pure-Python backend's
-register loop, and compile_to_pyfunc hands it as it is to the active
-kernel backend, which checks it once and returns a callable for fast
-repeated evaluation. interpret_slp walks the listing on its own and is
-the reference both backends are tested against.
+That walk is the only one: every reader of a graph reads that record.
+cse, metrics_of and form_of take its sizes and opcodes; emit_text
+renders its registers in order; lower_minmax_to_arith rebuilds the graph
+from them; emit_slp lists it as single-assignment instructions ("t3 =
+sub t0 t2" lines, min and max included); and compile_to_pyfunc hands it
+as it is to the active kernel backend, which checks it once and returns
+a callable for fast repeated evaluation. interpret_slp runs emit_slp's
+listing, and eval_expr is that run: it is the one reference evaluator
+both backends are tested against.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ import re
 import weakref
 from array import array
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, count
 
 from . import _backend
-from ._pykernels import _SLP_FNS, SLP_OPS, _leaves, _run_slp
+from ._pykernels import _SLP_FNS, SLP_OPS, _leaves
 from ._record import FrozenRecord, slot_setters
 from .errors import ExprError, SequenceError, TextParseError
-from .selection import _check_formula_budget, _check_rank, resolve_budget
+from .selection import _check_formula_budget, _check_rank, _integral, resolve_budget
 
 _ARITY = {
     "var": 0,
@@ -139,7 +140,7 @@ def _op(kind, *children):
 
 
 def var(index: int) -> Expr:
-    return Expr("var", int(index))
+    return Expr("var", _integral(index, ExprError, "variable index"))
 
 
 def const(value: float) -> Expr:
@@ -175,26 +176,6 @@ def _describe(node: Expr) -> str:
         return f"({node.kind} {node.payload})"
     kids = " ".join(c.kind for c in node.children)
     return f"({node.kind} {kids})"
-
-
-def _postorder(root: Expr) -> list[Expr]:
-    """Distinct nodes (by object identity), children before parents,
-    left subtrees before right ones."""
-    out = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            out.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for c in reversed(node.children):
-            stack.append((c, False))
-    return out
 
 
 def contains_minmax(expr: Expr) -> bool:
@@ -282,7 +263,7 @@ def build_selection_expr(n_vars: int, rank: int, form: str = "minmax",
     graph is filled level by level (see _fill_levels), so no recursion
     runs and no reference cycle outlives the call.
     """
-    n_vars = int(n_vars)
+    n_vars = _integral(n_vars, SequenceError, "n_vars")
     if n_vars < 1:
         raise SequenceError(f"need at least one variable, got {n_vars}")
     rank = _check_rank(rank, n_vars)
@@ -304,49 +285,41 @@ def lower_minmax_to_arith(expr: Expr) -> Expr:
     min(a,b) becomes ((a + b) - |a - b|)/2 and max(a,b) becomes
     ((a + b) + |a - b|)/2. Expressions without min/max come back as the
     same object.
+
+    The graph is rebuilt from the root's program, one lowered node per
+    register: interning makes every unchanged subgraph its old node.
     """
-    out = {}
-    for node in _postorder(expr):
-        kind = node.kind
-        kids = node.children
-        if kind == "min" or kind == "max":
-            a = out[id(kids[0])]
-            b = out[id(kids[1])]
-            spread = _op("abs", _op("sub", a, b))
-            new = _op("halve", _op("sub" if kind == "min" else "add", _op("add", a, b), spread))
-        elif not kids:
-            new = node
+    program = _program_of(expr)
+    code = program.code
+    if _MINMAX_OPS.isdisjoint(code[::3]):
+        return expr
+    n_vars = program.n_vars
+    # Only the variables the program reads get a register entry.
+    reg = {r: var(r + 1) for r in {*code[1::3], *code[2::3]} if r < n_vars}
+    reg.update(enumerate(map(const, program.consts), n_vars))
+    it = iter(code)
+    for dest, op, a, b in zip(count(n_vars + len(program.consts)), it, it, it):
+        x = reg[a]
+        y = reg[b]
+        if op in _MINMAX_OPS:
+            spread = _op("abs", _op("sub", x, y))
+            reg[dest] = _op("halve", _op("sub" if op == _MIN else "add", _op("add", x, y), spread))
+        elif op in _UNARY_OPS:
+            reg[dest] = _op(SLP_OPS[op], x)
         else:
-            lowered = tuple([out[id(c)] for c in kids])
-            new = node if lowered == kids else _op(kind, *lowered)
-        out[id(node)] = new
-    return out[id(expr)]
+            reg[dest] = _op(SLP_OPS[op], x, y)
+    return reg[program.result]
 
 
 def eval_expr(expr: Expr, assignment) -> float:
     """Bottom-up evaluation under a {1-based index: value} assignment.
 
-    Runs the program emit_slp lists in the pure-Python backend's register
-    loop: min/max evaluate by comparison, halve divides by exactly 2.
-    Missing variables and non-finite inputs or intermediates raise
-    ExprError in interpret_slp's order, the latter naming the instruction.
+    The value and errors of interpret_slp on emit_slp's listing: min/max
+    evaluate by comparison, halve divides by exactly 2, and missing
+    variables and non-finite inputs or intermediates raise ExprError in
+    program order, the latter naming the instruction.
     """
-    program = _program_of(expr)
-    regs = _Registers(enumerate(program.consts, program.n_vars))
-    regs.assignment = assignment
-    return _run_slp(regs, program.n_vars + len(program.consts), program.code,
-                    program.result)
-
-
-class _Registers(dict):
-    """eval_expr's registers: variable register r loads x{r + 1} from the
-    assignment at its first read, and unread variables take no room."""
-
-    __slots__ = ("assignment",)
-
-    def __missing__(self, r):
-        value = self[r] = _variable(self.assignment, r + 1)
-        return value
+    return interpret_slp(emit_slp(expr), assignment)
 
 
 def format_real(x: float) -> str:
@@ -360,54 +333,40 @@ def format_real(x: float) -> str:
     return repr(x)
 
 
-_INFIX_OP = {"add": " + ", "sub": " - "}
+# Per syntax: the text of variable x{i}, of a constant's decimal, and of
+# each opcode over its operand texts (a unary op's template ignores the
+# second, which names the same register).
+_SYNTAX = {
+    "infix": ("x{}", "{}", ("({} + {})", "({} - {})", "|{}|", "{}/2",
+                            "min{{{}, {}}}", "max{{{}, {}}}")),
+    "sexpr": ("(var {})", "(const {})", ("(add {} {})", "(sub {} {})", "(abs {})",
+                                         "(halve {})", "(min {} {})", "(max {} {})")),
+}
 
 
 def emit_text(expr: Expr, syntax: str = "infix") -> str:
-    """Deterministic rendering; parse_text inverts it for both syntaxes."""
-    if syntax == "sexpr":
-        return _emit_sexpr(expr, _postorder(expr))
-    if syntax == "infix":
-        return _emit_infix(expr, _postorder(expr))
-    raise ExprError(f"syntax must be 'infix' or 'sexpr', got {syntax!r}")
-
-
-def _emit_infix(root, order):
-    txt = {}
-    for node in order:
-        kind = node.kind
-        if kind == "var":
-            s = f"x{node.payload}"
-        elif kind == "const":
-            s = format_real(node.payload)
-        elif kind in ("add", "sub"):
-            s = ("(" + txt[id(node.children[0])] + _INFIX_OP[kind]
-                 + txt[id(node.children[1])] + ")")
-        elif kind in ("min", "max"):
-            s = (kind + "{" + txt[id(node.children[0])] + ", "
-                 + txt[id(node.children[1])] + "}")
-        elif kind == "abs":
-            body = txt[id(node.children[0])]
-            if node.children[0].kind in ("add", "sub"):
-                body = body[1:-1]
-            s = "|" + body + "|"
-        else:  # halve
-            s = txt[id(node.children[0])] + "/2"
-        txt[id(node)] = s
-    return txt[id(root)]
-
-
-def _emit_sexpr(root, order):
-    txt = {}
-    for node in order:
-        if node.kind == "var":
-            s = f"(var {node.payload})"
-        elif node.kind == "const":
-            s = f"(const {format_real(node.payload)})"
-        else:
-            s = "(" + " ".join([node.kind] + [txt[id(c)] for c in node.children]) + ")"
-        txt[id(node)] = s
-    return txt[id(root)]
+    """Deterministic rendering; parse_text inverts it for both syntaxes.
+    Each register of the root's program gets its text once, children
+    first, as the program lists them."""
+    if syntax not in _SYNTAX:
+        raise ExprError(f"syntax must be 'infix' or 'sexpr', got {syntax!r}")
+    var_text, const_text, templates = _SYNTAX[syntax]
+    var_text = var_text.format
+    program = _program_of(expr)
+    n_vars = program.n_vars
+    code = program.code
+    base = n_vars + len(program.consts)
+    txt = [const_text.format(format_real(v)) for v in program.consts]  # register n_vars + i
+    it = iter(code)
+    for op, a, b in zip(it, it, it):
+        ta = var_text(a + 1) if a < n_vars else txt[a - n_vars]
+        tb = var_text(b + 1) if b < n_vars else txt[b - n_vars]
+        # |a - b| drops the parentheses of its chain operand: bars delimit it.
+        if op == _ABS and syntax == "infix" and a >= base and code[3 * (a - base)] in _CHAIN_OPS:
+            ta = ta[1:-1]
+        txt.append(templates[op].format(ta, tb))
+    r = program.result
+    return var_text(r + 1) if r < n_vars else txt[r - n_vars]
 
 
 _INFIX_TOKEN = re.compile(
@@ -616,6 +575,9 @@ def _ref_text(ref) -> str:
 _OPCODE = {op: code for code, op in enumerate(SLP_OPS)}
 _UNARY_OPS = {_OPCODE["abs"], _OPCODE["halve"]}
 _MINMAX_OPS = {_OPCODE["min"], _OPCODE["max"]}
+_CHAIN_OPS = {_OPCODE["add"], _OPCODE["sub"]}
+_ABS = _OPCODE["abs"]
+_MIN = _OPCODE["min"]
 
 
 class _Program:
@@ -623,7 +585,8 @@ class _Program:
     the root's metrics. Registers are [x1..xN, constants, temps], N the
     largest variable index; each distinct constant node has one pool
     entry, so -0.0 and 0.0 stay apart. Temp k is the k-th distinct
-    operation node in _postorder's order and is written by the k-th
+    operation node, children before parents and left subtrees before
+    right ones, and is written by the k-th
     (op, a, b) triple of `code`; a unary op names its operand twice.
     `code` is a list, so any variable index can be listed, measured and
     evaluated; only compile_to_pyfunc packs it into 32-bit registers. The
@@ -668,12 +631,12 @@ def _program_of(expr: Expr) -> _Program:
 
 
 def _build_program(root: Expr) -> _Program:
-    # A node is finished once its children are: nodes finish in
-    # _postorder's order, and tree size and depth are known at that point.
+    # A node is finished once its children are, left child first, and its
+    # tree size and depth are known at that point.
     # Operand registers wait until the walk has counted variables and
     # constants, which come first in the register file.
-    size = {}  # id -> (tree nodes, depth) of every finished node
-    reg = {}  # id -> register of every variable and operation node
+    size = {}  # node -> (tree nodes, depth) of every finished node
+    reg = {}  # node -> register of every variable and operation node
     const_nodes = []
     ops = []
     n_vars = 0
@@ -682,48 +645,48 @@ def _build_program(root: Expr) -> _Program:
     pop = stack.pop
     while stack:
         node = stack[-1]
-        if id(node) in size:
+        if node in size:
             pop()
             continue
         kids = node.children
         if len(kids) == 2:
             a, b = kids
-            sa = size.get(id(a))
-            sb = size.get(id(b))
+            sa = size.get(a)
+            sb = size.get(b)
             if sa is None or sb is None:
                 if sb is None:
                     push(b)
                 if sa is None:
                     push(a)
                 continue
-            size[id(node)] = (1 + sa[0] + sb[0], 1 + (sa[1] if sa[1] > sb[1] else sb[1]))
+            size[node] = (1 + sa[0] + sb[0], 1 + (sa[1] if sa[1] > sb[1] else sb[1]))
             ops.append(node)
         elif kids:
-            sa = size.get(id(kids[0]))
+            sa = size.get(kids[0])
             if sa is None:
                 push(kids[0])
                 continue
-            size[id(node)] = (1 + sa[0], 1 + sa[1])
+            size[node] = (1 + sa[0], 1 + sa[1])
             ops.append(node)
         else:
-            size[id(node)] = (1, 1)
+            size[node] = (1, 1)
             if node.kind == "var":
-                reg[id(node)] = node.payload - 1
+                reg[node] = node.payload - 1
                 if node.payload > n_vars:
                     n_vars = node.payload
             else:
                 const_nodes.append(node)
         pop()
     for i, node in enumerate(const_nodes, n_vars):
-        reg[id(node)] = i
+        reg[node] = i
     code = []
     for dest, node in enumerate(ops, n_vars + len(const_nodes)):
         kids = node.children
-        code += (_OPCODE[node.kind], reg[id(kids[0])], reg[id(kids[-1])])
-        reg[id(node)] = dest
-    tree, depth = size[id(root)]
+        code += (_OPCODE[node.kind], reg[kids[0]], reg[kids[-1]])
+        reg[node] = dest
+    tree, depth = size[root]
     return _Program(n_vars, tuple([node.payload for node in const_nodes]), code,
-                    reg[id(root)], ExprMetrics(tree, len(size), depth))
+                    reg[root], ExprMetrics(tree, len(size), depth))
 
 
 def emit_slp(expr: Expr) -> CompiledProgram:
@@ -779,12 +742,12 @@ def compile_to_pyfunc(expr: Expr):
     """Compile to a function f(values) over a 0-based sequence.
 
     A speed utility for drivers that evaluate one formula many times. The
-    active kernel backend checks the packed program that eval_expr runs
-    once, and f then runs its instructions in the same order, so results
-    match eval_expr bit for bit. f converts x1..xN (N the largest variable
-    index) with float() and returns a float; a missing or non-finite
-    input, or a non-finite intermediate, raises ExprError, as eval_expr
-    does.
+    active kernel backend checks the root's packed program once, and f
+    then runs its instructions in emit_slp's order, so results match
+    interpret_slp and eval_expr bit for bit. f converts x1..xN (N the
+    largest variable index) with float() and returns a float; a missing
+    or non-finite input, or a non-finite intermediate, raises ExprError,
+    as eval_expr does.
     """
     program = _program_of(expr)
     return _backend.kernels().compile_slp(program.n_vars, program.consts,

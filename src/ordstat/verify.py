@@ -34,10 +34,12 @@ import math
 import random
 
 from ._record import FrozenRecord, slot_setters
-from .errors import BudgetError, RankError
+from .errors import BudgetError
 from .expr import build_selection_expr, compile_to_pyfunc
 from .selection import (
     RealSequence,
+    _check_rank,
+    _integral,
     median,
     naive_call_count,
     resolve_budget,
@@ -61,6 +63,7 @@ class VerifyPlan(FrozenRecord):
 
     def __init__(self, max_n: int = 7, alphabet: tuple = (0.0, 1.0, 2.0, 3.0),
                  random_trials: int = 1000, seed: int = 0, tolerance: float = 1e-9):
+        max_n = _integral(max_n, ValueError, "max_n")
         if max_n < 1:
             raise ValueError(f"max_n must be at least 1, got {max_n}")
         alphabet = tuple(float(a) for a in alphabet)
@@ -68,6 +71,7 @@ class VerifyPlan(FrozenRecord):
             raise ValueError("alphabet must be non-empty")
         if not all(math.isfinite(a) for a in alphabet):
             raise ValueError("alphabet values must be finite")
+        random_trials = _integral(random_trials, ValueError, "random_trials")
         if random_trials < 0:
             raise ValueError(f"random_trials must be nonnegative, got {random_trials}")
         if not (isinstance(tolerance, (int, float)) and tolerance >= 0):
@@ -149,8 +153,7 @@ def _signed(values):
 def oracle_select(rank: int, seq) -> float:
     """Ground truth: sort a copy, take the rank-th smallest (1-based)."""
     values = [float(v) for v in seq]
-    if not 1 <= rank <= len(values):
-        raise RankError(f"rank {rank} out of range 1..{len(values)}")
+    rank = _check_rank(rank, len(values))
     values.sort()
     return values[rank - 1]
 
@@ -167,6 +170,8 @@ def _check_shard(shard):
     if shard is None:
         return 0, 1
     index, count = shard
+    index = _integral(index, ValueError, "shard index")
+    count = _integral(count, ValueError, "shard count")
     if count < 1 or not 0 <= index < count:
         raise ValueError(f"shard must be (index, count) with 0 <= index < count, got {shard!r}")
     return index, count

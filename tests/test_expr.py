@@ -130,19 +130,26 @@ class TestInterning:
             gc.enable()
 
     def test_one_walk_per_root(self, monkeypatch):
-        root = o.build_selection_expr(7, 4, "arithmetic")
+        # Every reader of a graph reads the root's program, so each root is
+        # walked once, by the first reader, however many readers follow.
         walks = []
-        for name in ("_postorder", "_build_program"):
-            real = getattr(expr_module, name)
-            monkeypatch.setattr(expr_module, name, lambda r, real=real: walks.append(r) or real(r))
-        first = o.emit_slp(root).to_text()
-        _, metrics = o.cse(root)
-        fn = o.compile_to_pyfunc(root)
-        assert o.metrics_of(root) == metrics
-        assert o.form_of(root) == "arithmetic"
-        assert o.emit_slp(root).to_text() == first
-        assert fn([4.0, 7.0, 1.0, 3.0, 6.0, 2.0, 5.0]) == 4.0
-        assert len(walks) <= 1
+        real = expr_module._build_program
+        monkeypatch.setattr(expr_module, "_build_program", lambda r: walks.append(r) or real(r))
+        tree = o.build_selection_expr(7, 4, "minmax")
+        arith = o.lower_minmax_to_arith(tree)
+        xs = [4.0, 7.0, 1.0, 3.0, 6.0, 2.0, 5.0]
+        for root, form in ((tree, "minmax"), (arith, "arithmetic")):
+            first = o.emit_slp(root).to_text()
+            texts = [o.emit_text(root, syntax) for syntax in ("infix", "sexpr")]
+            _, metrics = o.cse(root)
+            fn = o.compile_to_pyfunc(root)
+            assert o.lower_minmax_to_arith(root) is arith
+            assert o.metrics_of(root) == metrics
+            assert o.form_of(root) == form
+            assert [o.emit_text(root, syntax) for syntax in ("infix", "sexpr")] == texts
+            assert o.emit_slp(root).to_text() == first
+            assert o.eval_expr(root, dict(enumerate(xs, 1))) == fn(xs) == 4.0
+        assert [id(r) for r in walks] == [id(tree), id(arith)]
 
     def test_negative_zero_constant_keeps_its_sign(self):
         zero = o.const(0.0)
@@ -185,6 +192,18 @@ class TestBuildSelection:
             o.build_selection_expr(3, 0)
         with pytest.raises(ExprError):
             o.build_selection_expr(3, 2, "polynomial")
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda: o.build_selection_expr(3.7, 2), o.SequenceError),
+        (lambda: o.build_selection_expr("3", 2), o.SequenceError),
+        (lambda: o.var(2.7), ExprError),
+        (lambda: o.var("3"), ExprError),
+    ], ids=["n_vars-3.7", "n_vars-str", "var-2.7", "var-str"])
+    def test_counts_must_be_integers(self, make, error):
+        with pytest.raises(error, match="must be an integer"):
+            make()
+        assert o.build_selection_expr(3.0, 2) is o.build_selection_expr(3, 2)
+        assert o.var(2.0) is x2
 
     def test_budget_refusals(self):
         with pytest.raises(BudgetError):
@@ -435,6 +454,12 @@ class TestSlp:
         assert o.metrics_of(e) == o.ExprMetrics(3, 3, 2)
         assert o.form_of(e) == "arithmetic"
         assert o.eval_expr(e, {2**40: 1.5}) == 2.5
+        assert o.emit_text(e) == "(x1099511627776 + 1)"
+        assert o.emit_text(e, "sexpr") == "(add (var 1099511627776) (const 1))"
+        assert o.lower_minmax_to_arith(e) is e
+        low = o.lower_minmax_to_arith(o.max_of(o.var(2**40), o.const(1.0)))
+        assert o.emit_text(low) == \
+            "((x1099511627776 + 1) + |x1099511627776 - 1|)/2"
 
     def test_negative_zero_operand_text(self):
         prog = o.emit_slp(o.add(x1, o.const(-0.0)))

@@ -46,6 +46,21 @@ class TestVerifyPlan:
             VerifyPlan(**kwargs)
 
 
+@pytest.mark.parametrize("make,error", [
+    (lambda: o.oracle_select(2.7, [5, 1, 9]), RankError),
+    (lambda: o.oracle_select("2", [5, 1, 9]), RankError),
+    (lambda: VerifyPlan(max_n=2.5), ValueError),
+    (lambda: VerifyPlan(max_n="3"), ValueError),
+    (lambda: VerifyPlan(random_trials=2.5), ValueError),
+], ids=["rank-2.7", "rank-str", "max_n-2.5", "max_n-str", "random_trials-2.5"])
+def test_counts_must_be_integers(make, error):
+    with pytest.raises(error, match="must be an integer"):
+        make()
+    assert o.oracle_select(2.0, [5, 1, 9]) == 5
+    plan = VerifyPlan(max_n=3.0, random_trials=2.0)
+    assert (plan.max_n, plan.random_trials) == (3, 2)
+
+
 class TestExhaustive:
     def test_small_plan_clean(self):
         report = o.exhaustive_verify(VerifyPlan(max_n=3))
@@ -83,6 +98,14 @@ class TestExhaustive:
     def test_bad_shard(self):
         with pytest.raises(ValueError):
             o.exhaustive_verify(VerifyPlan(max_n=2), shard=(3, 3))
+
+    @pytest.mark.parametrize("shard", [(0.5, 2), (0, 2.5), ("0", 2), (0, "2")])
+    def test_shard_must_be_integers(self, shard):
+        plan = VerifyPlan(max_n=2)
+        with pytest.raises(ValueError, match="must be an integer"):
+            o.exhaustive_verify(plan, shard=shard)
+        assert o.exhaustive_verify(plan, shard=(0, 2.0)).to_json() == \
+            o.exhaustive_verify(plan, shard=(0, 2)).to_json()
 
     def test_shard_canonicalizes_failures(self):
         plan = VerifyPlan(max_n=3)
