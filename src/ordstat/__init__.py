@@ -49,7 +49,6 @@ from .expr import (
     emit_slp,
     emit_text,
     eval_expr,
-    form_of,
     format_real,
     halve,
     interpret_slp,
@@ -67,9 +66,7 @@ from .selection import (
     EvalStats,
     RealSequence,
     as_real_sequence,
-    max_chain,
     median,
-    min_chain,
     naive_call_count,
     pairwise_max_arith,
     pairwise_min_arith,
@@ -129,18 +126,15 @@ __all__ = [
     "emit_text",
     "eval_expr",
     "exhaustive_verify",
-    "form_of",
     "format_real",
     "growth_table",
     "halve",
     "interpret_slp",
     "lower_minmax_to_arith",
-    "max_chain",
     "max_of",
     "median",
     "merge_reports",
     "metrics_of",
-    "min_chain",
     "min_of",
     "naive_call_count",
     "oracle_select",

@@ -143,10 +143,12 @@ def compile_slp(n_vars, consts, code, result):
     lie below it; f returns register `result`. f converts values[0..n_vars)
     with float() and raises ExprError when one is missing or not finite,
     or when an instruction's value is not finite. A malformed program
-    raises ValueError here, before anything runs.
+    raises ValueError here, before anything runs; an n_vars or result that
+    is no integer, or a constant that is no number, raises TypeError.
     """
-    n_vars = int(n_vars)
-    consts = [float(v) for v in consts]
+    n_vars = operator.index(n_vars)
+    result = operator.index(result)
+    consts = [_real(v) for v in consts]
     view = memoryview(code)
     if view.format != "i" or view.ndim != 1:
         raise ValueError("code must be an array('i')")
@@ -175,6 +177,14 @@ def compile_slp(n_vars, consts, code, result):
         return _run_slp(_inputs(xs, n_vars) + tail, base, code, result)
 
     return formula
+
+
+def _real(v):
+    # float() also parses str and bytes; the C twin's PyFloat_AsDouble only
+    # takes numbers, through __float__ or __index__.
+    if not (hasattr(type(v), "__float__") or hasattr(type(v), "__index__")):
+        raise TypeError(f"must be real number, not {type(v).__name__}")
+    return float(v)
 
 
 def _inputs(xs, n):

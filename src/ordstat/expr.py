@@ -25,7 +25,7 @@ first, and measures the graph's tree size, node count and depth on the
 way. The program is built the first time anything asks for it and kept
 on the root; it holds numbers only, so it keeps no other node alive.
 That walk is the only one: every reader of a graph reads that record.
-cse, metrics_of and form_of take its sizes and opcodes; emit_text
+cse and metrics_of take its sizes, contains_minmax its opcodes; emit_text
 renders its registers in order; lower_minmax_to_arith rebuilds the graph
 from them; emit_slp lists it as single-assignment instructions ("t3 =
 sub t0 t2" lines, min and max included); and compile_to_pyfunc hands it
@@ -96,8 +96,9 @@ class Expr:
         if len(children) != arity:
             raise ExprError(f"{kind} takes {arity} children, got {len(children)}")
         if kind == "var":
-            if not isinstance(payload, int) or payload < 1:
-                raise ExprError(f"variable index must be a positive integer, got {payload!r}")
+            payload = _integral(payload, ExprError, "variable index")
+            if payload < 1:
+                raise ExprError(f"variable index must be a positive integer, got {payload}")
         elif kind == "const":
             payload = float(payload)
             if not math.isfinite(payload):
@@ -140,7 +141,7 @@ def _op(kind, *children):
 
 
 def var(index: int) -> Expr:
-    return Expr("var", _integral(index, ExprError, "variable index"))
+    return Expr("var", index)
 
 
 def const(value: float) -> Expr:
@@ -180,11 +181,6 @@ def _describe(node: Expr) -> str:
 
 def contains_minmax(expr: Expr) -> bool:
     return not _MINMAX_OPS.isdisjoint(_program_of(expr).code[::3])
-
-
-def form_of(expr: Expr) -> str:
-    """"minmax" when any min/max node is present, else "arithmetic"."""
-    return "minmax" if contains_minmax(expr) else "arithmetic"
 
 
 class ExprMetrics(FrozenRecord):
@@ -289,10 +285,10 @@ def lower_minmax_to_arith(expr: Expr) -> Expr:
     The graph is rebuilt from the root's program, one lowered node per
     register: interning makes every unchanged subgraph its old node.
     """
+    if not contains_minmax(expr):
+        return expr
     program = _program_of(expr)
     code = program.code
-    if _MINMAX_OPS.isdisjoint(code[::3]):
-        return expr
     n_vars = program.n_vars
     # Only the variables the program reads get a register entry.
     reg = {r: var(r + 1) for r in {*code[1::3], *code[2::3]} if r < n_vars}

@@ -18,9 +18,9 @@ two-argument identities
     min(a, b) = (a + b - |a - b|) / 2
     max(a, b) = (a + b + |a - b|) / 2
 
-are exposed separately (pairwise_min_arith, pairwise_max_arith, min_chain,
-max_chain) as the scalar form of lower_minmax_to_arith's rewrite. Neither
-the selectors nor ordstat.expr call them, so selector output is bit-exact.
+are exposed separately (pairwise_min_arith, pairwise_max_arith) as the
+scalar form of lower_minmax_to_arith's rewrite. Neither the selectors nor
+ordstat.expr call them, so selector output is bit-exact.
 
 All five budget rules live here and take the limit resolve_budget picks
 (``budget`` argument, else ORDSTAT_BUDGET, else 2**24) once per public
@@ -47,8 +47,8 @@ BUDGET_ENV_VAR = "ORDSTAT_BUDGET"
 class RealSequence(FrozenRecord):
     """A non-empty, finite sequence of finite real values (as floats).
 
-    Positions are 1-based in every operation that takes an index; the raw
-    ``values`` tuple is ordinary 0-based Python storage.
+    Positions are 1-based throughout ordstat: position k is
+    ``values[k - 1]``.
     """
 
     __slots__ = ("values",)
@@ -67,12 +67,6 @@ class RealSequence(FrozenRecord):
 
     def __iter__(self):
         return iter(self.values)
-
-    def value_at(self, k: int) -> float:
-        """Value at 1-based position k."""
-        if not 1 <= k <= len(self.values):
-            raise SequenceError(f"position {k} out of range 1..{len(self.values)}")
-        return self.values[k - 1]
 
 
 (_set_values,) = slot_setters(RealSequence)
@@ -129,26 +123,6 @@ def pairwise_max_arith(a: float, b: float) -> float:
     accuracy as pairwise_min_arith."""
     a, b = _arith_operand(a), _arith_operand(b)
     return (a + b + abs(a - b)) / 2
-
-
-def min_chain(seq: SequenceLike) -> float:
-    """Left fold of pairwise_min_arith; the arithmetic form of min. Every
-    value must lie in [-2**1022, 2**1022]."""
-    values = [_arith_operand(v) for v in as_real_sequence(seq)]
-    acc = values[0]
-    for v in values[1:]:
-        acc = (acc + v - abs(acc - v)) / 2
-    return acc
-
-
-def max_chain(seq: SequenceLike) -> float:
-    """Left fold of pairwise_max_arith; the arithmetic form of max. Every
-    value must lie in [-2**1022, 2**1022]."""
-    values = [_arith_operand(v) for v in as_real_sequence(seq)]
-    acc = values[0]
-    for v in values[1:]:
-        acc = (acc + v + abs(acc - v)) / 2
-    return acc
 
 
 def _integral(x, error, what: str) -> int:

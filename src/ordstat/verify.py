@@ -20,9 +20,9 @@ exhaustive_verify selects all ranks of one mode in one select_ranks call,
 so under a budget too small for the plan the naive ranks of a sequence
 are all checked before any memo rank.
 
-Case enumeration can be partitioned with ``shard=(index, count)``; shards
-are disjoint by sequence and merge_reports recombines them into a canonical
-report independent of the partitioning.
+merge_reports combines reports into one whose failure order does not
+depend on the order of the reports; ``ordstat verify`` merges its two
+suites' reports with it.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ _set_cases_run, _set_failures = slot_setters(VerifyReport)
 
 
 def merge_reports(reports) -> VerifyReport:
-    """Combine shard reports; failure order is canonicalized so the result
-    does not depend on how the work was split. Inputs are ordered by value
-    and, between equal zeros, -0.0 before 0.0."""
+    """Sum the cases of several reports and put their failures in one
+    canonical order, whatever the order of the reports: by mode, input
+    length, input values with -0.0 before an equal 0.0, then rank."""
     cases = 0
     failures = []
     for rep in reports:
@@ -145,7 +145,7 @@ def merge_reports(reports) -> VerifyReport:
 
 
 def _signed(values):
-    # -0.0 == 0.0 would leave two such inputs in shard order; the sign
+    # -0.0 == 0.0 would leave two such inputs in report order; the sign
     # tells them apart and orders nothing else differently.
     return tuple((v, math.copysign(1.0, v)) for v in values)
 
@@ -166,17 +166,6 @@ def _oracle_median(seq) -> float:
     return (values[half - 1] + values[half]) / 2
 
 
-def _check_shard(shard):
-    if shard is None:
-        return 0, 1
-    index, count = shard
-    index = _integral(index, ValueError, "shard index")
-    count = _integral(count, ValueError, "shard count")
-    if count < 1 or not 0 <= index < count:
-        raise ValueError(f"shard must be (index, count) with 0 <= index < count, got {shard!r}")
-    return index, count
-
-
 def _formulas(limit):
     """Compiled minmax/arithmetic evaluators, built once per (length, rank,
     form) under the suite's resolved budget."""
@@ -185,7 +174,7 @@ def _formulas(limit):
 
 
 def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False,
-                      case_budget: int | None = None, shard=None) -> VerifyReport:
+                      case_budget: int | None = None) -> VerifyReport:
     """Check every mode against the oracle on all alphabet tuples of length
     1..plan.max_n at every rank, plus the median of every tuple.
 
@@ -195,25 +184,21 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
     """
     if plan is None:
         plan = VerifyPlan()
-    case_limit = DEFAULT_CASE_BUDGET if case_budget is None else case_budget
+    case_limit = (DEFAULT_CASE_BUDGET if case_budget is None
+                  else _integral(case_budget, BudgetError, "case budget"))
     base = len(plan.alphabet)
     total = sum(base ** length * (length + 1) for length in range(1, plan.max_n + 1))
     if total > case_limit:
         raise BudgetError(
             f"plan implies {total} cases, over the case budget of {case_limit}"
         )
-    index, count = _check_shard(shard)
     limit = resolve_budget()
 
     exprs = _formulas(limit)
     failures = []
     cases = 0
-    seq_no = 0
     for length in range(1, plan.max_n + 1):
         for combo in itertools.product(plan.alphabet, repeat=length):
-            seq_no += 1
-            if (seq_no - 1) % count != index:
-                continue
             seq = RealSequence(combo)
             ordered = sorted(combo)
             ranks = range(1, length + 1)

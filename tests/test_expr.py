@@ -56,6 +56,15 @@ class TestConstruction:
         with pytest.raises(ExprError):
             Expr("var", "x")
 
+    def test_var_payload_is_an_int(self):
+        # The payload is stored as an int: True and 1.0 name the node x1.
+        for index in (True, 1.0):
+            node = Expr("var", index)
+            assert type(node.payload) is int and node.payload == 1
+            assert node is o.var(1)
+        with pytest.raises(ExprError, match="must be an integer"):
+            Expr("var", 1.5)
+
     def test_const_must_be_finite(self):
         with pytest.raises(ExprError):
             o.const(float("inf"))
@@ -145,7 +154,7 @@ class TestInterning:
             fn = o.compile_to_pyfunc(root)
             assert o.lower_minmax_to_arith(root) is arith
             assert o.metrics_of(root) == metrics
-            assert o.form_of(root) == form
+            assert o.contains_minmax(root) is (form == "minmax")
             assert [o.emit_text(root, syntax) for syntax in ("infix", "sexpr")] == texts
             assert o.emit_slp(root).to_text() == first
             assert o.eval_expr(root, dict(enumerate(xs, 1))) == fn(xs) == 4.0
@@ -180,10 +189,8 @@ class TestBuildSelection:
     def test_form_kind_discipline(self):
         mm = o.build_selection_expr(4, 2, "minmax")
         assert o.contains_minmax(mm)
-        assert o.form_of(mm) == "minmax"
         ar = o.build_selection_expr(4, 2, "arithmetic")
         assert not o.contains_minmax(ar)
-        assert o.form_of(ar) == "arithmetic"
 
     def test_rank_and_form_validation(self):
         with pytest.raises(RankError):
@@ -452,7 +459,7 @@ class TestSlp:
         e = o.add(o.var(2**40), o.const(1.0))
         assert o.emit_slp(e).to_text() == "t0 = add x1099511627776 1\nresult t0"
         assert o.metrics_of(e) == o.ExprMetrics(3, 3, 2)
-        assert o.form_of(e) == "arithmetic"
+        assert not o.contains_minmax(e)
         assert o.eval_expr(e, {2**40: 1.5}) == 2.5
         assert o.emit_text(e) == "(x1099511627776 + 1)"
         assert o.emit_text(e, "sexpr") == "(add (var 1099511627776) (const 1))"
@@ -725,6 +732,20 @@ class TestCompiledFormulas:
     def test_malformed_program_refused(self, backend, args, match):
         with pytest.raises(ValueError, match=match):
             get_kernels(backend).compile_slp(*args)
+
+    @pytest.mark.parametrize("args", [
+        (2.7, [], array("i", [0, 0, 1]), 2),
+        ("2", [], array("i", [0, 0, 1]), 2),
+        (2, [], array("i", [0, 0, 1]), 2.0),
+        (2, ["1.5"], array("i", [0, 0, 2]), 3),
+        (2, [b"1"], array("i", [0, 0, 2]), 3),
+    ], ids=["n_vars-float", "n_vars-str", "result-float", "const-str", "const-bytes"])
+    def test_argument_types_refused(self, backend, args):
+        # Neither twin truncates a float or parses text: both refuse these.
+        with pytest.raises(TypeError):
+            get_kernels(backend).compile_slp(*args)
+        fn = get_kernels(backend).compile_slp(True, [2], array("i", [0, 0, 1]), 2)
+        assert fn([1.5]) == 3.5
 
     def test_python_backend_runs_no_generated_code(self, monkeypatch):
         e = o.build_selection_expr(6, 3, "arithmetic")

@@ -1,5 +1,6 @@
-"""The public record classes: construction, repr, equality, hashing,
-frozenness, pickling and copying.
+"""The public surface: the names ordstat exports, and the public record
+classes' construction, repr, equality, hashing, frozenness, pickling and
+copying.
 
 The expectations are written out by hand, field names included, so they
 pin the behaviour itself and not the machinery that provides it.
@@ -12,6 +13,7 @@ import types
 
 import pytest
 
+import ordstat
 from ordstat import (
     BenchRecord,
     CompiledProgram,
@@ -26,6 +28,29 @@ from ordstat import (
 )
 
 _INS = SlpInstruction(0, "abs", (("x", 1),))
+
+
+def test_public_names():
+    # A name joins or leaves the public surface only by editing this list.
+    assert sorted(ordstat.__all__) == [
+        "BUDGET_ENV_VAR", "BenchRecord", "BudgetError", "CSV_HEADER",
+        "CompiledProgram", "DEFAULT_BUDGET", "EvalStats", "Expr", "ExprError",
+        "ExprMetrics", "OrdstatError", "RankError", "RealSequence",
+        "SequenceError", "SlpInstruction", "TextParseError", "VerifyFailure",
+        "VerifyPlan", "VerifyReport", "__version__", "abs_of", "active_backend",
+        "add", "as_real_sequence", "available_backends", "backend_table",
+        "build_selection_expr", "compare_wallclock", "compile_to_pyfunc",
+        "const", "contains_minmax", "count_calls", "cse", "emit_slp",
+        "emit_text", "eval_expr", "exhaustive_verify", "format_real",
+        "growth_table", "halve", "interpret_slp", "lower_minmax_to_arith",
+        "max_of", "median", "merge_reports", "metrics_of", "min_of",
+        "naive_call_count", "oracle_select", "pairwise_max_arith",
+        "pairwise_min_arith", "parse_text", "random_verify", "records_to_csv",
+        "records_to_json", "resolve_budget", "select_fullrange", "select_memo",
+        "select_naive", "select_ranks", "set_backend", "sub", "var",
+    ]
+    assert all(hasattr(ordstat, name) for name in ordstat.__all__)
+
 
 # (class, field names, positional arguments, exact repr of that instance)
 RECORDS = [

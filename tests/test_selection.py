@@ -40,15 +40,6 @@ class TestRealSequence:
         seq = RealSequence([10, 20, 30])
         assert len(seq) == 3
         assert list(seq) == [10.0, 20.0, 30.0]
-        assert seq.value_at(1) == 10.0
-        assert seq.value_at(3) == 30.0
-
-    def test_value_at_out_of_range(self):
-        seq = RealSequence([1.0])
-        with pytest.raises(SequenceError):
-            seq.value_at(0)
-        with pytest.raises(SequenceError):
-            seq.value_at(2)
 
     def test_empty_rejected(self):
         with pytest.raises(SequenceError):
@@ -106,41 +97,6 @@ class TestPairwiseArith:
         for a, b in ((top, top), (-top, top), (top, -top), (-top, -top)):
             assert o.pairwise_min_arith(a, b) == min(a, b)
             assert o.pairwise_max_arith(a, b) == max(a, b)
-
-
-class TestChains:
-    def test_known_values(self):
-        assert o.min_chain([5]) == 5
-        assert o.min_chain([5, 1, 9]) == 1
-        assert o.min_chain([2, 2, 2]) == 2
-        assert o.max_chain([5]) == 5
-        assert o.max_chain([5, 1, 9]) == 9
-        assert o.max_chain([-1, -1]) == -1
-
-    def test_overflow_range_rejected(self):
-        for values in ([1e308, 1.5e308], [1.0, -1e308]):
-            with pytest.raises(SequenceError):
-                o.min_chain(values)
-            with pytest.raises(SequenceError):
-                o.max_chain(values)
-
-    def test_exact_at_range_edge(self):
-        top = 2.0 ** 1022
-        values = [top, -top, top, top, -top]
-        assert o.min_chain(values) == -top
-        assert o.max_chain(values) == top
-
-    def test_empty_rejected(self):
-        with pytest.raises(SequenceError):
-            o.min_chain([])
-        with pytest.raises(SequenceError):
-            o.max_chain([])
-
-    @given(st.lists(st.integers(min_value=-1000, max_value=1000),
-                    min_size=1, max_size=10))
-    def test_integer_chains_exact(self, values):
-        assert o.min_chain(values) == min(values)
-        assert o.max_chain(values) == max(values)
 
 
 class TestSelectGolden:

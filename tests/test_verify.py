@@ -86,46 +86,11 @@ class TestExhaustive:
             o.exhaustive_verify(VerifyPlan(max_n=12))
         with pytest.raises(BudgetError):
             o.exhaustive_verify(VerifyPlan(max_n=3), case_budget=10)
-
-    def test_shards_partition_the_suite(self):
-        plan = VerifyPlan(max_n=4)
-        whole = o.exhaustive_verify(plan)
-        shards = [o.exhaustive_verify(plan, shard=(i, 3)) for i in range(3)]
-        assert sum(s.cases_run for s in shards) == whole.cases_run
-        merged = o.merge_reports(shards)
-        assert merged.to_json() == o.merge_reports([whole]).to_json()
-
-    def test_bad_shard(self):
-        with pytest.raises(ValueError):
-            o.exhaustive_verify(VerifyPlan(max_n=2), shard=(3, 3))
-
-    @pytest.mark.parametrize("shard", [(0.5, 2), (0, 2.5), ("0", 2), (0, "2")])
-    def test_shard_must_be_integers(self, shard):
-        plan = VerifyPlan(max_n=2)
-        with pytest.raises(ValueError, match="must be an integer"):
-            o.exhaustive_verify(plan, shard=shard)
-        assert o.exhaustive_verify(plan, shard=(0, 2.0)).to_json() == \
-            o.exhaustive_verify(plan, shard=(0, 2)).to_json()
-
-    def test_shard_canonicalizes_failures(self):
-        plan = VerifyPlan(max_n=3)
-        whole = o.merge_reports([o.exhaustive_verify(plan, inject_fault=True)])
-        shards = o.merge_reports(
-            [o.exhaustive_verify(plan, shard=(i, 2), inject_fault=True)
-             for i in range(2)])
-        assert shards.to_json() == whole.to_json()
-
-
-    def test_shards_keep_signed_zeros_apart(self):
-        # -0.0 == 0.0: without the sign in the merge key, failures on
-        # (-0.0, 1.0) and (0.0, 1.0) kept the order of the shards.
-        plan = VerifyPlan(max_n=3, alphabet=(-0.0, 0.0, 1.0))
-        whole = o.merge_reports([o.exhaustive_verify(plan, inject_fault=True)])
-        for count in (2, 3):
-            merged = o.merge_reports(
-                [o.exhaustive_verify(plan, shard=(i, count), inject_fault=True)
-                 for i in range(count)])
-            assert merged.to_json() == whole.to_json(), count
+        # nan compares False with any case count, so it is refused, not compared.
+        for bad in (float("nan"), 2.5, "5"):
+            with pytest.raises(BudgetError, match="case budget must be an integer"):
+                o.exhaustive_verify(VerifyPlan(max_n=2), case_budget=bad)
+        assert o.exhaustive_verify(VerifyPlan(max_n=2), case_budget=56.0).cases_run == 56
 
 
 class TestRandom:
@@ -179,6 +144,22 @@ class TestReports:
         b = o.exhaustive_verify(VerifyPlan(max_n=2))
         merged = o.merge_reports([a, b])
         assert merged.cases_run == a.cases_run + b.cases_run
+
+    def test_merge_order_does_not_matter(self):
+        plan = VerifyPlan(max_n=3, random_trials=50, seed=3)
+        reports = [o.exhaustive_verify(plan, inject_fault=True),
+                   o.random_verify(plan, inject_fault=True)]
+        merged = o.merge_reports(reports)
+        assert merged.failures
+        assert merged.to_json() == o.merge_reports(reports[::-1]).to_json()
+
+    def test_merge_keeps_signed_zeros_apart(self):
+        # -0.0 == 0.0: without the sign in the merge key, failures on
+        # (-0.0, 1.0) and (0.0, 1.0) kept the order of the alphabet.
+        merged = [o.merge_reports([o.exhaustive_verify(
+            VerifyPlan(max_n=3, alphabet=alphabet), inject_fault=True)]).to_json()
+            for alphabet in ((0.0, -0.0, 1.0), (-0.0, 0.0, 1.0))]
+        assert merged[0] == merged[1]
 
 
 # SHA-256 of to_json() for fixed plans, taken from the selectors called one
