@@ -352,10 +352,10 @@ slp_new(PyObject *const *args)
     const int *c;
     double v;
 
-    n_vars = PyLong_AsSsize_t(args[0]);
+    n_vars = PyNumber_AsSsize_t(args[0], PyExc_OverflowError);
     if (n_vars == -1 && PyErr_Occurred())
         return NULL;
-    result = PyLong_AsSsize_t(args[3]);
+    result = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
     if (result == -1 && PyErr_Occurred())
         return NULL;
     pool = PySequence_Tuple(args[1]);

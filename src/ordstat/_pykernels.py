@@ -23,10 +23,12 @@ float or a variable), and `step` one step of the left fold over a
 leaf's atoms (a minimum, or min_of).
 
 compile_slp turns a packed straight-line program into a callable. Both
-twins check the program once and then run it on a register file, one
-loop over its (op, a, b) triples that checks every value; here that loop
-is _run_slp. expr.interpret_slp, which expr.eval_expr calls, is the
-reference both are tested against.
+twins check the program once, here with _check_slp, which also checks
+every expr.CompiledProgram, and then run it on a register file, one loop
+over its (op, a, b) triples that checks every value. Here that loop is
+_run_slp, the one Python loop that runs programs: expr.interpret_slp and
+expr.eval_expr run in it too, so it is the reference the C twin is
+tested against, as the select_* functions here are for its kernels.
 """
 
 import math
@@ -146,13 +148,26 @@ def compile_slp(n_vars, consts, code, result):
     raises ValueError here, before anything runs; an n_vars or result that
     is no integer, or a constant that is no number, raises TypeError.
     """
-    n_vars = operator.index(n_vars)
-    result = operator.index(result)
-    consts = [_real(v) for v in consts]
     view = memoryview(code)
     if view.format != "i" or view.ndim != 1:
         raise ValueError("code must be an array('i')")
-    code = view.tolist()
+    n_vars, consts, code, result = _check_slp(n_vars, consts, view.tolist(), result)
+    base = n_vars + len(consts)
+    tail = list(consts) + [None] * (len(code) // 3)
+
+    def formula(xs):
+        return _run_slp(_inputs(xs, n_vars) + tail, base, code, result)
+
+    return formula
+
+
+def _check_slp(n_vars, consts, code, result):
+    """(n_vars, consts, code, result) as (int, floats, ints, int), `code` any
+    iterable; raises compile_slp's errors for a malformed program."""
+    n_vars = operator.index(n_vars)
+    result = operator.index(result)
+    consts = tuple([_real(v) for v in consts])
+    code = tuple(map(operator.index, code))
     if len(code) % 3:
         raise ValueError("code must hold (op, a, b) triples")
     if n_vars < 0:
@@ -171,12 +186,7 @@ def compile_slp(n_vars, consts, code, result):
         if not (0 <= a < base + k and 0 <= b < base + k):
             raise ValueError(f"instruction {k}: operands ({a}, {b}) "
                              f"must lie below its register {base + k}")
-    tail = consts + [None] * (n_regs - base)
-
-    def formula(xs):
-        return _run_slp(_inputs(xs, n_vars) + tail, base, code, result)
-
-    return formula
+    return n_vars, consts, code, result
 
 
 def _real(v):
@@ -199,9 +209,11 @@ def _inputs(xs, n):
 
 
 def _run_slp(regs, base, code, result):
-    """Run checked (op, a, b) triples on `regs`, a list that holds every
-    input and constant, where instruction k writes register base + k, and
-    return register `result`. A non-finite value raises ExprError."""
+    """Run checked (op, a, b) triples on `regs`, which holds every input
+    and constant or loads it when it is first read, where instruction k
+    writes register base + k, and return register `result`. Every
+    instruction reads both operands, a unary one too. A non-finite value
+    raises ExprError."""
     fns = _SLP_FNS
     it = iter(code)
     for dest, op, a, b in zip(count(base), it, it, it):

@@ -27,12 +27,12 @@ on the root; it holds numbers only, so it keeps no other node alive.
 That walk is the only one: every reader of a graph reads that record.
 cse and metrics_of take its sizes, contains_minmax its opcodes; emit_text
 renders its registers in order; lower_minmax_to_arith rebuilds the graph
-from them; emit_slp lists it as single-assignment instructions ("t3 =
-sub t0 t2" lines, min and max included); and compile_to_pyfunc hands it
-as it is to the active kernel backend, which checks it once and returns
-a callable for fast repeated evaluation. interpret_slp runs emit_slp's
-listing, and eval_expr is that run: it is the one reference evaluator
-both backends are tested against.
+from them; emit_slp returns it, a CompiledProgram, which lists itself as
+single-assignment instructions ("t3 = sub t0 t2" lines, min and max
+included) only when asked; compile_to_pyfunc hands it as it is to the
+active kernel backend, which checks it once and returns a callable for
+fast repeated evaluation; and eval_expr runs it with interpret_slp, in
+the Python backend's loop.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ import operator
 import re
 import weakref
 from array import array
+from collections.abc import Mapping
 from functools import reduce
 from itertools import combinations, count
 
 from . import _backend
-from ._pykernels import _SLP_FNS, SLP_OPS, _leaves
+from ._pykernels import SLP_OPS, _check_slp, _leaves, _run_slp
 from ._record import FrozenRecord, slot_setters
 from .errors import ExprError, SequenceError, TextParseError
 from .selection import _check_formula_budget, _check_rank, _integral, resolve_budget
@@ -86,7 +87,7 @@ class Expr:
     constant value) and child nodes. Nodes are interned, so structurally
     equal nodes are the same object and compare by identity."""
 
-    __slots__ = ("kind", "payload", "children", "_program", "__weakref__")
+    __slots__ = ("kind", "payload", "children", "_program", "_metrics", "__weakref__")
 
     def __new__(cls, kind, payload=None, children=()):
         arity = _ARITY.get(kind)
@@ -209,7 +210,8 @@ def cse(expr: Expr) -> tuple[Expr, ExprMetrics]:
 
 
 def metrics_of(expr: Expr) -> ExprMetrics:
-    return _program_of(expr).metrics
+    _program_of(expr)
+    return expr._metrics
 
 
 def _fill_levels(n, rank, atom, step, fold):
@@ -308,14 +310,14 @@ def lower_minmax_to_arith(expr: Expr) -> Expr:
 
 
 def eval_expr(expr: Expr, assignment) -> float:
-    """Bottom-up evaluation under a {1-based index: value} assignment.
+    """Bottom-up evaluation under a {1-based index: value} mapping.
 
-    The value and errors of interpret_slp on emit_slp's listing: min/max
-    evaluate by comparison, halve divides by exactly 2, and missing
-    variables and non-finite inputs or intermediates raise ExprError in
-    program order, the latter naming the instruction.
+    interpret_slp on the root's program: min/max evaluate by comparison,
+    halve divides by exactly 2, and missing variables and non-finite
+    inputs or intermediates raise ExprError in program order, the latter
+    naming the instruction.
     """
-    return interpret_slp(emit_slp(expr), assignment)
+    return interpret_slp(_program_of(expr), assignment)
 
 
 def format_real(x: float) -> str:
@@ -538,25 +540,52 @@ _set_dest, _set_op, _set_args = slot_setters(SlpInstruction)
 
 
 class CompiledProgram(FrozenRecord):
-    """Straight-line program; instructions are in dependency order and every
-    temp is assigned exactly once."""
+    """A straight-line program, packed as _pykernels.compile_slp takes it
+    and checked as it checks one. Registers are [x1..x{n_vars}, consts,
+    temps]; temp k is written by the k-th (op, a, b) triple of `code`, op
+    indexing SLP_OPS, from registers below it (a unary op ignores b), and
+    `result` is the register returned. `code` holds Python ints, so any
+    variable index fits; only compile_to_pyfunc packs it into 32 bits."""
 
-    __slots__ = ("instructions", "result")
+    __slots__ = ("n_vars", "consts", "code", "result")
 
-    def __init__(self, instructions: tuple, result: tuple):
-        _set_instructions(self, instructions)
-        _set_result(self, result)
+    def __init__(self, n_vars: int, consts: tuple, code: tuple, result: int):
+        _fill(self, *_check_slp(n_vars, consts, code, result))
+
+    @property
+    def instructions(self) -> tuple:
+        """The program as SlpInstruction lines, built anew on each read."""
+        lines, _ = self._listing()
+        return tuple([SlpInstruction(*line) for line in lines])
 
     def to_text(self) -> str:
-        lines = [
-            f"t{ins.dest} = {ins.op} " + " ".join(_ref_text(a) for a in ins.args)
-            for ins in self.instructions
-        ]
-        lines.append("result " + _ref_text(self.result))
-        return "\n".join(lines)
+        lines, result = self._listing()
+        text = [f"t{dest} = {op} " + " ".join(map(_ref_text, args)) for dest, op, args in lines]
+        text.append("result " + _ref_text(result))
+        return "\n".join(text)
+
+    def _listing(self):
+        # Each instruction as (dest, op, operand refs), and the result's ref.
+        n_vars = self.n_vars
+        refs = [("c", v) for v in self.consts]  # register n_vars + i
+        lines = []
+        it = iter(self.code)
+        for dest, (op, a, b) in enumerate(zip(it, it, it)):
+            args = (a,) if op in _UNARY_OPS else (a, b)
+            lines.append((dest, SLP_OPS[op],
+                          tuple([("x", r + 1) if r < n_vars else refs[r - n_vars] for r in args])))
+            refs.append(("t", dest))
+        r = self.result
+        return lines, ("x", r + 1) if r < n_vars else refs[r - n_vars]
 
 
-_set_instructions, _set_result = slot_setters(CompiledProgram)
+_PROGRAM_SETTERS = slot_setters(CompiledProgram)
+
+
+def _fill(program, *fields):
+    for setter, value in zip(_PROGRAM_SETTERS, fields):
+        setter(program, value)
+    return program
 
 
 def _ref_text(ref) -> str:
@@ -576,57 +605,18 @@ _ABS = _OPCODE["abs"]
 _MIN = _OPCODE["min"]
 
 
-class _Program:
-    """A root's straight-line program, packed as compile_slp takes it, and
-    the root's metrics. Registers are [x1..xN, constants, temps], N the
-    largest variable index; each distinct constant node has one pool
-    entry, so -0.0 and 0.0 stay apart. Temp k is the k-th distinct
-    operation node, children before parents and left subtrees before
-    right ones, and is written by the k-th
-    (op, a, b) triple of `code`; a unary op names its operand twice.
-    `code` is a list, so any variable index can be listed, measured and
-    evaluated; only compile_to_pyfunc packs it into 32-bit registers. The
-    record holds numbers only, no node, so keeping it on its root keeps no
-    graph alive."""
-
-    __slots__ = ("n_vars", "consts", "code", "result", "metrics")
-
-    def __init__(self, n_vars, consts, code, result, metrics):
-        self.n_vars = n_vars
-        self.consts = consts
-        self.code = code
-        self.result = result
-        self.metrics = metrics
-
-    def slp(self) -> CompiledProgram:
-        """The program as SlpInstruction lines, read off `code`."""
-        n_vars = self.n_vars
-        refs = [("c", v) for v in self.consts]  # register n_vars + i
-        instructions = []
-        it = iter(self.code)
-        for dest, (op, a, b) in enumerate(zip(it, it, it)):
-            ra = ("x", a + 1) if a < n_vars else refs[a - n_vars]
-            if op in _UNARY_OPS:
-                args = (ra,)
-            else:
-                args = (ra, ("x", b + 1) if b < n_vars else refs[b - n_vars])
-            instructions.append(SlpInstruction(dest, SLP_OPS[op], args))
-            refs.append(("t", dest))
-        r = self.result
-        return CompiledProgram(tuple(instructions),
-                               ("x", r + 1) if r < n_vars else refs[r - n_vars])
-
-
-def _program_of(expr: Expr) -> _Program:
-    """The root's _Program, built by one walk the first time it is asked
-    for and then kept on the root: interned nodes never change."""
+def _program_of(expr: Expr) -> CompiledProgram:
+    """The root's program, built by one walk the first time it is asked
+    for and kept on the root with its metrics: interned nodes never change."""
     program = expr._program
     if program is None:
         program = expr._program = _build_program(expr)
     return program
 
 
-def _build_program(root: Expr) -> _Program:
+def _build_program(root: Expr) -> CompiledProgram:
+    # One register per distinct node, so -0.0 and 0.0 stay apart; temps in
+    # postorder, left subtree first. Only numbers, so it keeps no graph alive.
     # A node is finished once its children are, left child first, and its
     # tree size and depth are known at that point.
     # Operand registers wait until the walk has counted variables and
@@ -681,69 +671,59 @@ def _build_program(root: Expr) -> _Program:
         code += (_OPCODE[node.kind], reg[kids[0]], reg[kids[-1]])
         reg[node] = dest
     tree, depth = size[root]
-    return _Program(n_vars, tuple([node.payload for node in const_nodes]), code,
-                    reg[root], ExprMetrics(tree, len(size), depth))
+    root._metrics = ExprMetrics(tree, len(size), depth)
+    # Well formed by construction, so the constructor's check is skipped.
+    return _fill(object.__new__(CompiledProgram), n_vars,
+                 tuple([node.payload for node in const_nodes]), tuple(code), reg[root])
 
 
 def emit_slp(expr: Expr) -> CompiledProgram:
-    """Flatten an expression of either form into one instruction per
-    distinct operation node, children first; leaves become operand refs."""
-    return _program_of(expr).slp()
+    """The root's program: one instruction per distinct operation node,
+    children first; leaves are registers."""
+    return _program_of(expr)
 
 
 def interpret_slp(program: CompiledProgram, assignment) -> float:
-    """Run a straight-line program under a {1-based index: value}
-    assignment; non-finite inputs or intermediates raise ExprError. Each
-    variable is converted and checked at its first reference, so errors
-    surface in program order."""
-    temps = []
-    xs = {}
-    # Operand loads are inlined: a call per operand cost more than the ops.
-    for ins in program.instructions:
-        code = _OPCODE.get(ins.op)
-        if code is None:
-            raise ExprError(f"unknown op {ins.op!r}")
-        args = []
-        for tag, v in ins.args:
-            if tag == "t":
-                args.append(temps[v])
-            elif tag == "c":
-                args.append(v)
-            else:
-                args.append(xs[v] if v in xs else xs.setdefault(v, _variable(assignment, v)))
-        r = _SLP_FNS[code](args[0], args[-1])
-        if not math.isfinite(r):
-            raise ExprError(f"non-finite intermediate {r!r} at t{ins.dest}")
-        temps.append(r)
-    tag, v = program.result
-    if tag == "t":
-        return temps[v]
-    if tag == "c":
+    """Run a CompiledProgram in the Python backend's loop under a
+    {1-based index: value} mapping. Each variable is converted and checked
+    at its first read, so ExprError for a missing or non-finite input or
+    intermediate comes in program order."""
+    if not isinstance(program, CompiledProgram):
+        raise TypeError(f"program must be a CompiledProgram, not {type(program).__name__}")
+    if not isinstance(assignment, Mapping):
+        raise TypeError(f"assignment must be a mapping, not {type(assignment).__name__}")
+    n_vars = program.n_vars
+    regs = _Loads(enumerate(program.consts, n_vars))
+    regs.assignment = assignment
+    return _run_slp(regs, n_vars + len(program.consts), program.code, program.result)
+
+
+class _Loads(dict):
+    """interpret_slp's registers. Constants are set up front and temps before
+    they are read, so a missing one is a variable's, loaded at its first read."""
+
+    __slots__ = ("assignment",)
+
+    def __missing__(self, r):
+        try:
+            v = float(self.assignment[r + 1])
+        except KeyError:
+            raise ExprError(f"assignment is missing variable x{r + 1}") from None
+        if not math.isfinite(v):
+            raise ExprError(f"assignment for x{r + 1} is not finite: {v!r}")
+        self[r] = v
         return v
-    return xs[v] if v in xs else _variable(assignment, v)
-
-
-def _variable(assignment, v: int) -> float:
-    """x{v} from the assignment as a finite float."""
-    try:
-        val = float(assignment[v])
-    except (KeyError, IndexError):
-        raise ExprError(f"assignment is missing variable x{v}") from None
-    if not math.isfinite(val):
-        raise ExprError(f"assignment for x{v} is not finite: {val!r}")
-    return val
 
 
 def compile_to_pyfunc(expr: Expr):
     """Compile to a function f(values) over a 0-based sequence.
 
     A speed utility for drivers that evaluate one formula many times. The
-    active kernel backend checks the root's packed program once, and f
-    then runs its instructions in emit_slp's order, so results match
-    interpret_slp and eval_expr bit for bit. f converts x1..xN (N the
-    largest variable index) with float() and returns a float; a missing
-    or non-finite input, or a non-finite intermediate, raises ExprError,
-    as eval_expr does.
+    active kernel backend checks the root's program once, and f then runs
+    its instructions in order, so results match eval_expr bit for bit. f
+    converts x1..xN (N the largest variable index) with float() and
+    returns a float; a missing or non-finite input, or a non-finite
+    intermediate, raises ExprError, as eval_expr does.
     """
     program = _program_of(expr)
     return _backend.kernels().compile_slp(program.n_vars, program.consts,

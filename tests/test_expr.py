@@ -1,6 +1,7 @@
 import builtins
 import functools
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -437,7 +438,7 @@ class TestSlp:
         prog = o.emit_slp(o.build_selection_expr(2, 1, "arithmetic"))
         assert [ins.op for ins in prog.instructions] == \
             ["add", "sub", "abs", "sub", "halve"]
-        assert prog.result == ("t", 4)
+        assert prog.result == 2 + 4  # t4, after the registers of x1 and x2
 
     def test_leaf_program(self):
         prog = o.emit_slp(x1)
@@ -521,13 +522,52 @@ class TestSlp:
         ([("add", "x1", "x1")], ("x", 3), {1: 1.0}, "missing variable x3"),
     ])
     def test_interpret_first_error_in_program_order(self, code, result, assignment, message):
-        def ref(token):
-            return ("t" if token[0] == "t" else "x", int(token[1:]))
-
-        instructions = tuple(o.SlpInstruction(k, op, (ref(a), ref(b)))
-                             for k, (op, a, b) in enumerate(code))
+        # Three variable registers, then the temps.
+        reg = {"x1": 0, "x2": 1, "x3": 2, "t0": 3, "t1": 4}
+        packed = [r for op, a, b in code for r in (SLP_OPS.index(op), reg[a], reg[b])]
+        tag, index = result
         with pytest.raises(ExprError, match=message):
-            o.interpret_slp(o.CompiledProgram(instructions, result), assignment)
+            o.interpret_slp(o.CompiledProgram(3, (), packed, reg[f"{tag}{index}"]), assignment)
+
+    def test_interpret_refuses_other_programs(self):
+        prog = o.emit_slp(o.add(x1, x2))
+        for other in (prog.instructions, (prog.n_vars, prog.consts, prog.code, prog.result)):
+            with pytest.raises(TypeError, match="program must be a CompiledProgram"):
+                o.interpret_slp(other, {1: 1.0, 2: 2.0})
+
+    def test_assignment_must_be_a_mapping(self):
+        # A sequence would be read from index 1 on, one place off.
+        e = o.sub(x1, x2)
+        for assignment in ([5.0, 6.0, 7.0], (5.0, 6.0, 7.0), "567"):
+            for run in (o.eval_expr, lambda e, a: o.interpret_slp(o.emit_slp(e), a)):
+                with pytest.raises(TypeError, match="assignment must be a mapping, not"):
+                    run(e, assignment)
+        assert o.eval_expr(e, {1: 5.0, 2: 6.0, 3: 7.0}) == -1.0
+
+    def test_no_listing_is_built(self, backend, monkeypatch):
+        # The SlpInstruction listing is a view: only reading `instructions`
+        # builds it, and it is the listing emit_slp used to return.
+        built = []
+        init = o.SlpInstruction.__init__
+        monkeypatch.setattr(o.SlpInstruction, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        e = o.build_selection_expr(5, 3, "arithmetic")
+        xs = [4.0, -2.5, 7.0, 0.0, 1e3]
+        prog = o.emit_slp(e)
+        assert o.emit_slp(e) is prog
+        assert o.eval_expr(e, dict(enumerate(xs, 1))) == 4.0
+        assert o.interpret_slp(prog, dict(enumerate(xs, 1))) == 4.0
+        assert o.compile_to_pyfunc(e)(xs) == 4.0
+        assert hashlib.sha256(prog.to_text().encode()).hexdigest() == \
+            "ece77092eb5d7c3d56b6fa6a266a14c1ff544ee39ff13d46187e076e740d7445"
+        assert built == []
+        listing = prog.instructions
+        assert len(built) == len(listing) == 155
+        assert listing[:3] == (o.SlpInstruction(0, "add", (("x", 3), ("x", 4))),
+                               o.SlpInstruction(1, "sub", (("x", 3), ("x", 4))),
+                               o.SlpInstruction(2, "abs", (("t", 1),)))
+        assert hashlib.sha256(repr(listing).encode()).hexdigest() == \
+            "323546bdba5a519e9c8378ae26f46647aa3107591ff0b089bd522c2f84818d26"
 
     def test_interpret_reads_each_variable_once(self):
         class Counting(dict):
@@ -602,6 +642,16 @@ class TestCompileToPyfunc:
 
 def bits(x):
     return struct.pack("<d", x)
+
+
+class Index:
+    """An integer only through __index__, as a NumPy integer is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 SIGNED_ZERO_ALPHABET = (-0.0, 0.0, 1.0)
@@ -689,21 +739,11 @@ class TestCompiledFormulas:
             n_vars = rng.randint(1, 3)
             consts = rng.sample([0.0, -0.0, 1.5, -1e308], rng.randint(0, 2))
             base = n_vars + len(consts)
-            code, instructions = [], []
-
-            def ref(r):
-                if r < n_vars:
-                    return ("x", r + 1)
-                return ("c", consts[r - n_vars]) if r < base else ("t", r - base)
-
+            code = []
             for k in range(rng.randint(1, 8)):
-                op, a, b = rng.randrange(6), rng.randrange(base + k), rng.randrange(base + k)
-                code += (op, a, b)
-                name = SLP_OPS[op]
-                args = (ref(a),) if name in ("abs", "halve") else (ref(a), ref(b))
-                instructions.append(o.SlpInstruction(k, name, args))
-            result = rng.randrange(base + len(instructions))
-            program = o.CompiledProgram(tuple(instructions), ref(result))
+                code += (rng.randrange(6), rng.randrange(base + k), rng.randrange(base + k))
+            result = rng.randrange(base + len(code) // 3)
+            program = o.CompiledProgram(n_vars, consts, code, result)
             fn = compile_slp(n_vars, consts, array("i", code), result)
             for _ in range(4):
                 xs = [rng.choice([1e308, -1e308, 1.5, 0.0, -0.0]) for _ in range(n_vars)]
@@ -732,6 +772,10 @@ class TestCompiledFormulas:
     def test_malformed_program_refused(self, backend, args, match):
         with pytest.raises(ValueError, match=match):
             get_kernels(backend).compile_slp(*args)
+        n_vars, consts, code, result = args
+        if code.typecode == "i":
+            with pytest.raises(ValueError, match=match):
+                o.CompiledProgram(n_vars, tuple(consts), tuple(code), result)
 
     @pytest.mark.parametrize("args", [
         (2.7, [], array("i", [0, 0, 1]), 2),
@@ -741,10 +785,13 @@ class TestCompiledFormulas:
         (2, [b"1"], array("i", [0, 0, 2]), 3),
     ], ids=["n_vars-float", "n_vars-str", "result-float", "const-str", "const-bytes"])
     def test_argument_types_refused(self, backend, args):
-        # Neither twin truncates a float or parses text: both refuse these.
+        # Neither twin truncates a float or parses text: both refuse these,
+        # and take any integer, an object with __index__ alone included.
         with pytest.raises(TypeError):
             get_kernels(backend).compile_slp(*args)
         fn = get_kernels(backend).compile_slp(True, [2], array("i", [0, 0, 1]), 2)
+        assert fn([1.5]) == 3.5
+        fn = get_kernels(backend).compile_slp(Index(1), [2], array("i", [0, 0, 1]), Index(2))
         assert fn([1.5]) == 3.5
 
     def test_python_backend_runs_no_generated_code(self, monkeypatch):

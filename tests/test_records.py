@@ -27,8 +27,6 @@ from ordstat import (
     VerifyReport,
 )
 
-_INS = SlpInstruction(0, "abs", (("x", 1),))
-
 
 def test_public_names():
     # A name joins or leaves the public surface only by editing this list.
@@ -62,9 +60,8 @@ RECORDS = [
      "ExprMetrics(node_count_tree=5, node_count_dag=4, depth=3)"),
     (SlpInstruction, ("dest", "op", "args"), (2, "add", (("x", 1), ("t", 0))),
      "SlpInstruction(dest=2, op='add', args=(('x', 1), ('t', 0)))"),
-    (CompiledProgram, ("instructions", "result"), ((_INS,), ("t", 0)),
-     "CompiledProgram(instructions=(SlpInstruction(dest=0, op='abs', "
-     "args=(('x', 1),)),), result=('t', 0))"),
+    (CompiledProgram, ("n_vars", "consts", "code", "result"), (1, (2.5,), (2, 0, 0, 0, 2, 1), 2),
+     "CompiledProgram(n_vars=1, consts=(2.5,), code=(2, 0, 0, 0, 2, 1), result=2)"),
     (VerifyPlan, ("max_n", "alphabet", "random_trials", "seed", "tolerance"),
      (3, (1.0, 2.0), 10, 4, 0.5),
      "VerifyPlan(max_n=3, alphabet=(1.0, 2.0), random_trials=10, seed=4, "
