@@ -5,22 +5,15 @@
  * floats and a 1-based rank in 1..N (positional arguments only) and raises
  * ValueError for a rank outside that range.
  *
- * The normal-form kernels keep one level of the elimination recursion in
- * a dense double array. A level's states are the k-subsets of a prefix
- * range(p) of positions, and a subset {c_0 < ... < c_{k-1}} sits at its
- * colex rank C(c_0, 1) + C(c_1, 2) + ... + C(c_{k-1}, k) (the combinatorial
- * number system, Knuth TAOCP 4A, 7.2.1.3). The k-subsets of range(p) are
- * exactly the first C(p, k) in colex order, so every level is a prefix of
- * one index space: no hash map, no bitmask, no limit on N. Every size is
- * computed with overflow checks before anything is allocated.
- *
  * select_memo and select_fullrange share one body, normal_form: both
  * recursions have the same max-min normal form, since every level above
  * the deepest takes a maximum, so the value is the first maximum of the
- * deepest level's minima. leaf_max builds that one level, in place, each
- * minimum one comparison away from that of its set without the largest
- * member. select_memo adds the counters the memoized recursion would
- * count (memo_counts); select_fullrange has none.
+ * deepest level's minima. min distributes over that maximum, so leaf_max
+ * folds it in one pass over the reversed values, with one running first
+ * maximum per subset size: n * min(K, rank) comparisons and K + 1 doubles,
+ * K = n - rank + 1, for any n. select_memo adds the counters the memoized
+ * recursion would count (memo_counts), from two binomials checked against
+ * 64-bit overflow; select_fullrange has none.
  *
  * compile_slp turns a packed straight-line program (see
  * _pykernels.compile_slp, which defines it) into a callable that runs
@@ -35,51 +28,9 @@
 #include <limits.h>
 #include <math.h>
 #include <stdarg.h>
-#include <stdint.h>
 #include <string.h>
 
 typedef unsigned long long u64;
-
-/* Binomial table in diagonal coordinates: entry [i * cols + d] is
- * C(i + d, i) for i < rows and d < cols, saturated at SIZE_MAX. */
-typedef struct {
-    size_t *t;
-    size_t cols;
-} Pascal;
-
-static int
-pascal_init(Pascal *b, size_t rows, size_t cols)
-{
-    size_t i, d, s;
-    if (cols != 0 && rows > PY_SSIZE_T_MAX / sizeof(size_t) / cols) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    b->t = PyMem_Malloc(rows * cols * sizeof(size_t));
-    b->cols = cols;
-    if (b->t == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (i = 0; i < rows; i++) {
-        for (d = 0; d < cols; d++) {
-            if (i == 0 || d == 0) {
-                b->t[i * cols + d] = 1;
-                continue;
-            }
-            s = b->t[(i - 1) * cols + d] + b->t[i * cols + d - 1];
-            b->t[i * cols + d] = s < b->t[i * cols + d - 1] ? SIZE_MAX : s;
-        }
-    }
-    return 0;
-}
-
-/* C(x, k); the caller keeps k < rows and x - k < cols. */
-static inline size_t
-binom(const Pascal *b, size_t x, size_t k)
-{
-    return x < k ? 0 : b->t[k * b->cols + (x - k)];
-}
 
 /* ---- select_naive: the plain recursion ------------------------------- */
 
@@ -123,88 +74,93 @@ naive(const double *cur, size_t len, size_t m, double *scratch, size_t cap,
  * order of the subsets. The full-range recursion deletes at every position
  * instead of the first n - rank + 2, but its leaves are the same K-subsets
  * and it first reaches them in the same order (ascending lexicographic in
- * the removed positions), so it has the same normal form. leaf_max builds
- * only that level and scans it.
+ * the removed positions), so it has the same normal form.
  *
- * The level is built in colex order over ys, xs reversed (ys[q] =
- * xs[n - 1 - q]): ascending colex order in q is descending lexicographic
- * order in the original positions, so the first maximum in array order is
- * the recursion's. Each minimum keeps the later of two equal ys, which is
+ * Over ys, xs reversed (ys[q] = xs[n - 1 - q]), that order is ascending
+ * colex order, and each minimum keeps the later of two equal ys, which is
  * the earlier of the two xs, as the recursion's first minimum does. That
  * keeps the sign the recursion returns when -0.0 and 0.0 tie.
  *
- * The level is built up from prefixes, one member per pass. The minimum
- * over {c_0 < ... < c_{k-1}} is one comparison with ys[c_{k-1}] away from
- * the minimum over {c_0, ..., c_{k-2}}, whose rank is C(c_{k-1}, k) lower.
- * Pass k holds every k-subset of range(rank - 1 + k), the k-member
- * prefixes of the deepest states, in the array that holds pass k - 1:
- * with t = c_{k-1} running down, and the rank below t running down too,
- * each write lands at or above its source and above every source still to
- * be read. That is about C(n + 1, K) comparisons, where one minimum per
- * state takes C(n, K) * (K - 1).
- *
- * `b` holds C(x, k) for k <= K and x - k < rank; `kernel` names the
- * caller in the error for a level too large to address. */
-static int
-leaf_max(const Pascal *b, const double *xs, size_t n, size_t rank,
-         const char *kernel, double *value)
+ * leaf_max never builds the C(n, K) leaves. After it has read ys[0..c],
+ * g[j] is the first maximum, in colex order, of the first minima of the
+ * j-subsets of range(c + 1). In colex order the j-subsets holding c follow
+ * those of range(c), and each is a (j - 1)-subset of range(c) with c
+ * added, whose minimum is min(ys[c], its own). min(y, .) is monotone, so
+ * the first maximum of those minima is min(y, g[j - 1]) with the same tie
+ * rule: y itself when g[j - 1] >= y, else g[j - 1]. The new g[j] is the
+ * first maximum of the two runs: the old g[j] unless that is smaller.
+ * j runs downward, so g[j - 1] is still the old one, and only over the j
+ * that can still grow into a K-subset, at most min(K, rank) of them, so
+ * the pass takes n * min(K, rank) steps and K + 1 doubles. No comparison
+ * reads a g[j] before it is first written: j == 1 and j == c + 1 are
+ * decided before g[j - 1] or g[j] is read. */
+static double
+leaf_max(const double *xs, size_t n, size_t rank, double *g)
 {
-    size_t keep = n - rank + 1, top = binom(b, n, keep), k, t, r;
-    double *level, *with_t, best, x;
+    size_t keep = n - rank + 1, c, j, lo;
+    double y, h;
 
-    /* Refused before any allocation; a saturated binomial lands here too. */
-    if (top >= SIZE_MAX || top > PY_SSIZE_T_MAX / sizeof(double)) {
-        PyErr_Format(PyExc_OverflowError,
-                     "%s of rank %zu from %zu elements: a level of the fill "
-                     "has too many states to address", kernel, rank, n);
-        return -1;
-    }
-    level = PyMem_Malloc(top * sizeof(double));
-    if (level == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (r = 0; r < rank; r++)
-        level[r] = xs[n - 1 - r];
-    for (k = 2; k <= keep; k++) {
-        for (t = rank + k - 2; t + 1 >= k; t--) {
-            with_t = level + binom(b, t, k);
-            x = xs[n - 1 - t];
-            for (r = binom(b, t, k - 1); r-- > 0;)
-                with_t[r] = x <= level[r] ? x : level[r];
+    for (c = 0; c < n; c++) {
+        y = xs[n - 1 - c];
+        lo = keep + c + 1 > n ? keep + c + 1 - n : 1;
+        for (j = c + 1 < keep ? c + 1 : keep; j >= lo; j--) {
+            h = j == 1 || g[j - 1] >= y ? y : g[j - 1];
+            if (j == c + 1 || !(g[j] >= h))
+                g[j] = h;
         }
     }
-    best = level[0];
-    for (r = 1; r < top; r++)
-        if (level[r] > best)
-            best = level[r];
-    PyMem_Free(level);
-    *value = best;
+    return g[keep];
+}
+
+/* *r = *r * x / d, when d divides *r * x; -1 when the result does not fit
+ * in 64 bits. *r and d shed their common factor first, which leaves d
+ * dividing x, so nothing overflows that the result would not. */
+static int
+mul_div(u64 *r, u64 x, u64 d)
+{
+    u64 a = *r, b = d, t;
+
+    while (b != 0) {
+        t = a % b;
+        a = b;
+        b = t;
+    }
+    x /= d / a;
+    if (*r / a > ULLONG_MAX / x)
+        return -1;
+    *r = *r / a * x;
     return 0;
 }
 
 /* The counters the memoized recursion would count, in
- * _pykernels.select_memo's closed form over the level sizes C(p, K) for
- * p from n down to K. */
+ * _pykernels.select_memo's closed form over C(n, K) leaves and
+ * C(n + 1, K + 1) states (the level sizes C(p, K), p = K..n, summed).
+ * C(n, K) is built up as C(n - K + i, i), i = 1..min(K, n - K), each step
+ * exact; any count past 64 bits raises OverflowError. */
 static int
-memo_counts(const Pascal *b, size_t n, size_t rank, u64 counts[3])
+memo_counts(size_t n, size_t rank, u64 counts[3])
 {
-    size_t keep = n - rank + 1, p;
-    u64 top = binom(b, n, keep), states = 0, above;
+    size_t keep = n - rank + 1, low = keep < rank - 1 ? keep : rank - 1, i;
+    u64 top = 1, states, above;
 
-    for (p = keep; p <= n; p++)
-        states += binom(b, p, keep);
+    for (i = 1; i <= low; i++)
+        if (mul_div(&top, n - low + i, i) < 0)
+            goto overflow;
+    states = top;
+    if (mul_div(&states, (u64)n + 1, (u64)keep + 1) < 0)
+        goto overflow;
     above = states - top;
-    if (above != 0 && (u64)(keep + 1) > (ULLONG_MAX - 1) / above) {
-        PyErr_Format(PyExc_OverflowError,
-                     "memoized selection of rank %zu from %zu elements: "
-                     "call count overflows 64 bits", rank, n);
-        return -1;
-    }
+    if (above != 0 && (u64)(keep + 1) > (ULLONG_MAX - 1) / above)
+        goto overflow;
     counts[0] = 1 + (u64)(keep + 1) * above;
     counts[1] = top;
     counts[2] = counts[0] - states;
     return 0;
+overflow:
+    PyErr_Format(PyExc_OverflowError,
+                 "memoized selection of rank %zu from %zu elements: "
+                 "a count overflows 64 bits", rank, n);
+    return -1;
 }
 
 
@@ -531,29 +487,30 @@ select_naive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return Py_BuildValue("(dKK)", value, recursive, base);
 }
 
-/* Both entries take the first maximum of the leaf minima from one binomial
- * table with rows 0..K and columns 0..rank - 1; `kernel` labels a level too
- * large to address. Only select_memo counts, and returns its counters too. */
+/* Both entries take the first maximum of the leaf minima, on K + 1
+ * doubles of scratch. Only select_memo counts, and returns its counters
+ * too. */
 static PyObject *
-normal_form(PyObject *const *args, Py_ssize_t nargs, const char *name,
-            const char *kernel, int count)
+normal_form(PyObject *const *args, Py_ssize_t nargs, const char *name, int count)
 {
-    double *xs, value;
+    double *xs, *g, value;
     size_t n, rank;
     u64 counts[3];
-    Pascal b = {NULL, 0};
     PyObject *out = NULL;
 
     if (parse_args(args, nargs, name, &xs, &n, &rank) < 0)
         return NULL;
-    if (pascal_init(&b, n - rank + 2, rank) == 0
-            && leaf_max(&b, xs, n, rank, kernel, &value) == 0) {
-        if (!count)
-            out = PyFloat_FromDouble(value);
-        else if (memo_counts(&b, n, rank, counts) == 0)
-            out = Py_BuildValue("(dKKK)", value, counts[0], counts[1], counts[2]);
+    g = PyMem_Malloc((n - rank + 2) * sizeof(double));
+    if (g == NULL) {
+        PyMem_Free(xs);
+        return PyErr_NoMemory();
     }
-    PyMem_Free(b.t);
+    value = leaf_max(xs, n, rank, g);
+    if (!count)
+        out = PyFloat_FromDouble(value);
+    else if (memo_counts(n, rank, counts) == 0)
+        out = Py_BuildValue("(dKKK)", value, counts[0], counts[1], counts[2]);
+    PyMem_Free(g);
     PyMem_Free(xs);
     return out;
 }
@@ -561,13 +518,13 @@ normal_form(PyObject *const *args, Py_ssize_t nargs, const char *name,
 static PyObject *
 select_memo(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    return normal_form(args, nargs, "select_memo", "memoized selection", 1);
+    return normal_form(args, nargs, "select_memo", 1);
 }
 
 static PyObject *
 select_fullrange(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    return normal_form(args, nargs, "select_fullrange", "full-range selection", 0);
+    return normal_form(args, nargs, "select_fullrange", 0);
 }
 
 static PyMethodDef methods[] = {

@@ -5,7 +5,8 @@ formulas; ordstat._ckernels, a C extension, is the compiled twin and must
 match these counters, return values and errors exactly, for every
 sequence length and every program.
 The three select_* entry points take an already-validated sequence of
-finite floats and a 1-based rank. Counter semantics, shared by both
+finite floats and a 1-based rank, an int or any object with __index__,
+as the C twin's PyLong_AsLong takes it. Counter semantics, shared by both
 backends, are what the memoized recursion would count:
 
   * recursive_calls  counts every entry into the recursion,
@@ -14,13 +15,15 @@ backends, are what the memoized recursion would count:
 
 select_memo and select_fullrange run neither recursion nor its fold:
 every fold level takes a maximum, so both evaluate the max-min normal
-form, the first maximum of the leaf minima (see _leaf_max), which the
-two recursions share. select_memo reads the three counters off the level
-sizes the memoized recursion would fill.
-expr._fill_levels builds the same leaves from variables and folds them
-level by level into a formula. `atom` names the value of one position (a
-float or a variable), and `step` one step of the left fold over a
-leaf's atoms (a minimum, or min_of).
+form, the first maximum of the leaf minima, which the two recursions
+share. min distributes over that maximum, so _leaf_max folds it in one
+pass over the reversed values without building a leaf: N * min(K, rank)
+steps, K = N - rank + 1. select_memo reads the three counters off the
+level sizes the memoized recursion would fill.
+expr._fill_levels builds the leaves themselves from variables, with
+_leaves, and folds them level by level into a formula. `atom` names the
+value of one position (a float or a variable), and `step` one step of
+the left fold over a leaf's atoms (a minimum, or min_of).
 
 compile_slp turns a packed straight-line program into a callable. Both
 twins check the program once, here with _check_slp, which also checks
@@ -64,31 +67,47 @@ def _leaves(n, keep, atom, step):
 
 
 def _checked(values, rank):
-    """values as a tuple, once rank lies in 1..N; the C twin's ValueError
-    otherwise."""
+    """(values as a tuple, rank as an int), once rank lies in 1..N; the C
+    twin's TypeError or ValueError otherwise."""
+    rank = operator.index(rank)
     xs = tuple(values)
     if not 1 <= rank <= len(xs):
         raise ValueError(f"rank {rank} out of range 1..{len(xs)}")
-    return xs
+    return xs, rank
 
 
 def _leaf_max(xs, rank):
     """The max-min normal form shared by select_memo and select_fullrange.
-    Its deepest level maps each (N - rank + 1)-subset of positions to its
-    first minimum, and every level above takes a first maximum, so the
+    Its deepest level maps each K-subset of positions, K = N - rank + 1, to
+    its first minimum, and every level above takes a first maximum, so the
     value is the first maximum of those leaf minima in the order the
     recursion first visits them: descending lexicographic in the kept
     positions, which is ascending lexicographic in the removed ones. That
     is colex order over the reversed values, with each minimum keeping the
-    later of two equal ones (the earlier position), so the first max of the
-    list returns the recursion's value, signed zeros included."""
-    return max(_leaves(len(xs), len(xs) - rank + 1, xs[::-1].__getitem__,
-                       lambda acc, x: x if x <= acc else acc))
+    later of two equal ones (the earlier position).
+
+    min distributes over that first maximum, so no leaf is built. After
+    ys[0..c] of the reversed values, g[j] is the colex-first maximum of the
+    first minima of the j-subsets of range(c + 1). The j-subsets holding c
+    follow those of range(c) in colex order, and each adds c to a
+    (j - 1)-subset, so their first maximum is min(ys[c], g[j - 1]) with the
+    same tie rule, and the new g[j] is the first maximum of the two runs.
+    j runs down, over the sizes that can still reach K, so the value comes
+    back in N * min(K, rank) steps, signed zeros included."""
+    n = len(xs)
+    keep = n - rank + 1
+    g = [None] * (keep + 1)
+    for c, y in enumerate(reversed(xs)):
+        for j in range(min(c + 1, keep), max(0, keep - n + c), -1):
+            h = y if j == 1 or g[j - 1] >= y else g[j - 1]
+            if j == c + 1 or not g[j] >= h:
+                g[j] = h
+    return g[keep]
 
 
 def select_naive(values, rank):
     """Plain recursion. Returns (value, recursive_calls, base_case_calls)."""
-    xs = _checked(values, rank)
+    xs, rank = _checked(values, rank)
     counters = [0, 0]
 
     def go(xs, m):
@@ -111,7 +130,7 @@ def select_memo(values, rank):
     survivor set is solved once, and every further entry into it is a
     memo hit. Returns (value, recursive_calls, base_case_calls, memo_hits).
     """
-    xs = _checked(values, rank)
+    xs, rank = _checked(values, rank)
     n = len(xs)
     keep = n - rank + 1
     leaves = math.comb(n, keep)
@@ -125,7 +144,7 @@ def select_fullrange(values, rank):
     N - n + 2. Its leaves are select_memo's, first reached in the same
     order, so it returns the same normal form (see _leaf_max); returns the
     value only."""
-    return _leaf_max(_checked(values, rank), rank)
+    return _leaf_max(*_checked(values, rank))
 
 
 # Opcodes of a packed straight-line program, numbered by position here and

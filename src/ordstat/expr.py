@@ -552,6 +552,21 @@ class CompiledProgram(FrozenRecord):
     def __init__(self, n_vars: int, consts: tuple, code: tuple, result: int):
         _fill(self, *_check_slp(n_vars, consts, code, result))
 
+    # Equal programs return equal bits: constants compare by sign too, so
+    # the programs of x1 + 0.0 and x1 + -0.0, which differ at x1 = -0.0,
+    # are unequal and hash apart.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._signed() == other._signed()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._signed())
+
+    def _signed(self):
+        consts = tuple([(v, math.copysign(1.0, v)) for v in self.consts])
+        return self.n_vars, consts, self.code, self.result
+
     @property
     def instructions(self) -> tuple:
         """The program as SlpInstruction lines, built anew on each read."""

@@ -273,9 +273,12 @@ def select_memo(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     survivors denotes the same subsequence; there are
     memo_state_count(N, rank) of them, and the budget bounds that number.
     Every level above its minima takes a max, so both backends evaluate
-    its max-min normal form, the first maximum of the leaf minima, for any
-    N, in a table that lives and dies within this call. The counters added
-    to `stats` are still those the memoized recursion would count.
+    its max-min normal form, the first maximum of the leaf minima; min
+    distributes over that max, so they fold it in one pass over the
+    values, N * min(K, rank) comparisons with K = N - rank + 1, for any N.
+    The counters added to `stats` are still those the memoized recursion
+    would count; the compiled backend raises OverflowError when one does
+    not fit in 64 bits.
     """
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
@@ -296,10 +299,11 @@ def select_fullrange(rank: int, seq: SequenceLike, *, budget: int | None = None)
     """Diagnostic selector that scans every elimination index at each level
     instead of stopping at N - n + 2. Its recursion reaches the same
     leaves as select_memo's in the same order, so both backends evaluate
-    the same max-min normal form and it agrees with select_naive bit for
-    bit. The verification suites check it against the sort, and the tests
-    against select_naive. Its budget bounds the states the full-range
-    recursion would touch."""
+    the same max-min normal form, in select_memo's one pass without its
+    counters, and it agrees with select_naive bit for bit. The
+    verification suites check it against the sort, and the tests against
+    select_naive. Its budget bounds the states the full-range recursion
+    would touch."""
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
     _check_fullrange_budget(len(seq), rank, resolve_budget(budget))

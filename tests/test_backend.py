@@ -42,6 +42,29 @@ def test_kernels_refuse_rank_out_of_range(backend):
                 entry(values, rank)
 
 
+class I:
+    """An integer only through __index__, as a NumPy integer is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_kernels_read_rank_through_index(backend):
+    kern = get_kernels(backend)
+    values = (3.0, 1.0, 2.0)
+    for entry, want, want_min in (
+            (kern.select_naive, (2.0, 4, 3), (1.0, 1, 1)),
+            (kern.select_memo, (2.0, 4, 3, 0), (1.0, 1, 1, 0)),
+            (kern.select_fullrange, 2.0, 1.0)):
+        assert entry(values, I(2)) == want
+        assert entry(values, True) == want_min
+        with pytest.raises(TypeError):
+            entry(values, 2.0)
+
+
 def public_entries(module):
     """Public callables a module defines itself (imports excluded)."""
     return {name for name, value in vars(module).items()

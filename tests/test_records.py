@@ -198,3 +198,18 @@ class TestDefaultsAndValidation:
         with pytest.raises(ValueError) as info:
             VerifyPlan(**kwargs)
         assert str(info.value) == message
+
+
+def test_compiled_program_constants_compare_by_sign():
+    # x1 + 0.0 and x1 + -0.0 return different zeros at x1 = -0.0, so their
+    # programs are different values; repr and pickling keep each sign.
+    from ordstat import add, const, emit_slp, interpret_slp, var
+    plus, minus = emit_slp(add(var(1), const(0.0))), emit_slp(add(var(1), const(-0.0)))
+    assert math.copysign(1, interpret_slp(plus, {1: -0.0})) == 1
+    assert math.copysign(1, interpret_slp(minus, {1: -0.0})) == -1
+    assert plus != minus and not plus == minus
+    assert len({plus, minus}) == 2
+    twin = emit_slp(add(var(1), const(0.0)))
+    assert plus == twin and hash(plus) == hash(twin)
+    assert repr(minus) == "CompiledProgram(n_vars=1, consts=(-0.0,), code=(0, 0, 1), result=2)"
+    assert pickle.loads(pickle.dumps(minus)) == minus != pickle.loads(pickle.dumps(plus))

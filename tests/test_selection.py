@@ -282,21 +282,61 @@ class TestWideMemo:
             assert (value, *counters) == _pykernels.select_memo(values, rank)
 
     def test_oversized_level_refused(self, backend):
-        # C(201, 99) states: the default budget refuses them; with the
-        # budget lifted, the compiled fill must refuse a level it cannot
-        # address instead of wrapping its size. Full-range selection
-        # builds the same level.
+        # C(201, 99) states: the default budget refuses them. With the
+        # budget lifted, compiled select_memo must refuse counters that do
+        # not fit in 64 bits instead of wrapping them; full-range selection
+        # counts nothing, so it answers on every backend.
         with pytest.raises(BudgetError):
             o.select_memo(100, range(200))
         if backend != "python":
-            for select in (o.select_memo, o.select_fullrange):
-                with pytest.raises((MemoryError, OverflowError)):
-                    select(100, range(200), budget=10**70)
+            with pytest.raises(OverflowError):
+                o.select_memo(100, range(200), budget=10**70)
+        assert o.select_fullrange(100, range(200), budget=10**70) == 99.0
 
     def test_memo_state_count_quadratic_at_max_rank(self):
         from ordstat.selection import memo_state_count
         assert memo_state_count(70, 70) == sum(t + 1 for t in range(70))
         assert memo_state_count(5, 1) == 1
+
+
+def long_shapes(length):
+    half = length // 2
+    return {
+        "ascending": [float(k) for k in range(length)],
+        "descending": [float(length - k) for k in range(length)],
+        "equal": [1.5] * length,
+        "v": [float(abs(k - half)) for k in range(length)],
+        "signed-zeros": [(-0.0, 0.0)[k % 2] for k in range(length)],
+    }
+
+
+class TestLongKernels:
+    @pytest.mark.parametrize("length", [65, 96, 200])
+    def test_shapes_match_sort_and_reference(self, backend, length):
+        from ordstat import _pykernels
+        for shape, values in long_shapes(length).items():
+            for rank in (1, 2, 3, length - 1, length):
+                where = (shape, length, rank)
+                stats = EvalStats()
+                memo = o.select_memo(rank, values, stats, budget=10**70)
+                full = o.select_fullrange(rank, values, budget=10**70)
+                assert memo == full == sort_oracle(rank, values), where
+                want, *counters = _pykernels.select_memo(values, rank)
+                assert signed(memo) == signed(want), where
+                assert (stats.recursive_calls, stats.base_case_calls,
+                        stats.memo_hits) == tuple(counters), where
+                assert signed(full) == signed(_pykernels.select_fullrange(values, rank)), where
+
+    def test_middle_rank_of_sixty(self, backend):
+        # C(60, 31) leaves, too many to build; one pass over the values
+        # takes 60 * 30 steps.
+        from ordstat import _pykernels
+        values = [float((k * 37) % 61) - 30.0 for k in range(60)]
+        stats = EvalStats()
+        assert o.select_memo(30, values, stats, budget=10**70) == sort_oracle(30, values)
+        assert o.select_fullrange(30, values, budget=10**70) == sort_oracle(30, values)
+        assert (stats.recursive_calls, stats.base_case_calls, stats.memo_hits) == \
+            _pykernels.select_memo(values, 30)[1:]
 
 
 class TestMemoFill:
