@@ -302,25 +302,32 @@ static Slp *
 slp_new(PyObject *const *args)
 {
     Py_ssize_t n_vars, n_consts, n_ins, base, result, k, dest;
-    PyObject *pool;
+    PyObject *n_obj, *result_obj = NULL, *pool = NULL;
     Py_buffer view;
     Slp *p = NULL;
     const int *c;
     double v;
 
-    n_vars = PyNumber_AsSsize_t(args[0], PyExc_OverflowError);
+    /* Past Py_ssize_t, n_vars and result clamp to its bounds, and the
+     * checks below refuse them by value, however large, as _check_slp
+     * does; only an n_vars past PY_SSIZE_T_MAX overflows. */
+    n_obj = PyNumber_Index(args[0]);
+    if (n_obj == NULL)
+        return NULL;
+    n_vars = PyNumber_AsSsize_t(n_obj, NULL);
+    if (n_vars == PY_SSIZE_T_MAX)
+        n_vars = PyNumber_AsSsize_t(n_obj, PyExc_OverflowError);
     if (n_vars == -1 && PyErr_Occurred())
-        return NULL;
-    result = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
-    if (result == -1 && PyErr_Occurred())
-        return NULL;
+        goto done;
+    result_obj = PyNumber_Index(args[3]);
+    if (result_obj == NULL)
+        goto done;
+    result = PyNumber_AsSsize_t(result_obj, NULL);
     pool = PySequence_Tuple(args[1]);
     if (pool == NULL)
-        return NULL;
-    if (PyObject_GetBuffer(args[2], &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
-        Py_DECREF(pool);
-        return NULL;
-    }
+        goto done;
+    if (PyObject_GetBuffer(args[2], &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        goto done;
     n_consts = PyTuple_GET_SIZE(pool);
     if (view.itemsize != sizeof(int) || view.format == NULL
             || strcmp(view.format, "i") != 0) {
@@ -333,7 +340,7 @@ slp_new(PyObject *const *args)
     }
     n_ins = view.len / (Py_ssize_t)(3 * sizeof(int));
     if (n_vars < 0) {
-        PyErr_Format(PyExc_ValueError, "n_vars must not be negative, got %zd", n_vars);
+        PyErr_Format(PyExc_ValueError, "n_vars must not be negative, got %S", n_obj);
         goto fail;
     }
     if (n_vars > INT_MAX || n_consts > INT_MAX - n_vars
@@ -343,8 +350,8 @@ slp_new(PyObject *const *args)
     }
     base = n_vars + n_consts;
     if (result < 0 || result >= base + n_ins) {
-        PyErr_Format(PyExc_ValueError, "result register %zd out of range 0..%zd",
-                     result, base + n_ins - 1);
+        PyErr_Format(PyExc_ValueError, "result register %S out of range 0..%zd",
+                     result_obj, base + n_ins - 1);
         goto fail;
     }
     p = PyMem_Malloc(sizeof(Slp) + (size_t)n_consts * sizeof(double) + (size_t)view.len);
@@ -382,13 +389,16 @@ slp_new(PyObject *const *args)
         }
     }
     PyBuffer_Release(&view);
-    Py_DECREF(pool);
-    return p;
+    goto done;
 fail:
     PyMem_Free(p);
+    p = NULL;
     PyBuffer_Release(&view);
-    Py_DECREF(pool);
-    return NULL;
+done:
+    Py_DECREF(n_obj);
+    Py_XDECREF(result_obj);
+    Py_XDECREF(pool);
+    return p;
 }
 
 static PyObject *
@@ -424,27 +434,34 @@ static int
 parse_args(PyObject *const *args, Py_ssize_t nargs, const char *name,
            double **xs, size_t *n, size_t *rank)
 {
-    PyObject *seq;
+    PyObject *seq, *index;
     Py_ssize_t len, i;
     long r;
+    int overflow;
 
     if (nargs != 2) {
         PyErr_Format(PyExc_TypeError, "%s() takes 2 positional arguments "
                      "(values, rank) but %zd were given", name, nargs);
         return -1;
     }
-    r = PyLong_AsLong(args[1]);
-    if (r == -1 && PyErr_Occurred())
+    index = PyNumber_Index(args[1]);
+    if (index == NULL)
         return -1;
+    /* An int past a C long is out of range too, as it is in Python. */
+    r = PyLong_AsLongAndOverflow(index, &overflow);
     seq = PySequence_Tuple(args[0]);
-    if (seq == NULL)
+    if (seq == NULL) {
+        Py_DECREF(index);
         return -1;
+    }
     len = PyTuple_GET_SIZE(seq);
-    if (r < 1 || r > len) {
-        PyErr_Format(PyExc_ValueError, "rank %ld out of range 1..%zd", r, len);
+    if (overflow || r < 1 || r > len) {
+        PyErr_Format(PyExc_ValueError, "rank %S out of range 1..%zd", index, len);
+        Py_DECREF(index);
         Py_DECREF(seq);
         return -1;
     }
+    Py_DECREF(index);
     *xs = PyMem_Malloc((size_t)len * sizeof(double));
     if (*xs == NULL) {
         Py_DECREF(seq);

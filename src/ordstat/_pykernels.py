@@ -6,7 +6,8 @@ match these counters, return values and errors exactly, for every
 sequence length and every program.
 The three select_* entry points take an already-validated sequence of
 finite floats and a 1-based rank, an int or any object with __index__,
-as the C twin's PyLong_AsLong takes it. Counter semantics, shared by both
+as the C twin's PyNumber_Index takes it; a rank out of range, however
+large, raises the same ValueError in both. Counter semantics, shared by both
 backends, are what the memoized recursion would count:
 
   * recursive_calls  counts every entry into the recursion,
@@ -36,6 +37,7 @@ tested against, as the select_* functions here are for its kernels.
 
 import math
 import operator
+import sys
 from itertools import count, repeat
 
 from .errors import ExprError
@@ -165,7 +167,8 @@ def compile_slp(n_vars, consts, code, result):
     with float() and raises ExprError when one is missing or not finite,
     or when an instruction's value is not finite. A malformed program
     raises ValueError here, before anything runs; an n_vars or result that
-    is no integer, or a constant that is no number, raises TypeError.
+    is no integer, or a constant that is no number, raises TypeError, and
+    an n_vars past sys.maxsize raises OverflowError.
     """
     view = memoryview(code)
     if view.format != "i" or view.ndim != 1:
@@ -184,6 +187,8 @@ def _check_slp(n_vars, consts, code, result):
     """(n_vars, consts, code, result) as (int, floats, ints, int), `code` any
     iterable; raises compile_slp's errors for a malformed program."""
     n_vars = operator.index(n_vars)
+    if n_vars > sys.maxsize:  # as the C twin's Py_ssize_t overflows
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
     result = operator.index(result)
     consts = tuple([_real(v) for v in consts])
     code = tuple(map(operator.index, code))

@@ -21,13 +21,15 @@ parse_text inverts both the infix and the sexpr renderings.
 
 A graph's straight-line program (SLP) is one packed register program per
 root. One walk numbers every distinct operation node as a temp, children
-first, and measures the graph's tree size, node count and depth on the
-way. The program is built the first time anything asks for it and kept
+first. The program is built the first time anything asks for it and kept
 on the root; it holds numbers only, so it keeps no other node alive.
 That walk is the only one: every reader of a graph reads that record.
-cse and metrics_of take its sizes, contains_minmax its opcodes; emit_text
-renders its registers in order; lower_minmax_to_arith rebuilds the graph
-from them; emit_slp returns it, a CompiledProgram, which lists itself as
+cse and metrics_of measure the tree size, node count and depth in one
+pass over its code, contains_minmax reads its opcodes; emit_text renders
+its registers in order; lower_minmax_to_arith lowers the program itself
+(_lower_program), builds the lowered graph from the lowered registers
+and keeps that program on the new root, which is therefore never walked;
+emit_slp returns it, a CompiledProgram, which lists itself as
 single-assignment instructions ("t3 = sub t0 t2" lines, min and max
 included) only when asked; compile_to_pyfunc hands it as it is to the
 active kernel backend, which checks it once and returns a callable for
@@ -87,7 +89,7 @@ class Expr:
     constant value) and child nodes. Nodes are interned, so structurally
     equal nodes are the same object and compare by identity."""
 
-    __slots__ = ("kind", "payload", "children", "_program", "_metrics", "__weakref__")
+    __slots__ = ("kind", "payload", "children", "_program", "__weakref__")
 
     def __new__(cls, kind, payload=None, children=()):
         arity = _ARITY.get(kind)
@@ -210,8 +212,28 @@ def cse(expr: Expr) -> tuple[Expr, ExprMetrics]:
 
 
 def metrics_of(expr: Expr) -> ExprMetrics:
-    _program_of(expr)
-    return expr._metrics
+    """Tree size, graph size and depth, read off the root's program in
+    one pass over its code: a temp's tree size and depth follow from its
+    operands', and the graph's nodes are its temps, its constants and
+    the variables it reads."""
+    program = _program_of(expr)
+    code = program.code
+    n_vars = program.n_vars
+    base = n_vars + len(program.consts)
+    tree = []  # temp k -> (tree size, depth), by offset from base
+    it = iter(code)
+    for op, a, b in zip(it, it, it):
+        ta, da = tree[a - base] if a >= base else (1, 1)
+        if op in _UNARY_OPS:
+            tree.append((1 + ta, 1 + da))
+        else:
+            tb, db = tree[b - base] if b >= base else (1, 1)
+            tree.append((1 + ta + tb, 1 + (da if da > db else db)))
+    r = program.result
+    size, depth = tree[r - base] if r >= base else (1, 1)
+    # A unary op names its operand twice, so b adds no variable.
+    n_read = len({x for x in (*code[1::3], *code[2::3], r) if x < n_vars})
+    return ExprMetrics(size, n_read + len(program.consts) + len(tree), depth)
 
 
 def _fill_levels(n, rank, atom, step, fold):
@@ -284,29 +306,74 @@ def lower_minmax_to_arith(expr: Expr) -> Expr:
     ((a + b) + |a - b|)/2. Expressions without min/max come back as the
     same object.
 
-    The graph is rebuilt from the root's program, one lowered node per
-    register: interning makes every unchanged subgraph its old node.
+    The root's program is lowered first (see _lower_program), and the new
+    graph is built from the lowered program, one node per register in
+    register order: interning makes every unchanged subgraph its old node.
+    The lowered program is kept on the new root, so it is never walked.
     """
-    if not contains_minmax(expr):
-        return expr
     program = _program_of(expr)
-    code = program.code
-    n_vars = program.n_vars
+    lowered = _lower_program(program)
+    if lowered is program:
+        return expr
+    code = lowered.code
+    n_vars = lowered.n_vars
     # Only the variables the program reads get a register entry.
     reg = {r: var(r + 1) for r in {*code[1::3], *code[2::3]} if r < n_vars}
-    reg.update(enumerate(map(const, program.consts), n_vars))
+    reg.update(enumerate(map(const, lowered.consts), n_vars))
     it = iter(code)
-    for dest, op, a, b in zip(count(n_vars + len(program.consts)), it, it, it):
-        x = reg[a]
-        y = reg[b]
-        if op in _MINMAX_OPS:
-            spread = _op("abs", _op("sub", x, y))
-            reg[dest] = _op("halve", _op("sub" if op == _MIN else "add", _op("add", x, y), spread))
-        elif op in _UNARY_OPS:
-            reg[dest] = _op(SLP_OPS[op], x)
+    for dest, op, a, b in zip(count(n_vars + len(lowered.consts)), it, it, it):
+        if op in _UNARY_OPS:
+            reg[dest] = _op(SLP_OPS[op], reg[a])
         else:
-            reg[dest] = _op(SLP_OPS[op], x, y)
-    return reg[program.result]
+            reg[dest] = _op(SLP_OPS[op], reg[a], reg[b])
+    root = reg[lowered.result]
+    if root._program is None:
+        root._program = lowered
+    return root
+
+
+def _lower_program(program: CompiledProgram) -> CompiledProgram:
+    """The program of the lowered graph, rewritten from a graph's program
+    without building a node; a program without min/max comes back as is.
+
+    Each min/max register becomes the triples add(a, b), sub(a, b), abs,
+    then sub (min) or add (max) of the two, then halve: the lowered
+    graph's left-first postorder. Equal triples share one register, as
+    interning shares equal nodes, so the result is, register for
+    register, the program _build_program gives the lowered graph.
+    """
+    code = program.code
+    if _MINMAX_OPS.isdisjoint(code[::3]):
+        return program
+    base = program.n_vars + len(program.consts)
+    temps = []  # old temp k -> its register in the lowered program
+    regs = {}  # (op, a, b) -> register, for every lowered triple
+    out = []
+
+    def emit(*triple):
+        r = regs.get(triple)
+        if r is None:
+            r = regs[triple] = base + len(regs)
+            out.extend(triple)
+        return r
+
+    it = iter(code)
+    for op, a, b in zip(it, it, it):
+        if a >= base:
+            a = temps[a - base]
+        if b >= base:
+            b = temps[b - base]
+        if op in _MINMAX_OPS:
+            total = emit(_ADD, a, b)
+            diff = emit(_SUB, a, b)
+            spread = emit(_ABS, diff, diff)
+            mid = emit(_SUB if op == _MIN else _ADD, total, spread)
+            temps.append(emit(_HALVE, mid, mid))
+        else:
+            temps.append(emit(op, a, b))
+    r = program.result
+    return _fill(object.__new__(CompiledProgram), program.n_vars, program.consts,
+                 tuple(out), r if r < base else temps[r - base])
 
 
 def eval_expr(expr: Expr, assignment) -> float:
@@ -616,13 +683,12 @@ _OPCODE = {op: code for code, op in enumerate(SLP_OPS)}
 _UNARY_OPS = {_OPCODE["abs"], _OPCODE["halve"]}
 _MINMAX_OPS = {_OPCODE["min"], _OPCODE["max"]}
 _CHAIN_OPS = {_OPCODE["add"], _OPCODE["sub"]}
-_ABS = _OPCODE["abs"]
-_MIN = _OPCODE["min"]
+_ADD, _SUB, _ABS, _HALVE, _MIN = map(_OPCODE.get, ("add", "sub", "abs", "halve", "min"))
 
 
 def _program_of(expr: Expr) -> CompiledProgram:
     """The root's program, built by one walk the first time it is asked
-    for and kept on the root with its metrics: interned nodes never change."""
+    for and kept on the root: interned nodes never change."""
     program = expr._program
     if program is None:
         program = expr._program = _build_program(expr)
@@ -632,11 +698,10 @@ def _program_of(expr: Expr) -> CompiledProgram:
 def _build_program(root: Expr) -> CompiledProgram:
     # One register per distinct node, so -0.0 and 0.0 stay apart; temps in
     # postorder, left subtree first. Only numbers, so it keeps no graph alive.
-    # A node is finished once its children are, left child first, and its
-    # tree size and depth are known at that point.
+    # A node is finished once its children are, left child first.
     # Operand registers wait until the walk has counted variables and
     # constants, which come first in the register file.
-    size = {}  # node -> (tree nodes, depth) of every finished node
+    done = set()
     reg = {}  # node -> register of every variable and operation node
     const_nodes = []
     ops = []
@@ -646,37 +711,27 @@ def _build_program(root: Expr) -> CompiledProgram:
     pop = stack.pop
     while stack:
         node = stack[-1]
-        if node in size:
+        if node in done:
             pop()
             continue
         kids = node.children
-        if len(kids) == 2:
-            a, b = kids
-            sa = size.get(a)
-            sb = size.get(b)
-            if sa is None or sb is None:
-                if sb is None:
+        if kids:
+            a = kids[0]
+            b = kids[-1]
+            if a not in done or b not in done:
+                if b not in done:
                     push(b)
-                if sa is None:
+                if a not in done:
                     push(a)
                 continue
-            size[node] = (1 + sa[0] + sb[0], 1 + (sa[1] if sa[1] > sb[1] else sb[1]))
             ops.append(node)
-        elif kids:
-            sa = size.get(kids[0])
-            if sa is None:
-                push(kids[0])
-                continue
-            size[node] = (1 + sa[0], 1 + sa[1])
-            ops.append(node)
+        elif node.kind == "var":
+            reg[node] = node.payload - 1
+            if node.payload > n_vars:
+                n_vars = node.payload
         else:
-            size[node] = (1, 1)
-            if node.kind == "var":
-                reg[node] = node.payload - 1
-                if node.payload > n_vars:
-                    n_vars = node.payload
-            else:
-                const_nodes.append(node)
+            const_nodes.append(node)
+        done.add(node)
         pop()
     for i, node in enumerate(const_nodes, n_vars):
         reg[node] = i
@@ -685,8 +740,6 @@ def _build_program(root: Expr) -> CompiledProgram:
         kids = node.children
         code += (_OPCODE[node.kind], reg[kids[0]], reg[kids[-1]])
         reg[node] = dest
-    tree, depth = size[root]
-    root._metrics = ExprMetrics(tree, len(size), depth)
     # Well formed by construction, so the constructor's check is skipped.
     return _fill(object.__new__(CompiledProgram), n_vars,
                  tuple([node.payload for node in const_nodes]), tuple(code), reg[root])
@@ -740,6 +793,10 @@ def compile_to_pyfunc(expr: Expr):
     returns a float; a missing or non-finite input, or a non-finite
     intermediate, raises ExprError, as eval_expr does.
     """
-    program = _program_of(expr)
+    return _compile_program(_program_of(expr))
+
+
+def _compile_program(program: CompiledProgram):
+    """The active backend's callable for a checked program."""
     return _backend.kernels().compile_slp(program.n_vars, program.consts,
                                           array("i", program.code), program.result)

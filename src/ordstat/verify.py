@@ -16,6 +16,9 @@ of the input values). Arithmetic-form checks use an input-scale tolerance:
 Each suite call resolves the selection budget (ORDSTAT_BUDGET) once, for
 its selections and formula builds alike, and validates each sequence
 once, as a RealSequence that every selector of that sequence reuses.
+It builds the minmax formula of each (length, rank) once and keeps its
+packed program; the arithmetic form is that program lowered
+(expr._lower_program) and compiled, so no arithmetic graph is built.
 exhaustive_verify selects all ranks of one mode in one select_ranks call,
 so under a budget too small for the plan the naive ranks of a sequence
 are all checked before any memo rank.
@@ -35,7 +38,7 @@ import random
 
 from ._record import FrozenRecord, slot_setters
 from .errors import BudgetError
-from .expr import build_selection_expr, compile_to_pyfunc
+from .expr import _compile_program, _lower_program, _program_of, build_selection_expr
 from .selection import (
     RealSequence,
     _check_rank,
@@ -167,10 +170,20 @@ def _oracle_median(seq) -> float:
 
 
 def _formulas(limit):
-    """Compiled minmax/arithmetic evaluators, built once per (length, rank,
-    form) under the suite's resolved budget."""
-    return functools.cache(lambda length, rank, form: compile_to_pyfunc(
-        build_selection_expr(length, rank, form, budget=limit)))
+    """Compiled minmax/arithmetic evaluators, one per (length, rank, form),
+    for one suite call. Each (length, rank) builds its minmax formula once,
+    under the suite's resolved budget, and keeps only its program; the
+    arithmetic form is that program lowered, so no arithmetic node is
+    built."""
+    program = functools.cache(lambda length, rank: _program_of(
+        build_selection_expr(length, rank, "minmax", budget=limit)))
+
+    @functools.cache
+    def formula(length, rank, form):
+        minmax = program(length, rank)
+        return _compile_program(minmax if form == "minmax" else _lower_program(minmax))
+
+    return formula
 
 
 def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False,

@@ -1,12 +1,14 @@
 import importlib
 import inspect
 import sys
+from array import array
 
 import pytest
 
 import ordstat
 from ordstat import _backend
 from ordstat._backend import available_backends, get_kernels
+from ordstat.expr import CompiledProgram
 
 
 def test_compiled_kernels_built(compiled_build_error):
@@ -40,6 +42,38 @@ def test_kernels_refuse_rank_out_of_range(backend):
         for values, rank in (((), 1), ((1.0, 2.0), 3), ((1.0, 2.0), 0)):
             with pytest.raises(ValueError, match=message):
                 entry(values, rank)
+
+
+HUGE = (10**30, -10**30, 2**63)
+
+
+@pytest.mark.parametrize("value", HUGE, ids=["1e30", "-1e30", "2**63"])
+def test_twins_refuse_integers_past_c(backend, value):
+    # An integer no C type holds gets the error its value calls for, the
+    # same on both backends, not a conversion error from the C twin.
+    kern = get_kernels(backend)
+    for entry in (kern.select_naive, kern.select_memo, kern.select_fullrange):
+        with pytest.raises(ValueError, match=f"^rank {value} out of range 1..2$"):
+            entry((1.0, 2.0), value)
+    code = array("i", [0, 0, 0])
+    if value > 0:
+        with pytest.raises(OverflowError, match="^cannot fit 'int' into an index-sized integer$"):
+            kern.compile_slp(value, [], code, 1)
+    else:
+        with pytest.raises(ValueError, match=f"^n_vars must not be negative, got {value}$"):
+            kern.compile_slp(value, [], code, 1)
+    with pytest.raises(ValueError, match=f"^result register {value} out of range 0..1$"):
+        kern.compile_slp(1, [], code, value)
+
+
+@pytest.mark.parametrize("value", HUGE, ids=["1e30", "-1e30", "2**63"])
+def test_program_refuses_integers_past_c(value):
+    # CompiledProgram checks as compile_slp does.
+    error = OverflowError if value > 0 else ValueError
+    with pytest.raises(error):
+        CompiledProgram(value, (), (0, 0, 0), 1)
+    with pytest.raises(ValueError, match="result register"):
+        CompiledProgram(1, (), (0, 0, 0), value)
 
 
 class I:

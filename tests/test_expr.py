@@ -142,6 +142,7 @@ class TestInterning:
     def test_one_walk_per_root(self, monkeypatch):
         # Every reader of a graph reads the root's program, so each root is
         # walked once, by the first reader, however many readers follow.
+        # The lowered root gets its program from the lowering: no walk.
         walks = []
         real = expr_module._build_program
         monkeypatch.setattr(expr_module, "_build_program", lambda r: walks.append(r) or real(r))
@@ -159,7 +160,7 @@ class TestInterning:
             assert [o.emit_text(root, syntax) for syntax in ("infix", "sexpr")] == texts
             assert o.emit_slp(root).to_text() == first
             assert o.eval_expr(root, dict(enumerate(xs, 1))) == fn(xs) == 4.0
-        assert [id(r) for r in walks] == [id(tree), id(arith)]
+        assert [id(r) for r in walks] == [id(tree)]
 
     def test_negative_zero_constant_keeps_its_sign(self):
         zero = o.const(0.0)
@@ -231,7 +232,102 @@ class TestBuildSelection:
             assert fn(xs) == o.select_naive(rank, xs)
 
 
+def fields(program):
+    """A program's fields, constants with their signs."""
+    return (program.n_vars, [(v, math.copysign(1.0, v)) for v in program.consts],
+            program.code, program.result)
+
+
+def reference_lowering(root):
+    """The lowered graph, node by node from the root down, without any
+    program: min(a, b) -> ((a + b) - |a - b|)/2, max alike with +."""
+    @functools.cache
+    def low(node):
+        kids = [low(kid) for kid in node.children]
+        if node.kind in ("min", "max"):
+            a, b = kids
+            join = o.sub if node.kind == "min" else o.add
+            return o.halve(join(o.add(a, b), o.abs_of(o.sub(a, b))))
+        return Expr(node.kind, node.payload, kids)
+    return low(root)
+
+
+def reference_metrics(root):
+    """Tree size, distinct nodes and depth, counted on the nodes."""
+    @functools.cache
+    def size(node):
+        return 1 + sum(size(kid) for kid in node.children)
+
+    @functools.cache
+    def depth(node):
+        return 1 + max(map(depth, node.children), default=0)
+
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(node.children)
+    return o.ExprMetrics(size(root), len(seen), depth(root))
+
+
+def mixed_graph(rng, pre_lower):
+    """A random graph over min/max and the arithmetic ops, with signed
+    zeros, a variable index past 32 bits and shared subgraphs. With
+    `pre_lower`, lowered forms of some of its min/max nodes, and their
+    parts, are built into it before anything is lowered."""
+    pool = [o.var(i) for i in rng.sample([1, 2, 3, 2**40], 2)]
+    pool += [o.const(v) for v in rng.sample([0.0, -0.0, 1.5, -2.0], 2)]
+    for _ in range(rng.randint(1, 10)):
+        kind = rng.choice(SLP_OPS)
+        kids = [rng.choice(pool) for _ in range(1 if kind in ("abs", "halve") else 2)]
+        node = Expr(kind, None, kids)
+        pool.append(node)
+        if pre_lower and kind in ("min", "max") and rng.random() < 0.5:
+            pool.append(rng.choice([reference_lowering(node), o.sub(*kids), o.add(*kids)]))
+    return pool[-1]
+
+
 class TestLowering:
+    def test_lowered_program_is_the_lowered_graphs(self):
+        # _lower_program gives, register for register, the program a walk
+        # of the lowered graph gives, and the root it keeps is measured
+        # as a count on its nodes is.
+        shapes = [o.build_selection_expr(n, r) for n in range(1, 10) for r in range(1, n + 1)]
+        rng = random.Random(53)
+        shapes += [mixed_graph(rng, pre_lower=i % 2) for i in range(3000)]
+        for e in shapes:
+            lowered = expr_module._lower_program(expr_module._program_of(e))
+            low = o.lower_minmax_to_arith(e)
+            assert low is reference_lowering(e)
+            built = expr_module._build_program(low)
+            assert fields(lowered) == fields(built), o.emit_text(e)
+            assert o.metrics_of(low) == reference_metrics(low), o.emit_text(e)
+            assert o.metrics_of(e) == reference_metrics(e), o.emit_text(e)
+            assert o.emit_slp(low) == built
+
+    def test_lowering_after_its_parts_were_built(self):
+        # The lowered graph of min(x1, x2) exists before the lowering, so
+        # the two min/max nodes below lower to one register each.
+        pre = min2_arith()
+        e = o.max_of(o.min_of(x1, x2), o.add(pre, o.sub(x1, x2)))
+        lowered = expr_module._lower_program(expr_module._program_of(e))
+        assert lowered.to_text() == (
+            "t0 = add x1 x2\n"
+            "t1 = sub x1 x2\n"
+            "t2 = abs t1\n"
+            "t3 = sub t0 t2\n"
+            "t4 = halve t3\n"
+            "t5 = add t4 t1\n"
+            "t6 = add t4 t5\n"
+            "t7 = sub t4 t5\n"
+            "t8 = abs t7\n"
+            "t9 = add t6 t8\n"
+            "t10 = halve t9\n"
+            "result t10")
+        assert fields(lowered) == fields(expr_module._build_program(o.lower_minmax_to_arith(e)))
+
     def test_min_pair_shape(self):
         assert o.lower_minmax_to_arith(o.min_of(x1, x2)) == min2_arith()
 
@@ -677,6 +773,26 @@ class TestCompiledFormulas:
                 fn = o.compile_to_pyfunc(o.build_selection_expr(n_vars, rank, form))
                 inputs, want = interpreted(n_vars, rank, form)
                 assert [bits(fn(xs)) for xs in inputs] == want, (rank, form)
+
+    def test_verify_compiles_the_arithmetic_programs(self, backend, monkeypatch):
+        # random_verify lowers its minmax programs without building a
+        # graph; what it hands the backend is, key for key, emit_slp of
+        # the formulas build_selection_expr builds.
+        kernels = get_kernels(backend)
+        compile_slp = kernels.compile_slp
+        calls = []
+
+        def record(n_vars, consts, code, result):
+            calls.append(o.CompiledProgram(n_vars, tuple(consts), tuple(code), result))
+            return compile_slp(n_vars, consts, code, result)
+
+        monkeypatch.setattr(kernels, "compile_slp", record)
+        assert o.random_verify(o.VerifyPlan(max_n=8, random_trials=1000, seed=5)).ok
+        want = {o.emit_slp(o.build_selection_expr(length, rank, form))
+                for length in range(1, 9) for rank in range(1, length + 1)
+                for form in ("minmax", "arithmetic")}
+        # Every (length, rank) once per form; x1 is both forms of length 1.
+        assert len(calls) == 2 * 36 and set(calls) == want and len(want) == 71
 
     def test_negative_zero_constant_keeps_its_sign(self, backend):
         fn = o.compile_to_pyfunc(o.add(x1, o.const(-0.0)))
