@@ -295,25 +295,35 @@ static PyMethodDef run_slp_def = {
     "non-finite input, or a non-finite intermediate, raises ExprError.",
 };
 
-/* Copies and checks (n_vars, consts, code, result). Instruction k writes
- * register n_vars + n_consts + k and may read only registers below it, so
- * a program that passes never reads outside its register file. */
+/* Copies and checks (n_vars, consts, code, result), in _check_slp's order,
+ * so a program with several faults gets the error _pykernels.compile_slp
+ * raises. Instruction k writes register n_vars + n_consts + k and may read
+ * only registers below it, so a program that passes never reads outside
+ * its register file. */
 static Slp *
 slp_new(PyObject *const *args)
 {
     Py_ssize_t n_vars, n_consts, n_ins, base, result, k, dest;
-    PyObject *n_obj, *result_obj = NULL, *pool = NULL;
-    Py_buffer view;
+    PyObject *view_obj, *n_obj = NULL, *result_obj = NULL, *pool = NULL;
+    Py_buffer *view;
     Slp *p = NULL;
     const int *c;
-    double v;
 
+    view_obj = PyMemoryView_FromObject(args[2]);
+    if (view_obj == NULL)
+        return NULL;
+    view = PyMemoryView_GET_BUFFER(view_obj);
+    if (view->ndim != 1 || view->itemsize != sizeof(int)
+            || strcmp(view->format, "i") != 0) {
+        PyErr_SetString(PyExc_ValueError, "code must be an array('i')");
+        goto done;
+    }
     /* Past Py_ssize_t, n_vars and result clamp to its bounds, and the
      * checks below refuse them by value, however large, as _check_slp
      * does; only an n_vars past PY_SSIZE_T_MAX overflows. */
     n_obj = PyNumber_Index(args[0]);
     if (n_obj == NULL)
-        return NULL;
+        goto done;
     n_vars = PyNumber_AsSsize_t(n_obj, NULL);
     if (n_vars == PY_SSIZE_T_MAX)
         n_vars = PyNumber_AsSsize_t(n_obj, PyExc_OverflowError);
@@ -326,22 +336,37 @@ slp_new(PyObject *const *args)
     pool = PySequence_Tuple(args[1]);
     if (pool == NULL)
         goto done;
-    if (PyObject_GetBuffer(args[2], &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        goto done;
     n_consts = PyTuple_GET_SIZE(pool);
-    if (view.itemsize != sizeof(int) || view.format == NULL
-            || strcmp(view.format, "i") != 0) {
-        PyErr_SetString(PyExc_ValueError, "code must be an array('i')");
-        goto fail;
+    p = PyMem_Malloc(sizeof(Slp) + (size_t)n_consts * sizeof(double) + (size_t)view->len);
+    if (p == NULL) {
+        PyErr_NoMemory();
+        goto done;
     }
-    if (view.len % (3 * sizeof(int)) != 0) {
+    p->pool = (double *)(p + 1);
+    p->code = (int *)(p->pool + n_consts);
+    for (k = 0; k < n_consts; k++) {
+        p->pool[k] = PyFloat_AsDouble(PyTuple_GET_ITEM(pool, k));
+        if (p->pool[k] == -1.0 && PyErr_Occurred())
+            goto fail;
+    }
+    /* Read after the constants, as _check_slp reads it; a sliced
+     * memoryview is strided, and this copies any layout in order. */
+    if (PyBuffer_ToContiguous(p->code, view, view->len, 'C') < 0)
+        goto fail;
+    if (view->shape[0] % 3 != 0) {
         PyErr_SetString(PyExc_ValueError, "code must hold (op, a, b) triples");
         goto fail;
     }
-    n_ins = view.len / (Py_ssize_t)(3 * sizeof(int));
+    n_ins = view->shape[0] / 3;
     if (n_vars < 0) {
         PyErr_Format(PyExc_ValueError, "n_vars must not be negative, got %S", n_obj);
         goto fail;
+    }
+    for (k = 0; k < n_consts; k++) {
+        if (!isfinite(p->pool[k])) {
+            PyErr_Format(PyExc_ValueError, "constant %zd is not finite", k);
+            goto fail;
+        }
     }
     if (n_vars > INT_MAX || n_consts > INT_MAX - n_vars
             || n_ins > INT_MAX - n_vars - n_consts) {
@@ -354,28 +379,6 @@ slp_new(PyObject *const *args)
                      result_obj, base + n_ins - 1);
         goto fail;
     }
-    p = PyMem_Malloc(sizeof(Slp) + (size_t)n_consts * sizeof(double) + (size_t)view.len);
-    if (p == NULL) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    p->n_vars = n_vars;
-    p->n_consts = n_consts;
-    p->n_ins = n_ins;
-    p->result = result;
-    p->pool = (double *)(p + 1);
-    p->code = (int *)(p->pool + n_consts);
-    for (k = 0; k < n_consts; k++) {
-        v = PyFloat_AsDouble(PyTuple_GET_ITEM(pool, k));
-        if (v == -1.0 && PyErr_Occurred())
-            goto fail;
-        if (!isfinite(v)) {
-            PyErr_Format(PyExc_ValueError, "constant %zd is not finite", k);
-            goto fail;
-        }
-        p->pool[k] = v;
-    }
-    memcpy(p->code, view.buf, (size_t)view.len);
     for (k = 0, c = p->code; k < n_ins; k++, c += 3) {
         dest = base + k;
         if (c[0] < 0 || c[0] >= N_OPS) {
@@ -388,14 +391,17 @@ slp_new(PyObject *const *args)
             goto fail;
         }
     }
-    PyBuffer_Release(&view);
+    p->n_vars = n_vars;
+    p->n_consts = n_consts;
+    p->n_ins = n_ins;
+    p->result = result;
     goto done;
 fail:
     PyMem_Free(p);
     p = NULL;
-    PyBuffer_Release(&view);
 done:
-    Py_DECREF(n_obj);
+    Py_DECREF(view_obj);
+    Py_XDECREF(n_obj);
     Py_XDECREF(result_obj);
     Py_XDECREF(pool);
     return p;

@@ -21,10 +21,6 @@ share. min distributes over that maximum, so _leaf_max folds it in one
 pass over the reversed values without building a leaf: N * min(K, rank)
 steps, K = N - rank + 1. select_memo reads the three counters off the
 level sizes the memoized recursion would fill.
-expr._fill_levels builds the leaves themselves from variables, with
-_leaves, and folds them level by level into a formula. `atom` names the
-value of one position (a float or a variable), and `step` one step of
-the left fold over a leaf's atoms (a minimum, or min_of).
 
 compile_slp turns a packed straight-line program into a callable. Both
 twins check the program once, here with _check_slp, which also checks
@@ -38,34 +34,9 @@ tested against, as the select_* functions here are for its kernels.
 import math
 import operator
 import sys
-from itertools import count, repeat
+from itertools import count
 
 from .errors import ExprError
-
-
-def _leaves(n, keep, atom, step):
-    """The left folds step(...step(atom(c_0), atom(c_1))..., atom(c_{K-1}))
-    over every K-subset c_0 < ... < c_{K-1} of range(n), K = keep >= 1, as
-    a list in colex order (ascending largest member, then the rest alike).
-
-    The list is built from prefixes, one member more per pass: in colex
-    order the k-subsets with largest member t follow those of range(t), and
-    they are the first C(t, k - 1) values of the pass below, the
-    (k - 1)-subsets of range(t), each with t added. So each value is one
-    `step` away from a value of the pass below. Pass k holds the k-subsets
-    of range(n - keep + k), the k-member prefixes of the last pass, and all
-    passes take about C(n + 1, K) steps where one left fold per subset
-    would take C(n, K) * K.
-    """
-    lead = n - keep + 1
-    values = [atom(i) for i in range(lead)]
-    for k in range(2, keep + 1):
-        below = values
-        values = []
-        for t in range(k - 1, lead + k - 1):
-            width = math.comb(t, k - 1)
-            values += map(step, below[:width], repeat(atom(t), width))
-    return values
 
 
 def _checked(values, rank):
@@ -166,14 +137,18 @@ def compile_slp(n_vars, consts, code, result):
     lie below it; f returns register `result`. f converts values[0..n_vars)
     with float() and raises ExprError when one is missing or not finite,
     or when an instruction's value is not finite. A malformed program
-    raises ValueError here, before anything runs; an n_vars or result that
-    is no integer, or a constant that is no number, raises TypeError, and
-    an n_vars past sys.maxsize raises OverflowError.
+    raises ValueError here, before anything runs, as does one with more
+    than 2**31 - 1 registers, which C ints cannot number; code that is no
+    buffer, an n_vars or result that is no integer, or a constant that is
+    no number, raises TypeError, and an n_vars past sys.maxsize raises
+    OverflowError. The checks run in one order, the C twin's too, so a
+    program with several faults gets the same error from both: the code
+    buffer and its format, then _check_slp's.
     """
     view = memoryview(code)
     if view.format != "i" or view.ndim != 1:
         raise ValueError("code must be an array('i')")
-    n_vars, consts, code, result = _check_slp(n_vars, consts, view.tolist(), result)
+    n_vars, consts, code, result = _check_slp(n_vars, consts, view, result, _MAX_REGS)
     base = n_vars + len(consts)
     tail = list(consts) + [None] * (len(code) // 3)
 
@@ -183,14 +158,20 @@ def compile_slp(n_vars, consts, code, result):
     return formula
 
 
-def _check_slp(n_vars, consts, code, result):
+# The most registers the C twin numbers: its code holds C ints.
+_MAX_REGS = 2**31 - 1
+
+
+def _check_slp(n_vars, consts, code, result, max_regs=math.inf):
     """(n_vars, consts, code, result) as (int, floats, ints, int), `code` any
-    iterable; raises compile_slp's errors for a malformed program."""
+    iterable; raises compile_slp's errors for a malformed program, the
+    first fault in the order of the checks below."""
     n_vars = operator.index(n_vars)
     if n_vars > sys.maxsize:  # as the C twin's Py_ssize_t overflows
         raise OverflowError("cannot fit 'int' into an index-sized integer")
     result = operator.index(result)
-    consts = tuple([_real(v) for v in consts])
+    # All read before any is converted, as the C twin's PySequence_Tuple.
+    consts = tuple([_real(v) for v in tuple(consts)])
     code = tuple(map(operator.index, code))
     if len(code) % 3:
         raise ValueError("code must hold (op, a, b) triples")
@@ -201,6 +182,8 @@ def _check_slp(n_vars, consts, code, result):
             raise ValueError(f"constant {k} is not finite")
     base = n_vars + len(consts)
     n_regs = base + len(code) // 3
+    if n_regs > max_regs:
+        raise ValueError("too many registers")
     if not 0 <= result < n_regs:
         raise ValueError(f"result register {result} out of range 0..{n_regs - 1}")
     it = iter(code)

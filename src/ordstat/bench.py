@@ -18,7 +18,7 @@ import random
 import time
 
 from ._backend import available_backends, get_kernels
-from ._record import FrozenRecord, slot_setters
+from ._record import FrozenRecord
 from .errors import OrdstatError
 from .expr import build_selection_expr, compile_to_pyfunc, cse
 from .selection import (
@@ -42,18 +42,8 @@ class BenchRecord(FrozenRecord):
 
     def __init__(self, N: int, n: int, mode: str, base_case_calls: int, memo_hits: int,
                  tree_nodes: int, dag_nodes: int, wall_time_s: float):
-        _set_N(self, N)
-        _set_n(self, n)
-        _set_mode(self, mode)
-        _set_base_case_calls(self, base_case_calls)
-        _set_memo_hits(self, memo_hits)
-        _set_tree_nodes(self, tree_nodes)
-        _set_dag_nodes(self, dag_nodes)
-        _set_wall_time_s(self, wall_time_s)
-
-
-(_set_N, _set_n, _set_mode, _set_base_case_calls, _set_memo_hits, _set_tree_nodes,
- _set_dag_nodes, _set_wall_time_s) = slot_setters(BenchRecord)
+        self._store(N, n, mode, base_case_calls, memo_hits, tree_nodes, dag_nodes,
+                    wall_time_s)
 
 
 def _format_seconds(t: float) -> str:
@@ -86,8 +76,8 @@ def _median_time(fn, repeats: int) -> float:
     return _oracle_median(times)
 
 
-def _fixed_sequence(length: int, seed: int = 0):
-    rng = random.Random((seed << 8) ^ length)
+def _fixed_sequence(length: int):
+    rng = random.Random(length)
     return tuple(float(rng.randint(-10 ** 6, 10 ** 6)) for _ in range(length))
 
 
@@ -200,8 +190,7 @@ def compare_wallclock(length: int, trials: int, seed: int = 0, *,
     ]
 
 
-def backend_table(length: int, rank: int, *, repeats: int = 5, seed: int = 0,
-                  budget: int | None = None):
+def backend_table(length: int, rank: int, *, repeats: int = 5, budget: int | None = None):
     """Time the naive and memoized kernels of every available backend
     (pure Python, and the compiled extension when built) on one input.
 
@@ -209,7 +198,7 @@ def backend_table(length: int, rank: int, *, repeats: int = 5, seed: int = 0,
     must agree exactly on the result.
     """
     _check_naive_budget(length, rank, resolve_budget(budget))
-    values = _fixed_sequence(length, seed)
+    values = _fixed_sequence(length)
     expected = oracle_select(rank, values)
     records = []
     for name in available_backends():

@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=None,
                    help="rank for --backends (default: middle)")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="random seed for --compare")
     p.add_argument("--repeats", type=int, default=3,
                    help="timing repetitions; 0 skips timing for byte-stable "
                         "output")

@@ -46,11 +46,11 @@ import weakref
 from array import array
 from collections.abc import Mapping
 from functools import reduce
-from itertools import combinations, count
+from itertools import combinations, count, repeat
 
 from . import _backend
-from ._pykernels import SLP_OPS, _check_slp, _leaves, _run_slp
-from ._record import FrozenRecord, slot_setters
+from ._pykernels import SLP_OPS, _check_slp, _run_slp
+from ._record import FrozenRecord
 from .errors import ExprError, SequenceError, TextParseError
 from .selection import _check_formula_budget, _check_rank, _integral, resolve_budget
 
@@ -193,12 +193,7 @@ class ExprMetrics(FrozenRecord):
     __slots__ = ("node_count_tree", "node_count_dag", "depth")
 
     def __init__(self, node_count_tree: int, node_count_dag: int, depth: int):
-        _set_tree(self, node_count_tree)
-        _set_dag(self, node_count_dag)
-        _set_depth(self, depth)
-
-
-_set_tree, _set_dag, _set_depth = slot_setters(ExprMetrics)
+        self._store(node_count_tree, node_count_dag, depth)
 
 
 def cse(expr: Expr) -> tuple[Expr, ExprMetrics]:
@@ -236,6 +231,31 @@ def metrics_of(expr: Expr) -> ExprMetrics:
     return ExprMetrics(size, n_read + len(program.consts) + len(tree), depth)
 
 
+def _leaves(n, keep, atom, step):
+    """The left folds step(...step(atom(c_0), atom(c_1))..., atom(c_{K-1}))
+    over every K-subset c_0 < ... < c_{K-1} of range(n), K = keep >= 1, as
+    a list in colex order (ascending largest member, then the rest alike).
+
+    The list is built from prefixes, one member more per pass: in colex
+    order the k-subsets with largest member t follow those of range(t), and
+    they are the first C(t, k - 1) values of the pass below, the
+    (k - 1)-subsets of range(t), each with t added. So each value is one
+    `step` away from a value of the pass below. Pass k holds the k-subsets
+    of range(n - keep + k), the k-member prefixes of the last pass, and all
+    passes take about C(n + 1, K) steps where one left fold per subset
+    would take C(n, K) * K.
+    """
+    lead = n - keep + 1
+    values = [atom(i) for i in range(lead)]
+    for k in range(2, keep + 1):
+        below = values
+        values = []
+        for t in range(k - 1, lead + k - 1):
+            width = math.comb(t, k - 1)
+            values += map(step, below[:width], repeat(atom(t), width))
+    return values
+
+
 def _fill_levels(n, rank, atom, step, fold):
     """Evaluate the rank-`rank` elimination recursion over positions
     0..n-1 bottom-up, deepest level first, and return its root.
@@ -252,7 +272,10 @@ def _fill_levels(n, rank, atom, step, fold):
     The deepest level (p = n) maps S = {c_0 < ... < c_{K-1}}, K = R - 1,
     to the left fold step(...step(atom(c_0), atom(c_1))..., atom(c_{K-1})).
     _leaves builds those folds from shared prefixes, and the bitmasks
-    too, with OR as the step.
+    too, with OR as the step. `atom` names the value of one position (a
+    variable, for a formula), `step` one step of the left fold over a
+    leaf's atoms (min_of), and `fold` a level's fold over its children
+    (a max chain).
     """
     keep = n - rank + 1
     bit = [1 << i for i in range(n)]
@@ -372,8 +395,8 @@ def _lower_program(program: CompiledProgram) -> CompiledProgram:
         else:
             temps.append(emit(op, a, b))
     r = program.result
-    return _fill(object.__new__(CompiledProgram), program.n_vars, program.consts,
-                 tuple(out), r if r < base else temps[r - base])
+    return CompiledProgram._make(program.n_vars, program.consts, tuple(out),
+                                 r if r < base else temps[r - base])
 
 
 def eval_expr(expr: Expr, assignment) -> float:
@@ -598,12 +621,7 @@ class SlpInstruction(FrozenRecord):
     __slots__ = ("dest", "op", "args")
 
     def __init__(self, dest: int, op: str, args: tuple):
-        _set_dest(self, dest)
-        _set_op(self, op)
-        _set_args(self, args)
-
-
-_set_dest, _set_op, _set_args = slot_setters(SlpInstruction)
+        self._store(dest, op, args)
 
 
 class CompiledProgram(FrozenRecord):
@@ -617,7 +635,7 @@ class CompiledProgram(FrozenRecord):
     __slots__ = ("n_vars", "consts", "code", "result")
 
     def __init__(self, n_vars: int, consts: tuple, code: tuple, result: int):
-        _fill(self, *_check_slp(n_vars, consts, code, result))
+        self._store(*_check_slp(n_vars, consts, code, result))
 
     # Equal programs return equal bits: constants compare by sign too, so
     # the programs of x1 + 0.0 and x1 + -0.0, which differ at x1 = -0.0,
@@ -659,15 +677,6 @@ class CompiledProgram(FrozenRecord):
             refs.append(("t", dest))
         r = self.result
         return lines, ("x", r + 1) if r < n_vars else refs[r - n_vars]
-
-
-_PROGRAM_SETTERS = slot_setters(CompiledProgram)
-
-
-def _fill(program, *fields):
-    for setter, value in zip(_PROGRAM_SETTERS, fields):
-        setter(program, value)
-    return program
 
 
 def _ref_text(ref) -> str:
@@ -741,8 +750,8 @@ def _build_program(root: Expr) -> CompiledProgram:
         code += (_OPCODE[node.kind], reg[kids[0]], reg[kids[-1]])
         reg[node] = dest
     # Well formed by construction, so the constructor's check is skipped.
-    return _fill(object.__new__(CompiledProgram), n_vars,
-                 tuple([node.payload for node in const_nodes]), tuple(code), reg[root])
+    return CompiledProgram._make(n_vars, tuple([node.payload for node in const_nodes]),
+                                 tuple(code), reg[root])
 
 
 def emit_slp(expr: Expr) -> CompiledProgram:

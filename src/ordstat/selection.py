@@ -37,7 +37,7 @@ import os
 from collections.abc import Iterable
 
 from . import _backend
-from ._record import FrozenRecord, Record, slot_setters
+from ._record import FrozenRecord, Record
 from .errors import BudgetError, RankError, SequenceError
 
 DEFAULT_BUDGET = 1 << 24
@@ -60,7 +60,7 @@ class RealSequence(FrozenRecord):
         if not all(map(math.isfinite, vals)):
             bad = next(v for v in vals if not math.isfinite(v))
             raise SequenceError(f"sequence values must be finite, got {bad!r}")
-        _set_values(self, vals)
+        self._store(vals)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -68,8 +68,6 @@ class RealSequence(FrozenRecord):
     def __iter__(self):
         return iter(self.values)
 
-
-(_set_values,) = slot_setters(RealSequence)
 
 SequenceLike = RealSequence | Iterable[float]
 
@@ -87,9 +85,7 @@ class EvalStats(Record):
 
     def __init__(self, recursive_calls: int = 0, base_case_calls: int = 0,
                  memo_hits: int = 0):
-        self.recursive_calls = recursive_calls
-        self.base_case_calls = base_case_calls
-        self.memo_hits = memo_hits
+        self._store(recursive_calls, base_case_calls, memo_hits)
 
 
 # Largest magnitude the branchless helpers accept: with |a|, |b| <= 2**1022

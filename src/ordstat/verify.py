@@ -36,7 +36,7 @@ import json
 import math
 import random
 
-from ._record import FrozenRecord, slot_setters
+from ._record import FrozenRecord
 from .errors import BudgetError
 from .expr import _compile_program, _lower_program, _program_of, build_selection_expr
 from .selection import (
@@ -79,15 +79,7 @@ class VerifyPlan(FrozenRecord):
             raise ValueError(f"random_trials must be nonnegative, got {random_trials}")
         if not (isinstance(tolerance, (int, float)) and tolerance >= 0):
             raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
-        _set_max_n(self, max_n)
-        _set_alphabet(self, alphabet)
-        _set_random_trials(self, random_trials)
-        _set_seed(self, seed)
-        _set_tolerance(self, tolerance)
-
-
-(_set_max_n, _set_alphabet, _set_random_trials, _set_seed,
- _set_tolerance) = slot_setters(VerifyPlan)
+        self._store(max_n, alphabet, random_trials, seed, tolerance)
 
 
 class VerifyFailure(FrozenRecord):
@@ -97,17 +89,10 @@ class VerifyFailure(FrozenRecord):
 
     def __init__(self, input: tuple, rank: int, expected: float, actual: float,
                  mode: str):
-        _set_input(self, input)
-        _set_rank(self, rank)
-        _set_expected(self, expected)
-        _set_actual(self, actual)
-        _set_mode(self, mode)
+        self._store(input, rank, expected, actual, mode)
 
     def as_tuple(self):
         return (list(self.input), self.rank, self.expected, self.actual, self.mode)
-
-
-_set_input, _set_rank, _set_expected, _set_actual, _set_mode = slot_setters(VerifyFailure)
 
 
 class VerifyReport(FrozenRecord):
@@ -116,8 +101,7 @@ class VerifyReport(FrozenRecord):
     __slots__ = ("cases_run", "failures")
 
     def __init__(self, cases_run: int, failures: tuple):
-        _set_cases_run(self, cases_run)
-        _set_failures(self, failures)
+        self._store(cases_run, failures)
 
     @property
     def ok(self) -> bool:
@@ -129,9 +113,6 @@ class VerifyReport(FrozenRecord):
             "failures": [f.as_tuple() for f in self.failures],
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-_set_cases_run, _set_failures = slot_setters(VerifyReport)
 
 
 def merge_reports(reports) -> VerifyReport:

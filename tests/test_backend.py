@@ -114,3 +114,108 @@ def test_twins_expose_the_same_entry_points(compiled_build_error):
     assert public_entries(python) == public_entries(compiled)
     assert {"select_naive", "select_memo", "select_fullrange",
             "compile_slp"} <= public_entries(python)
+
+
+# A well-formed program, x1 + x2 - 1.0, and single faults to put in it:
+# (name, the part it changes, the change). Two faults combine unless one
+# part names the other or holds it ("consts" holds "consts[0]"); checks of
+# one instruction's op and operands are put in different instructions.
+BASE = {"n_vars": 2, "consts": [1.0], "code": [0, 0, 1, 1, 3, 2], "result": 4, "wrap": "i"}
+FAULTS = [
+    ("buffer", "wrap", lambda p: p.update(wrap="list")),
+    ("format", "wrap", lambda p: p.update(wrap="q")),
+    ("n_vars-type", "n_vars", lambda p: p.update(n_vars="2")),
+    ("n_vars-overflow", "n_vars", lambda p: p.update(n_vars=10**30)),
+    ("result-type", "result", lambda p: p.update(result=4.0)),
+    ("consts-type", "consts", lambda p: p.update(consts=5)),
+    ("const-type", "consts[0]", lambda p: p["consts"].__setitem__(0, "x")),
+    ("triples", "code+", lambda p: p["code"].append(0)),
+    ("n_vars-negative", "n_vars", lambda p: p.update(n_vars=-1)),
+    ("const-inf", "consts[1]", lambda p: p["consts"].append(float("inf"))),
+    ("too-many", "n_vars", lambda p: p.update(n_vars=2**31)),
+    ("result-range", "result", lambda p: p.update(result=99)),
+    ("op", "code[3]", lambda p: p["code"].__setitem__(3, 9)),
+    ("operand", "code[2]", lambda p: p["code"].__setitem__(2, -1)),
+]
+
+
+def program(*faults):
+    p = {**BASE, "consts": list(BASE["consts"]), "code": list(BASE["code"])}
+    for fault in faults:
+        fault(p)
+    code = p["code"] if p["wrap"] == "list" else array(p["wrap"], p["code"])
+    return p["n_vars"], p["consts"], code, p["result"]
+
+
+class BrokenConsts:
+    """Constants whose iteration fails after one that is no number."""
+
+    def __iter__(self):
+        yield "x"
+        raise RuntimeError("broken constants")
+
+
+TWO_FAULTS = {
+    f"{a}+{b}": program(fa, fb)
+    for i, (a, pa, fa) in enumerate(FAULTS) for b, pb, fb in FAULTS[i + 1:]
+    if not (pa.startswith(pb) or pb.startswith(pa))}
+MALFORMED = {
+    **TWO_FAULTS,
+    **{name: program(fault) for name, _, fault in FAULTS},
+    "registers-past-int": (2**31, [], array("i"), 0),
+    "format-before-overflow": (10**30, [], array("q", [0, 0, 0]), 1),
+    "const-before-result": (1, ["x"], array("i", [0, 0, 0]), 5),
+    "op-before-operands": (1, [], array("i", [9, 7, 7]), 1),
+    "strided-code": (1, [], memoryview(array("i", [0, 5, 0, 5, 0, 5]))[::2], 9),
+    "consts-read-before-converted": (2, BrokenConsts(), array("i"), 0),
+}
+
+
+def outcome(call, args):
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("args", MALFORMED.values(), ids=MALFORMED.keys())
+def test_twins_refuse_a_malformed_program_alike(args):
+    # Both compile_slp twins check in one order, so each program gets one
+    # error, type and message, whichever backend compiles it.
+    got = {name: outcome(get_kernels(name).compile_slp, args) for name in available_backends()}
+    assert got["python"] is not None
+    assert len(set(got.values())) == 1, got
+    # CompiledProgram checks as compile_slp does, past C's register limit.
+    n_vars, consts, code, result = args
+    if isinstance(code, array) and code.typecode == "i" and n_vars != 2**31:
+        assert outcome(CompiledProgram, (n_vars, consts, tuple(code), result)) == got["python"]
+
+
+def test_registers_past_c_ints():
+    # Only compile_slp stops at C's register limit, on both backends;
+    # CompiledProgram numbers any variable.
+    for name in available_backends():
+        compile_slp = get_kernels(name).compile_slp
+        assert compile_slp(2**31 - 1, [], array("i"), 0) is not None
+        with pytest.raises(ValueError, match="^too many registers$"):
+            compile_slp(2**31 - 1, [1.0], array("i"), 0)
+    assert CompiledProgram(2**40, (), (), 2**40 - 1).n_vars == 2**40
+
+
+def test_twins_read_a_strided_code_view(backend):
+    code = memoryview(array("i", [0, 5, 0, 5, 0, 5]))[::2]
+    assert get_kernels(backend).compile_slp(1, [], code, 1)([2.5]) == 5.0
+
+
+def test_twins_read_code_after_the_constants(backend):
+    # A constant's __float__ runs before the code is read, on both backends.
+    code = array("i", [0, 0, 0])
+
+    class Rewrites:
+        def __float__(self):
+            code[0] = 9
+            return 1.0
+
+    with pytest.raises(ValueError, match="^instruction 0: unknown op 9$"):
+        get_kernels(backend).compile_slp(1, [Rewrites()], code, 2)
