@@ -3,7 +3,10 @@
  * Return values and counters equal those of ordstat._pykernels, the
  * reference, bit for bit. Each select_* entry point takes a sequence of
  * floats and a 1-based rank in 1..N (positional arguments only) and raises
- * ValueError for a rank outside that range.
+ * ValueError for a rank outside that range. normal_forms and naive_ranks
+ * take an iterable of such ranks instead, in any order and with
+ * duplicates, and answer every rank in one call; one parser, parse, reads
+ * the ranks of all five entries and raises the same errors for each.
  *
  * select_memo and select_fullrange share one body, normal_form: both
  * recursions have the same max-min normal form, since every level above
@@ -11,9 +14,14 @@
  * deepest level's minima. min distributes over that maximum, so leaf_max
  * folds it in one pass over the reversed values, with one running first
  * maximum per subset size: n * min(K, rank) comparisons and K + 1 doubles,
- * K = n - rank + 1, for any n. select_memo adds the counters the memoized
+ * K = n - rank + 1, for any n. The running maxima do not depend on K, so
+ * the same pass over a window kmin..kmax of sizes leaves every rank of the
+ * window final: normal_forms reads all its ranks off one pass, n(n + 1)/2
+ * steps for every rank. select_memo adds the counters the memoized
  * recursion would count (memo_counts), from two binomials checked against
- * 64-bit overflow; select_fullrange has none.
+ * 64-bit overflow; select_fullrange and normal_forms have none.
+ * naive_ranks runs the plain recursion once per rank and sums its
+ * counters.
  *
  * compile_slp turns a packed straight-line program (see
  * _pykernels.compile_slp, which defines it) into a callable that runs
@@ -89,27 +97,31 @@ naive(const double *cur, size_t len, size_t m, double *scratch, size_t cap,
  * the first maximum of those minima is min(y, g[j - 1]) with the same tie
  * rule: y itself when g[j - 1] >= y, else g[j - 1]. The new g[j] is the
  * first maximum of the two runs: the old g[j] unless that is smaller.
- * j runs downward, so g[j - 1] is still the old one, and only over the j
- * that can still grow into a K-subset, at most min(K, rank) of them, so
- * the pass takes n * min(K, rank) steps and K + 1 doubles. No comparison
- * reads a g[j] before it is first written: j == 1 and j == c + 1 are
- * decided before g[j - 1] or g[j] is read. */
-static double
-leaf_max(const double *xs, size_t n, size_t rank, double *g)
+ * j runs downward, so g[j - 1] is still the old one.
+ *
+ * No g[j] depends on K, so one pass serves a window kmin..kmax of subset
+ * sizes: j starts at min(c + 1, kmax) and stops at the least size that can
+ * still grow into a kmin-subset over the ys left, and g[K] is final for
+ * every K in the window; rank r reads g[n - r + 1]. One size, kmin = kmax
+ * = K, takes at most min(K, rank) steps per value, n * min(K, rank) in
+ * all, on K + 1 doubles; the window 1..n, every rank, takes n(n + 1)/2.
+ * No comparison reads a g[j] before it is first written: j == 1 and
+ * j == c + 1 are decided before g[j - 1] or g[j] is read. */
+static void
+leaf_max(const double *xs, size_t n, size_t kmin, size_t kmax, double *g)
 {
-    size_t keep = n - rank + 1, c, j, lo;
+    size_t c, j, lo;
     double y, h;
 
     for (c = 0; c < n; c++) {
         y = xs[n - 1 - c];
-        lo = keep + c + 1 > n ? keep + c + 1 - n : 1;
-        for (j = c + 1 < keep ? c + 1 : keep; j >= lo; j--) {
+        lo = kmin + c + 1 > n ? kmin + c + 1 - n : 1;
+        for (j = c + 1 < kmax ? c + 1 : kmax; j >= lo; j--) {
             h = j == 1 || g[j - 1] >= y ? y : g[j - 1];
             if (j == c + 1 || !(g[j] >= h))
                 g[j] = h;
         }
     }
-    return g[keep];
 }
 
 /* *r = *r * x / d, when d divides *r * x; -1 when the result does not fit
@@ -434,58 +446,143 @@ compile_slp(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 /* ---- Python entry points --------------------------------------------- */
 
-/* Parses (values, rank) into a fresh array of n doubles; the caller frees
- * *xs with PyMem_Free. */
+/* Reads the m rank arguments ranks[0..m), each through __index__, and then
+ * values, in _pykernels._checked's order: out[0..m) gets the ranks, each
+ * checked against 1..n, and *xs a fresh array of the *n values as doubles,
+ * which the caller frees with PyMem_Free. On the first fault (a rank that
+ * is no integer, values that are no sequence, a rank out of range, a value
+ * that is no number) returns -1 with nothing to free. */
 static int
-parse_args(PyObject *const *args, Py_ssize_t nargs, const char *name,
-           double **xs, size_t *n, size_t *rank)
+parse(PyObject *values, PyObject *const *ranks, Py_ssize_t m,
+      double **xs, size_t *n, size_t *out)
 {
-    PyObject *seq, *index;
-    Py_ssize_t len, i;
+    PyObject *one, **index, *seq = NULL;
+    Py_ssize_t len, i, got;
     long r;
-    int overflow;
+    int overflow, status = -1;
 
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "%s() takes 2 positional arguments "
-                     "(values, rank) but %zd were given", name, nargs);
-        return -1;
-    }
-    index = PyNumber_Index(args[1]);
-    if (index == NULL)
-        return -1;
-    /* An int past a C long is out of range too, as it is in Python. */
-    r = PyLong_AsLongAndOverflow(index, &overflow);
-    seq = PySequence_Tuple(args[0]);
-    if (seq == NULL) {
-        Py_DECREF(index);
-        return -1;
-    }
-    len = PyTuple_GET_SIZE(seq);
-    if (overflow || r < 1 || r > len) {
-        PyErr_Format(PyExc_ValueError, "rank %S out of range 1..%zd", index, len);
-        Py_DECREF(index);
-        Py_DECREF(seq);
-        return -1;
-    }
-    Py_DECREF(index);
-    *xs = PyMem_Malloc((size_t)len * sizeof(double));
-    if (*xs == NULL) {
-        Py_DECREF(seq);
+    index = m > 1 ? PyMem_Calloc((size_t)m, sizeof(PyObject *)) : &one;
+    if (index == NULL) {
         PyErr_NoMemory();
         return -1;
+    }
+    for (got = 0; got < m; got++) {
+        index[got] = PyNumber_Index(ranks[got]);
+        if (index[got] == NULL)
+            goto done;
+    }
+    seq = PySequence_Tuple(values);
+    if (seq == NULL)
+        goto done;
+    len = PyTuple_GET_SIZE(seq);
+    for (i = 0; i < m; i++) {
+        /* An int past a C long is out of range too, as it is in Python. */
+        r = PyLong_AsLongAndOverflow(index[i], &overflow);
+        if (overflow || r < 1 || r > len) {
+            PyErr_Format(PyExc_ValueError, "rank %S out of range 1..%zd", index[i], len);
+            goto done;
+        }
+        out[i] = (size_t)r;
+    }
+    *xs = PyMem_Malloc((size_t)len * sizeof(double));
+    if (*xs == NULL) {
+        PyErr_NoMemory();
+        goto done;
     }
     for (i = 0; i < len; i++) {
         (*xs)[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(seq, i));
         if ((*xs)[i] == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(seq);
             PyMem_Free(*xs);
-            return -1;
+            goto done;
         }
     }
-    Py_DECREF(seq);
     *n = (size_t)len;
-    *rank = (size_t)r;
-    return 0;
+    status = 0;
+done:
+    for (i = 0; i < got; i++)
+        Py_DECREF(index[i]);
+    if (index != &one)
+        PyMem_Free(index);
+    Py_XDECREF(seq);
+    return status;
+}
+
+static int
+two_args(Py_ssize_t nargs, const char *name, const char *second)
+{
+    if (nargs == 2)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes 2 positional arguments "
+                 "(values, %s) but %zd were given", name, second, nargs);
+    return -1;
+}
+
+/* (values, rank) of a single entry. */
+static int
+parse_args(PyObject *const *args, Py_ssize_t nargs, const char *name,
+           double **xs, size_t *n, size_t *rank)
+{
+    if (two_args(nargs, name, "rank") < 0)
+        return -1;
+    return parse(args[0], args + 1, 1, xs, n, rank);
+}
+
+/* (values, ranks) of normal_forms and naive_ranks: any iterable of ranks,
+ * read into a fresh array *ranks of *m, which the caller frees as it frees
+ * *xs. */
+static int
+parse_ranks(PyObject *const *args, Py_ssize_t nargs, const char *name,
+            double **xs, size_t *n, size_t **ranks, Py_ssize_t *m)
+{
+    PyObject *items;
+    int status = -1;
+
+    if (two_args(nargs, name, "ranks") < 0)
+        return -1;
+    items = PySequence_Tuple(args[1]);
+    if (items == NULL)
+        return -1;
+    *m = PyTuple_GET_SIZE(items);
+    *ranks = PyMem_Malloc((size_t)*m * sizeof(size_t));
+    if (*ranks == NULL)
+        PyErr_NoMemory();
+    else if (parse(args[0], PySequence_Fast_ITEMS(items), *m, xs, n, *ranks) == 0)
+        status = 0;
+    else
+        PyMem_Free(*ranks);
+    Py_DECREF(items);
+    return status;
+}
+
+/* The tuple of the m floats v[0..m), or NULL with an exception set. */
+static PyObject *
+float_tuple(const double *v, Py_ssize_t m)
+{
+    PyObject *out = PyTuple_New(m), *f;
+    Py_ssize_t i;
+
+    for (i = 0; out != NULL && i < m; i++) {
+        f = PyFloat_FromDouble(v[i]);
+        if (f == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, i, f);
+    }
+    return out;
+}
+
+/* Scratch for the naive recursion down to `rank`, one copy of the shrinking
+ * sequence per depth, and `extra` doubles after it. */
+static double *
+naive_scratch(size_t n, size_t rank, size_t extra)
+{
+    double *scratch = NULL;
+
+    if (n == 0 || rank <= (PY_SSIZE_T_MAX / sizeof(double) - extra) / n)
+        scratch = PyMem_Malloc((rank * n + extra) * sizeof(double));
+    if (scratch == NULL)
+        PyErr_NoMemory();
+    return scratch;
 }
 
 static PyObject *
@@ -497,17 +594,46 @@ select_naive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
     if (parse_args(args, nargs, "select_naive", &xs, &n, &rank) < 0)
         return NULL;
-    /* one copy of the shrinking sequence per recursion depth */
-    scratch = rank > PY_SSIZE_T_MAX / sizeof(double) / n ? NULL
-              : PyMem_Malloc(rank * n * sizeof(double));
+    scratch = naive_scratch(n, rank, 0);
     if (scratch == NULL) {
         PyMem_Free(xs);
-        return PyErr_NoMemory();
+        return NULL;
     }
     value = naive(xs, n, rank, scratch, n, &recursive, &base);
     PyMem_Free(scratch);
     PyMem_Free(xs);
     return Py_BuildValue("(dKK)", value, recursive, base);
+}
+
+/* The plain recursion once per rank, on scratch for the deepest; the
+ * counters are the sums of the single calls'. */
+static PyObject *
+naive_ranks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    double *xs, *scratch, *found;
+    size_t n, *ranks, deepest = 0;
+    Py_ssize_t m, i;
+    u64 recursive = 0, base = 0;
+    PyObject *values, *out = NULL;
+
+    if (parse_ranks(args, nargs, "naive_ranks", &xs, &n, &ranks, &m) < 0)
+        return NULL;
+    for (i = 0; i < m; i++)
+        if (ranks[i] > deepest)
+            deepest = ranks[i];
+    scratch = naive_scratch(n, deepest, (size_t)m);
+    if (scratch != NULL) {
+        found = scratch + deepest * n;
+        for (i = 0; i < m; i++)
+            found[i] = naive(xs, n, ranks[i], scratch, n, &recursive, &base);
+        values = float_tuple(found, m);
+        if (values != NULL)
+            out = Py_BuildValue("(NKK)", values, recursive, base);
+        PyMem_Free(scratch);
+    }
+    PyMem_Free(ranks);
+    PyMem_Free(xs);
+    return out;
 }
 
 /* Both entries take the first maximum of the leaf minima, on K + 1
@@ -517,18 +643,20 @@ static PyObject *
 normal_form(PyObject *const *args, Py_ssize_t nargs, const char *name, int count)
 {
     double *xs, *g, value;
-    size_t n, rank;
+    size_t n, rank, keep;
     u64 counts[3];
     PyObject *out = NULL;
 
     if (parse_args(args, nargs, name, &xs, &n, &rank) < 0)
         return NULL;
-    g = PyMem_Malloc((n - rank + 2) * sizeof(double));
+    keep = n - rank + 1;
+    g = PyMem_Malloc((keep + 1) * sizeof(double));
     if (g == NULL) {
         PyMem_Free(xs);
         return PyErr_NoMemory();
     }
-    value = leaf_max(xs, n, rank, g);
+    leaf_max(xs, n, keep, keep, g);
+    value = g[keep];
     if (!count)
         out = PyFloat_FromDouble(value);
     else if (memo_counts(n, rank, counts) == 0)
@@ -550,6 +678,42 @@ select_fullrange(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return normal_form(args, nargs, "select_fullrange", 0);
 }
 
+/* Every rank from one fold over the window of their subset sizes, on
+ * K + 1 doubles for the largest K, and one double per rank. */
+static PyObject *
+normal_forms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    double *xs, *g, *found;
+    size_t n, *ranks, keep, kmin, kmax = 0;
+    Py_ssize_t m, i;
+    PyObject *out = NULL;
+
+    if (parse_ranks(args, nargs, "normal_forms", &xs, &n, &ranks, &m) < 0)
+        return NULL;
+    kmin = n;
+    for (i = 0; i < m; i++) {
+        keep = n - ranks[i] + 1;
+        if (keep < kmin)
+            kmin = keep;
+        if (keep > kmax)
+            kmax = keep;
+    }
+    g = PyMem_Malloc((kmax + 1 + (size_t)m) * sizeof(double));
+    if (g == NULL) {
+        PyErr_NoMemory();
+    } else {
+        leaf_max(xs, n, kmin, kmax, g);
+        found = g + kmax + 1;
+        for (i = 0; i < m; i++)
+            found[i] = g[n - ranks[i] + 1];
+        out = float_tuple(found, m);
+        PyMem_Free(g);
+    }
+    PyMem_Free(ranks);
+    PyMem_Free(xs);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"select_naive", (PyCFunction)(void (*)(void))select_naive, METH_FASTCALL,
      "select_naive(values, rank) -> (value, recursive_calls, base_case_calls)\n\n"
@@ -564,6 +728,14 @@ static PyMethodDef methods[] = {
      "select_fullrange(values, rank) -> value\n\n"
      "Elimination over every position: the same first maximum of the leaf "
      "minima as select_memo, without counters."},
+    {"normal_forms", (PyCFunction)(void (*)(void))normal_forms, METH_FASTCALL,
+     "normal_forms(values, ranks) -> tuple of values\n\n"
+     "select_fullrange's value at each rank, in the order given, from one "
+     "fold over the window of their subset sizes."},
+    {"naive_ranks", (PyCFunction)(void (*)(void))naive_ranks, METH_FASTCALL,
+     "naive_ranks(values, ranks) -> (values, recursive_calls, base_case_calls)"
+     "\n\nselect_naive at each rank, in the order given; the counters are "
+     "the sums of the single calls'."},
     {"compile_slp", (PyCFunction)(void (*)(void))compile_slp, METH_FASTCALL,
      "compile_slp(n_vars, consts, code, result) -> formula(values)\n\n"
      "Checks a packed straight-line program and returns a callable that "

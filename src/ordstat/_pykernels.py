@@ -7,7 +7,9 @@ sequence length and every program.
 The three select_* entry points take an already-validated sequence of
 finite floats and a 1-based rank, an int or any object with __index__,
 as the C twin's PyNumber_Index takes it; a rank out of range, however
-large, raises the same ValueError in both. Counter semantics, shared by both
+large, raises the same ValueError in both. normal_forms and naive_ranks
+take an iterable of such ranks instead, keep their order and duplicates,
+and raise the single entries' errors. Counter semantics, shared by both
 backends, are what the memoized recursion would count:
 
   * recursive_calls  counts every entry into the recursion,
@@ -19,8 +21,12 @@ every fold level takes a maximum, so both evaluate the max-min normal
 form, the first maximum of the leaf minima, which the two recursions
 share. min distributes over that maximum, so _leaf_max folds it in one
 pass over the reversed values without building a leaf: N * min(K, rank)
-steps, K = N - rank + 1. select_memo reads the three counters off the
-level sizes the memoized recursion would fill.
+steps, K = N - rank + 1. The pass fills every subset size at once, so
+normal_forms reads all its ranks off one pass over the window of their
+sizes: N(N + 1)/2 steps for every rank. select_memo reads the three
+counters off the level sizes the memoized recursion would fill
+(_memo_counts, which ordstat.selection uses too); naive_ranks runs the
+plain recursion once per rank and sums its counters.
 
 compile_slp turns a packed straight-line program into a callable. Both
 twins check the program once, here with _check_slp, which also checks
@@ -39,19 +45,22 @@ from itertools import count
 from .errors import ExprError
 
 
-def _checked(values, rank):
-    """(values as a tuple, rank as an int), once rank lies in 1..N; the C
-    twin's TypeError or ValueError otherwise."""
-    rank = operator.index(rank)
+def _checked(values, ranks):
+    """(values as a tuple, ranks as ints), once every rank lies in 1..N; the
+    C twin's TypeError or ValueError otherwise, for the first fault in its
+    order: every rank through __index__, then values, then each range."""
+    ranks = [operator.index(rank) for rank in tuple(ranks)]
     xs = tuple(values)
-    if not 1 <= rank <= len(xs):
-        raise ValueError(f"rank {rank} out of range 1..{len(xs)}")
-    return xs, rank
+    for rank in ranks:
+        if not 1 <= rank <= len(xs):
+            raise ValueError(f"rank {rank} out of range 1..{len(xs)}")
+    return xs, ranks
 
 
-def _leaf_max(xs, rank):
-    """The max-min normal form shared by select_memo and select_fullrange.
-    Its deepest level maps each K-subset of positions, K = N - rank + 1, to
+def _leaf_max(xs, kmin, kmax):
+    """g with g[K] the max-min normal form of the K-subsets, for every K in
+    kmin..kmax: the value select_memo and select_fullrange return at rank
+    N - K + 1. Its deepest level maps each K-subset of positions to
     its first minimum, and every level above takes a first maximum, so the
     value is the first maximum of those leaf minima in the order the
     recursion first visits them: descending lexicographic in the kept
@@ -65,51 +74,66 @@ def _leaf_max(xs, rank):
     follow those of range(c) in colex order, and each adds c to a
     (j - 1)-subset, so their first maximum is min(ys[c], g[j - 1]) with the
     same tie rule, and the new g[j] is the first maximum of the two runs.
-    j runs down, over the sizes that can still reach K, so the value comes
-    back in N * min(K, rank) steps, signed zeros included."""
+    No g[j] depends on K, so j runs down from min(c + 1, kmax) over the
+    sizes that can still reach kmin, and one pass serves the whole window:
+    N * min(K, rank) steps for one K, N(N + 1)/2 for every rank, signed
+    zeros included."""
     n = len(xs)
-    keep = n - rank + 1
-    g = [None] * (keep + 1)
+    g = [None] * (kmax + 1)
     for c, y in enumerate(reversed(xs)):
-        for j in range(min(c + 1, keep), max(0, keep - n + c), -1):
+        for j in range(min(c + 1, kmax), max(0, kmin - n + c), -1):
             h = y if j == 1 or g[j - 1] >= y else g[j - 1]
             if j == c + 1 or not g[j] >= h:
                 g[j] = h
-    return g[keep]
+    return g
+
+
+def _naive(xs, m, counters):
+    counters[0] += 1
+    if m == 1:
+        counters[1] += 1
+        return min(xs)
+    hi = len(xs) - m + 2
+    return max(_naive(xs[:j] + xs[j + 1:], m - 1, counters) for j in range(hi))
 
 
 def select_naive(values, rank):
     """Plain recursion. Returns (value, recursive_calls, base_case_calls)."""
-    xs, rank = _checked(values, rank)
+    xs, (rank,) = _checked(values, (rank,))
     counters = [0, 0]
-
-    def go(xs, m):
-        counters[0] += 1
-        if m == 1:
-            counters[1] += 1
-            return min(xs)
-        hi = len(xs) - m + 2
-        return max(go(xs[:j] + xs[j + 1:], m - 1) for j in range(hi))
-
-    value = go(xs, rank)
+    value = _naive(xs, rank, counters)
     return value, counters[0], counters[1]
 
 
-def select_memo(values, rank):
-    """The memoized recursion's max-min normal form (see _leaf_max).
+def naive_ranks(values, ranks):
+    """select_naive at each rank, in the order given. Returns (values,
+    recursive_calls, base_case_calls), the counters summed over the
+    ranks."""
+    xs, ranks = _checked(values, ranks)
+    counters = [0, 0]
+    found = tuple([_naive(xs, rank, counters) for rank in ranks])
+    return found, counters[0], counters[1]
 
-    The counters are those the memoized recursion would count, read off
-    its level sizes C(p, K) for p from N down to K = N - rank + 1: every
-    survivor set is solved once, and every further entry into it is a
-    memo hit. Returns (value, recursive_calls, base_case_calls, memo_hits).
-    """
-    xs, rank = _checked(values, rank)
-    n = len(xs)
+
+def _memo_counts(n, rank):
+    """(recursive_calls, base_case_calls, memo_hits) of the memoized
+    recursion at rank `rank` of n values, read off its level sizes C(p, K)
+    for p from n down to K = n - rank + 1: every survivor set is solved
+    once, and every further entry into it is a memo hit."""
     keep = n - rank + 1
     leaves = math.comb(n, keep)
     states = math.comb(n + 1, keep + 1)
     recursive = 1 + (keep + 1) * (states - leaves)
-    return _leaf_max(xs, rank), recursive, leaves, recursive - states
+    return recursive, leaves, recursive - states
+
+
+def select_memo(values, rank):
+    """The memoized recursion's max-min normal form (see _leaf_max) and the
+    counters it would count (see _memo_counts). Returns (value,
+    recursive_calls, base_case_calls, memo_hits)."""
+    xs, (rank,) = _checked(values, (rank,))
+    keep = len(xs) - rank + 1
+    return (_leaf_max(xs, keep, keep)[keep], *_memo_counts(len(xs), rank))
 
 
 def select_fullrange(values, rank):
@@ -117,7 +141,18 @@ def select_fullrange(values, rank):
     N - n + 2. Its leaves are select_memo's, first reached in the same
     order, so it returns the same normal form (see _leaf_max); returns the
     value only."""
-    return _leaf_max(*_checked(values, rank))
+    xs, (rank,) = _checked(values, (rank,))
+    keep = len(xs) - rank + 1
+    return _leaf_max(xs, keep, keep)[keep]
+
+
+def normal_forms(values, ranks):
+    """select_fullrange's value at each rank, in the order given, from one
+    _leaf_max pass over the window of their subset sizes."""
+    xs, ranks = _checked(values, ranks)
+    keeps = [len(xs) - rank + 1 for rank in ranks]
+    g = _leaf_max(xs, min(keeps, default=0), max(keeps, default=0))
+    return tuple([g[keep] for keep in keeps])
 
 
 # Opcodes of a packed straight-line program, numbered by position here and

@@ -12,7 +12,8 @@ set of surviving original positions returns, as the first maximum of its
 leaf minima. Both compare elements directly, so results are exact
 copies of input values. select_ranks selects several ranks of one sequence
 in one call: it validates the sequence and resolves the budget once, then
-runs the same kernel per rank; median and the verify suites use it. The
+makes one kernel call for every rank, whose normal-form modes read all
+the ranks off one fold pass; median and the verify suites use it. The
 two-argument identities
 
     min(a, b) = (a + b - |a - b|) / 2
@@ -37,6 +38,7 @@ import os
 from collections.abc import Iterable
 
 from . import _backend
+from ._pykernels import _memo_counts
 from ._record import FrozenRecord, Record
 from .errors import BudgetError, RankError, SequenceError
 
@@ -247,12 +249,6 @@ def select_naive(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
     _check_naive_budget(len(seq), rank, resolve_budget(budget))
-    return _naive(rank, seq, stats)
-
-
-# The kernel calls behind the public selectors. Callers have checked the
-# rank and the budget already.
-def _naive(rank: int, seq: RealSequence, stats: EvalStats | None) -> float:
     value, recursive, base = _backend.kernels().select_naive(seq.values, rank)
     if stats is not None:
         stats.recursive_calls += recursive
@@ -279,10 +275,6 @@ def select_memo(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
     _check_memo_budget(len(seq), rank, resolve_budget(budget))
-    return _memo(rank, seq, stats)
-
-
-def _memo(rank: int, seq: RealSequence, stats: EvalStats | None) -> float:
     value, recursive, base, hits = _backend.kernels().select_memo(seq.values, rank)
     if stats is not None:
         stats.recursive_calls += recursive
@@ -303,12 +295,6 @@ def select_fullrange(rank: int, seq: SequenceLike, *, budget: int | None = None)
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq))
     _check_fullrange_budget(len(seq), rank, resolve_budget(budget))
-    return _fullrange(rank, seq, None)
-
-
-def _fullrange(rank: int, seq: RealSequence, stats: EvalStats | None) -> float:
-    # stats goes unused: the full-range kernel evaluates select_memo's
-    # normal form and counts nothing.
     return _backend.kernels().select_fullrange(seq.values, rank)
 
 
@@ -320,16 +306,25 @@ def select_ranks(seq: SequenceLike, ranks: Iterable[int], *, mode: str = "memo",
     single call select_naive, select_memo or select_fullrange (``mode``)
     at that rank; fullrange adds no counters. The sequence is validated
     once and the budget resolved once. Every rank, and then every rank's
-    budget, is checked before the first kernel runs, so a RankError or
+    budget, is checked before the kernel runs, so a RankError or
     BudgetError leaves ``stats`` untouched.
+
+    Then one kernel call answers every rank. Naive mode runs the plain
+    recursion once per rank in it. Memo and fullrange modes read every
+    rank off one pass of the normal-form fold, over the window of their
+    subset sizes: N(N + 1)/2 steps for all N ranks. The memo counters are
+    computed, only when ``stats`` is passed, with Python ints from the
+    same closed form as the pure-Python kernel's, so they never overflow,
+    on either backend; the single compiled select_memo raises
+    OverflowError past 64 bits.
     """
     seq = as_real_sequence(seq)
     if mode == "naive":
-        check, pick = _check_naive_budget, _naive
+        check = _check_naive_budget
     elif mode == "memo":
-        check, pick = _check_memo_budget, _memo
+        check = _check_memo_budget
     elif mode == "fullrange":
-        check, pick = _check_fullrange_budget, _fullrange
+        check = _check_fullrange_budget
     else:
         raise ValueError(
             f"mode must be one of ['fullrange', 'memo', 'naive'], got {mode!r}")
@@ -338,14 +333,28 @@ def select_ranks(seq: SequenceLike, ranks: Iterable[int], *, mode: str = "memo",
     limit = resolve_budget(budget)
     for rank in ranks:
         check(n_len, rank, limit)
-    return tuple([pick(rank, seq, stats) for rank in ranks])
+    if mode == "naive":
+        values, recursive, base = _backend.kernels().naive_ranks(seq.values, ranks)
+        if stats is not None:
+            stats.recursive_calls += recursive
+            stats.base_case_calls += base
+        return values
+    values = _backend.kernels().normal_forms(seq.values, ranks)
+    if stats is not None and mode == "memo":
+        for rank in ranks:
+            recursive, base, hits = _memo_counts(n_len, rank)
+            stats.recursive_calls += recursive
+            stats.base_case_calls += base
+            stats.memo_hits += hits
+    return values
 
 
 def median(seq: SequenceLike, *, mode: str = "memo",
            stats: EvalStats | None = None, budget: int | None = None) -> float:
     """Median via selection: the middle rank for odd length, the average of
-    the two middle ranks for even length, both from one select_ranks call.
-    ``mode`` is naive or memo."""
+    the two middle ranks for even length, from one select_ranks call. In
+    memo mode both middle ranks come from one pass of the normal-form
+    fold, which costs about as much as one. ``mode`` is naive or memo."""
     seq = as_real_sequence(seq)
     if mode not in ("memo", "naive"):
         raise ValueError(f"mode must be one of ['memo', 'naive'], got {mode!r}")

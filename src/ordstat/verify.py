@@ -20,8 +20,10 @@ It builds the minmax formula of each (length, rank) once and keeps its
 packed program; the arithmetic form is that program lowered
 (expr._lower_program) and compiled, so no arithmetic graph is built.
 exhaustive_verify selects all ranks of one mode in one select_ranks call,
-so under a budget too small for the plan the naive ranks of a sequence
-are all checked before any memo rank.
+which is one kernel call; the memo and fullrange ranks each come from one
+pass of the normal-form fold, as do the median's. Under a budget too
+small for the plan the naive ranks of a sequence are all checked before
+any memo rank.
 
 merge_reports combines reports into one whose failure order does not
 depend on the order of the reports; ``ordstat verify`` merges its two

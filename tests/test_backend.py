@@ -1,5 +1,8 @@
 import importlib
 import inspect
+import itertools
+import math
+import random
 import sys
 from array import array
 
@@ -112,8 +115,101 @@ def test_twins_expose_the_same_entry_points(compiled_build_error):
         pytest.skip(f"compiled kernels unavailable: {compiled_build_error}")
     python, compiled = get_kernels("python"), get_kernels("cython")
     assert public_entries(python) == public_entries(compiled)
-    assert {"select_naive", "select_memo", "select_fullrange",
-            "compile_slp"} <= public_entries(python)
+    assert {"select_naive", "select_memo", "select_fullrange", "normal_forms",
+            "naive_ranks", "compile_slp"} <= public_entries(python)
+
+
+def signed(values):
+    """Floats with their signs, so that -0.0 and 0.0 compare unequal."""
+    return [(v, math.copysign(1, v)) for v in values]
+
+
+def assert_rank_entries_match(kern, values, orders):
+    # normal_forms is select_fullrange's value, and select_memo's, at each
+    # rank; naive_ranks is select_naive's, with the counters summed. Each
+    # single entry runs once per distinct rank.
+    full, memo, naive = {}, {}, {}
+    for rank in {r for ranks in orders for r in ranks}:
+        full[rank] = kern.select_fullrange(values, rank)
+        memo[rank] = kern.select_memo(values, rank)[0]
+        naive[rank] = kern.select_naive(values, rank)
+    for ranks in orders:
+        got = kern.normal_forms(values, ranks)
+        assert type(got) is tuple
+        assert signed(got) == signed([full[r] for r in ranks]) == signed([memo[r] for r in ranks])
+        found, recursive, base = kern.naive_ranks(values, ranks)
+        assert type(found) is tuple
+        assert signed(found) == signed([naive[r][0] for r in ranks])
+        assert recursive == sum(naive[r][1] for r in ranks)
+        assert base == sum(naive[r][2] for r in ranks)
+
+
+def test_rank_entries_equal_single_entries(backend):
+    kern = get_kernels(backend)
+    for length in range(1, 8):
+        ranks = list(range(1, length + 1))
+        # every rank; reversed, with the first and last twice; none
+        orders = (ranks, ranks[::-1] + [1, length], ())
+        for values in itertools.product((-0.0, 0.0, 1.0), repeat=length):
+            assert_rank_entries_match(kern, values, orders)
+
+
+def test_rank_entries_over_seeded_windows(backend):
+    # Random rank subsets of long inputs with ties and signed zeros, so the
+    # fold's window kmin..kmax takes every shape; naive ranks stay shallow.
+    kern = get_kernels(backend)
+    rng = random.Random(20130718)
+    for _ in range(300):
+        length = rng.randint(1, 120)
+        pool = (-0.0, 0.0, 1.0, 2.0, rng.uniform(-1e6, 1e6))
+        values = [rng.choice(pool) for _ in range(length)]
+        ranks = [rng.randint(1, length) for _ in range(rng.randint(0, 6))]
+        got = kern.normal_forms(values, ranks)
+        assert signed(got) == signed([kern.select_fullrange(values, r) for r in ranks])
+        shallow = [r for r in ranks if r <= 2] if length > 12 else ranks
+        assert_rank_entries_match(kern, values, (shallow,))
+
+
+RANK_FAULTS = {
+    "above": ((1.0, 2.0), 3),
+    "zero": ((1.0, 2.0), 0),
+    "empty": ((), 1),
+    "1e30": ((1.0, 2.0), 10**30),
+    "-1e30": ((1.0, 2.0), -10**30),
+    "2**63": ((1.0, 2.0), 2**63),
+    "index-above": ((1.0, 2.0), I(3)),
+    "index-1e30": ((1.0, 2.0), I(10**30)),
+    "float": ((1.0, 2.0), 2.0),
+    "values-int": (5, 1),
+    "float-before-values": (5, 2.0),
+}
+
+
+@pytest.mark.parametrize("values,rank", RANK_FAULTS.values(), ids=RANK_FAULTS.keys())
+def test_rank_entries_raise_the_single_entries_errors(backend, values, rank):
+    # The fault may sit anywhere among the ranks; every rank is read before
+    # values, and values before any rank's range is checked.
+    kern = get_kernels(backend)
+    want = outcome(kern.select_fullrange, (values, rank))
+    assert want is not None
+    assert want == outcome(get_kernels("python").select_fullrange, (values, rank))
+    assert outcome(kern.select_naive, (values, rank)) == want
+    for ranks in ((rank,), (1, rank), [rank, 1, rank], (rank,).__iter__):
+        for entry in (kern.normal_forms, kern.naive_ranks):
+            args = (values, ranks() if callable(ranks) else ranks)
+            assert outcome(entry, args) == want, (entry, ranks)
+
+
+def test_rank_entries_read_ranks_through_index(backend):
+    kern = get_kernels(backend)
+    values = (3.0, 1.0, 2.0)
+    assert kern.normal_forms(values, (I(2), True, I(3))) == (2.0, 1.0, 3.0)
+    assert kern.naive_ranks(values, [I(2), True]) == ((2.0, 1.0), 5, 4)
+    for entry in (kern.normal_forms, kern.naive_ranks):
+        with pytest.raises(TypeError, match="^'int' object is not iterable$"):
+            entry(values, 2)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            entry(values, (1, 2.0))
 
 
 # A well-formed program, x1 + x2 - 1.0, and single faults to put in it:

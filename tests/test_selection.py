@@ -503,6 +503,44 @@ class TestSelectRanks:
         assert stats == EvalStats(recursive_calls=1)
 
     @pytest.mark.parametrize("mode", ["naive", "memo", "fullrange"])
+    def test_one_kernel_call_per_call(self, backend, monkeypatch, mode):
+        kernels = o.selection._backend.kernels()
+        calls = []
+
+        class Counting:
+            def __getattr__(self, name):
+                entry = getattr(kernels, name)
+
+                def counted(*args):
+                    calls.append(name)
+                    return entry(*args)
+                return counted
+
+        monkeypatch.setattr(o.selection._backend, "kernels", Counting)
+        values = [float(k % 5) for k in range(8)]
+        for ranks in ((3,), (4, 5), range(1, 9)):
+            calls.clear()
+            stats = EvalStats()
+            got = o.select_ranks(values, ranks, mode=mode, stats=stats)
+            assert got == tuple(sort_oracle(rank, values) for rank in ranks)
+            assert len(calls) == 1, calls
+        calls.clear()
+        with pytest.raises(BudgetError):
+            o.select_ranks(values, (1, 5), mode=mode, budget=10)
+        assert calls == []
+
+    def test_memo_counters_past_64_bits(self, backend):
+        # The counters come from Python ints on every backend; the single
+        # compiled select_memo refuses them (see TestWideMemo).
+        from ordstat import _pykernels
+        stats = EvalStats()
+        got = o.select_ranks(range(200), (100,), mode="memo", stats=stats, budget=10**70)
+        assert got == (99.0,)
+        counters = (stats.recursive_calls, stats.base_case_calls, stats.memo_hits)
+        assert (99.0, *counters) == _pykernels.select_memo(range(200), 100)
+        assert stats.recursive_calls > 2**64
+
+    @pytest.mark.parametrize("mode", ["naive", "memo", "fullrange"])
     def test_budget_resolved_once(self, monkeypatch, mode):
         calls = []
 
