@@ -7,7 +7,9 @@ sequence length and every program.
 The three select_* entry points take an already-validated sequence of
 finite floats and a 1-based rank, an int or any object with __index__,
 as the C twin's PyNumber_Index takes it; a rank out of range, however
-large, raises the same ValueError in both. normal_forms and naive_ranks
+large, raises the same ValueError in both. Each value is read as the C
+twin's PyFloat_AsDouble reads it (_real), so both return floats for any
+numbers and refuse a str alike. normal_forms and naive_ranks
 take an iterable of such ranks instead, keep their order and duplicates,
 and raise the single entries' errors. Counter semantics, shared by both
 backends, are what the memoized recursion would count:
@@ -46,15 +48,16 @@ from .errors import ExprError
 
 
 def _checked(values, ranks):
-    """(values as a tuple, ranks as ints), once every rank lies in 1..N; the
-    C twin's TypeError or ValueError otherwise, for the first fault in its
-    order: every rank through __index__, then values, then each range."""
+    """(values as a tuple of floats, ranks as ints), once every rank lies in
+    1..N; the C twin's TypeError or ValueError otherwise, for the first
+    fault in its order: every rank through __index__, then values, then
+    each range, then each value as its PyFloat_AsDouble reads it (_real)."""
     ranks = [operator.index(rank) for rank in tuple(ranks)]
     xs = tuple(values)
     for rank in ranks:
         if not 1 <= rank <= len(xs):
             raise ValueError(f"rank {rank} out of range 1..{len(xs)}")
-    return xs, ranks
+    return tuple(map(_real, xs)), ranks
 
 
 def _leaf_max(xs, kmin, kmax):
@@ -232,8 +235,11 @@ def _check_slp(n_vars, consts, code, result, max_regs=math.inf):
 
 
 def _real(v):
-    # float() also parses str and bytes; the C twin's PyFloat_AsDouble only
-    # takes numbers, through __float__ or __index__.
+    # The C twin's PyFloat_AsDouble: a float, of a subclass too, is its own
+    # double, whatever __float__ the subclass defines; any other number goes
+    # through __float__ or __index__. float() would also parse str and bytes.
+    if isinstance(v, float):
+        return float.__float__(v)
     if not (hasattr(type(v), "__float__") or hasattr(type(v), "__index__")):
         raise TypeError(f"must be real number, not {type(v).__name__}")
     return float(v)

@@ -13,8 +13,9 @@ leaf minima. Both compare elements directly, so results are exact
 copies of input values. select_ranks selects several ranks of one sequence
 in one call: it validates the sequence and resolves the budget once, then
 makes one kernel call for every rank, whose normal-form modes read all
-the ranks off one fold pass; median and the verify suites use it. The
-two-argument identities
+the ranks off one fold pass; median uses it, and exhaustive_verify
+its two halves: _checked_ranks once per length and _select_checked once
+per sequence. The two-argument identities
 
     min(a, b) = (a + b - |a - b|) / 2
     max(a, b) = (a + b + |a - b|) / 2
@@ -59,9 +60,13 @@ class RealSequence(FrozenRecord):
         vals = tuple(map(float, values))
         if not vals:
             raise SequenceError("sequence must contain at least one value")
-        if not all(map(math.isfinite, vals)):
-            bad = next(v for v in vals if not math.isfinite(v))
-            raise SequenceError(f"sequence values must be finite, got {bad!r}")
+        # A float sum is finite only if every term is, so one C-level sum
+        # clears almost every input. When it is not finite, a scan names the
+        # first bad value; finding none, the sum only overflowed.
+        if not math.isfinite(sum(vals)):
+            bad = next((v for v in vals if not math.isfinite(v)), None)
+            if bad is not None:
+                raise SequenceError(f"sequence values must be finite, got {bad!r}")
         self._store(vals)
 
     def __len__(self) -> int:
@@ -77,7 +82,7 @@ SequenceLike = RealSequence | Iterable[float]
 def as_real_sequence(seq: SequenceLike) -> RealSequence:
     if isinstance(seq, RealSequence):
         return seq
-    return RealSequence(tuple(seq))
+    return RealSequence(seq)
 
 
 class EvalStats(Record):
@@ -162,7 +167,8 @@ def naive_call_count(n_len: int, rank: int) -> int:
 
 
 def _check_rank(rank: int, n_len: int) -> int:
-    rank = _integral(rank, RankError, "rank")
+    if type(rank) is not int:
+        rank = _integral(rank, RankError, "rank")
     if not 1 <= rank <= n_len:
         raise RankError(f"rank {rank} out of range 1..{n_len}")
     return rank
@@ -247,8 +253,8 @@ def select_naive(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     any recursion starts.
     """
     seq = as_real_sequence(seq)
-    rank = _check_rank(rank, len(seq))
-    _check_naive_budget(len(seq), rank, resolve_budget(budget))
+    rank = _check_rank(rank, len(seq.values))
+    _check_naive_budget(len(seq.values), rank, resolve_budget(budget))
     value, recursive, base = _backend.kernels().select_naive(seq.values, rank)
     if stats is not None:
         stats.recursive_calls += recursive
@@ -273,8 +279,8 @@ def select_memo(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     not fit in 64 bits.
     """
     seq = as_real_sequence(seq)
-    rank = _check_rank(rank, len(seq))
-    _check_memo_budget(len(seq), rank, resolve_budget(budget))
+    rank = _check_rank(rank, len(seq.values))
+    _check_memo_budget(len(seq.values), rank, resolve_budget(budget))
     value, recursive, base, hits = _backend.kernels().select_memo(seq.values, rank)
     if stats is not None:
         stats.recursive_calls += recursive
@@ -293,32 +299,17 @@ def select_fullrange(rank: int, seq: SequenceLike, *, budget: int | None = None)
     select_naive. Its budget bounds the states the full-range recursion
     would touch."""
     seq = as_real_sequence(seq)
-    rank = _check_rank(rank, len(seq))
-    _check_fullrange_budget(len(seq), rank, resolve_budget(budget))
+    rank = _check_rank(rank, len(seq.values))
+    _check_fullrange_budget(len(seq.values), rank, resolve_budget(budget))
     return _backend.kernels().select_fullrange(seq.values, rank)
 
 
-def select_ranks(seq: SequenceLike, ranks: Iterable[int], *, mode: str = "memo",
-                 stats: EvalStats | None = None, budget: int | None = None) -> tuple:
-    """The values at several ranks of one sequence, in the order given.
-
-    Each value, and what it adds to ``stats``, equals bit for bit the
-    single call select_naive, select_memo or select_fullrange (``mode``)
-    at that rank; fullrange adds no counters. The sequence is validated
-    once and the budget resolved once. Every rank, and then every rank's
-    budget, is checked before the kernel runs, so a RankError or
-    BudgetError leaves ``stats`` untouched.
-
-    Then one kernel call answers every rank. Naive mode runs the plain
-    recursion once per rank in it. Memo and fullrange modes read every
-    rank off one pass of the normal-form fold, over the window of their
-    subset sizes: N(N + 1)/2 steps for all N ranks. The memo counters are
-    computed, only when ``stats`` is passed, with Python ints from the
-    same closed form as the pure-Python kernel's, so they never overflow,
-    on either backend; the single compiled select_memo raises
-    OverflowError past 64 bits.
-    """
-    seq = as_real_sequence(seq)
+def _checked_ranks(n_len: int, ranks: Iterable[int], mode: str, budget: int | None) -> list:
+    """The ranks, as a list of ints, that select_ranks may hand to
+    _select_checked for a sequence of n_len values: the mode is checked,
+    then every rank, then the budget is resolved once, then every rank's
+    budget is checked, each raising select_ranks' error. The result depends
+    only on the arguments, so one call serves every sequence of a length."""
     if mode == "naive":
         check = _check_naive_budget
     elif mode == "memo":
@@ -328,25 +319,60 @@ def select_ranks(seq: SequenceLike, ranks: Iterable[int], *, mode: str = "memo",
     else:
         raise ValueError(
             f"mode must be one of ['fullrange', 'memo', 'naive'], got {mode!r}")
-    n_len = len(seq)
     ranks = [_check_rank(rank, n_len) for rank in ranks]
     limit = resolve_budget(budget)
     for rank in ranks:
         check(n_len, rank, limit)
+    return ranks
+
+
+def _select_checked(values: tuple, ranks: list, mode: str,
+                    stats: EvalStats | None = None) -> tuple:
+    """select_ranks' values for validated floats and ranks that
+    _checked_ranks returned for their length and mode: one kernel call,
+    then the counters added to ``stats``."""
     if mode == "naive":
-        values, recursive, base = _backend.kernels().naive_ranks(seq.values, ranks)
+        found, recursive, base = _backend.kernels().naive_ranks(values, ranks)
         if stats is not None:
             stats.recursive_calls += recursive
             stats.base_case_calls += base
-        return values
-    values = _backend.kernels().normal_forms(seq.values, ranks)
+        return found
+    found = _backend.kernels().normal_forms(values, ranks)
     if stats is not None and mode == "memo":
+        n_len = len(values)
         for rank in ranks:
             recursive, base, hits = _memo_counts(n_len, rank)
             stats.recursive_calls += recursive
             stats.base_case_calls += base
             stats.memo_hits += hits
-    return values
+    return found
+
+
+def select_ranks(seq: SequenceLike, ranks: Iterable[int], *, mode: str = "memo",
+                 stats: EvalStats | None = None, budget: int | None = None) -> tuple:
+    """The values at several ranks of one sequence, in the order given.
+
+    Each value, and what it adds to ``stats``, equals bit for bit the
+    single call select_naive, select_memo or select_fullrange (``mode``)
+    at that rank; fullrange adds no counters. The sequence is validated
+    once. Then _checked_ranks checks the mode, every rank, resolves the
+    budget once and checks every rank's budget, all before the kernel
+    runs, so a RankError or BudgetError leaves ``stats`` untouched.
+
+    Then _select_checked makes one kernel call for every rank. Naive mode
+    runs the plain recursion once per rank in it. Memo and fullrange modes
+    read every rank off one pass of the normal-form fold, over the window
+    of their subset sizes: N(N + 1)/2 steps for all N ranks. The memo
+    counters are computed, only when ``stats`` is passed, with Python ints
+    from the same closed form as the pure-Python kernel's, so they never
+    overflow, on either backend; the single compiled select_memo raises
+    OverflowError past 64 bits. The checks depend only on the length, the
+    ranks, the mode and the budget, so exhaustive_verify runs them once
+    per length and the kernel call once per sequence.
+    """
+    seq = as_real_sequence(seq)
+    ranks = _checked_ranks(len(seq.values), ranks, mode, budget)
+    return _select_checked(seq.values, ranks, mode, stats)
 
 
 def median(seq: SequenceLike, *, mode: str = "memo",
@@ -358,8 +384,8 @@ def median(seq: SequenceLike, *, mode: str = "memo",
     seq = as_real_sequence(seq)
     if mode not in ("memo", "naive"):
         raise ValueError(f"mode must be one of ['memo', 'naive'], got {mode!r}")
-    half = len(seq) // 2
-    if len(seq) % 2 == 1:
+    half = len(seq.values) // 2
+    if len(seq.values) % 2 == 1:
         return select_ranks(seq, (half + 1,), mode=mode, stats=stats, budget=budget)[0]
     lo, hi = select_ranks(seq, (half, half + 1), mode=mode, stats=stats, budget=budget)
     return (lo + hi) / 2

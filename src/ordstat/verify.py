@@ -19,11 +19,16 @@ once, as a RealSequence that every selector of that sequence reuses.
 It builds the minmax formula of each (length, rank) once and keeps its
 packed program; the arithmetic form is that program lowered
 (expr._lower_program) and compiled, so no arithmetic graph is built.
-exhaustive_verify selects all ranks of one mode in one select_ranks call,
-which is one kernel call; the memo and fullrange ranks each come from one
-pass of the normal-form fold, as do the median's. Under a budget too
-small for the plan the naive ranks of a sequence are all checked before
-any memo rank.
+exhaustive_verify runs select_ranks in its two halves: the rank and
+budget checks of each mode (selection._checked_ranks) once per length,
+before the length's first tuple, since they depend on nothing else, and
+then one kernel call per mode and tuple (selection._select_checked). The
+memo and fullrange ranks each come from one pass of the normal-form fold,
+as do the median's, which goes through the public median. Under a budget
+too small for the plan, the first length whose checks fail raises the
+error select_ranks would raise on its first tuple: the naive ranks are
+all checked before any memo rank, and every mode before any formula of
+that length is built.
 
 merge_reports combines reports into one whose failure order does not
 depend on the order of the reports; ``ordstat verify`` merges its two
@@ -44,14 +49,15 @@ from .expr import _compile_program, _lower_program, _program_of, build_selection
 from .selection import (
     RealSequence,
     _check_rank,
+    _checked_ranks,
     _integral,
+    _select_checked,
     median,
     naive_call_count,
     resolve_budget,
     select_fullrange,
     select_memo,
     select_naive,
-    select_ranks,
 )
 
 DEFAULT_CASE_BUDGET = 5_000_000
@@ -194,14 +200,18 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
     failures = []
     cases = 0
     for length in range(1, plan.max_n + 1):
+        ranks = range(1, length + 1)
+        naive_ranks = _checked_ranks(
+            length, [rank % length + 1 for rank in ranks] if inject_fault else ranks,
+            "naive", limit)
+        memo_ranks = _checked_ranks(length, ranks, "memo", limit)
+        full_ranks = _checked_ranks(length, ranks, "fullrange", limit)
         for combo in itertools.product(plan.alphabet, repeat=length):
             seq = RealSequence(combo)
             ordered = sorted(combo)
-            ranks = range(1, length + 1)
-            naive_ranks = [rank % length + 1 for rank in ranks] if inject_fault else ranks
-            naive = select_ranks(seq, naive_ranks, mode="naive", budget=limit)
-            memo = select_ranks(seq, ranks, mode="memo", budget=limit)
-            full = select_ranks(seq, ranks, mode="fullrange", budget=limit)
+            naive = _select_checked(seq.values, naive_ranks, "naive")
+            memo = _select_checked(seq.values, memo_ranks, "memo")
+            full = _select_checked(seq.values, full_ranks, "fullrange")
             for rank in ranks:
                 expected = ordered[rank - 1]
                 checks = (

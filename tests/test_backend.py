@@ -212,6 +212,50 @@ def test_rank_entries_read_ranks_through_index(backend):
             entry(values, (1, 2.0))
 
 
+class Lying(float):
+    """A float subclass with its own __float__, which a reader of the float
+    itself, as PyFloat_AsDouble is, never calls."""
+
+    def __float__(self):
+        return 99.0
+
+
+def typed(result):
+    """A kernel's result with the type of every value in it."""
+    if isinstance(result, tuple):
+        return tuple(typed(v) for v in result)
+    return type(result), repr(result)
+
+
+# values -> what every kernel entry returns at its ranks 1 and len(values):
+# the values as floats, or the error. The C twin reads values with
+# PyFloat_AsDouble, and the pure-Python one must read them alike.
+VALUE_READS = {
+    "bool": ([True, 2], (1.0, 2.0)),
+    "str": (("x",), (TypeError, "must be real number, not str")),
+    "int": ((1, 2.5), (1.0, 2.5)),
+    "float-subclass": ((Lying(3.0), 1.5), (1.5, 3.0)),
+}
+
+
+@pytest.mark.parametrize("values,want", VALUE_READS.values(), ids=VALUE_READS.keys())
+def test_twins_read_values_alike(backend, values, want):
+    kern = get_kernels(backend)
+    top = len(values)
+    if isinstance(want[0], type):
+        for entry, rank in ((kern.select_naive, 1), (kern.select_memo, top),
+                            (kern.select_fullrange, 1), (kern.normal_forms, (1, top)),
+                            (kern.naive_ranks, (top,))):
+            assert outcome(entry, (values, rank)) == want, entry
+        return
+    lo, hi = typed(want[0]), typed(want[-1])
+    assert typed(kern.select_naive(values, 1))[0] == lo
+    assert typed(kern.select_memo(values, top))[0] == hi
+    assert typed(kern.select_fullrange(values, 1)) == lo
+    assert typed(kern.normal_forms(values, (top, 1))) == (hi, lo)
+    assert typed(kern.naive_ranks(values, (1, top))[0]) == (lo, hi)
+
+
 # A well-formed program, x1 + x2 - 1.0, and single faults to put in it:
 # (name, the part it changes, the change). Two faults combine unless one
 # part names the other or holds it ("consts" holds "consts[0]"); checks of

@@ -53,6 +53,28 @@ class TestRealSequence:
     def test_duplicates_permitted(self):
         assert RealSequence([2, 2, 2]).values == (2.0, 2.0, 2.0)
 
+    # The finiteness check sums the values and scans only when the sum is
+    # not finite; these hold whether or not sum() compensates (3.12 on).
+    def test_overflowing_sum_accepted(self):
+        assert RealSequence([1e308, 1e308, -1e308]).values == (1e308, 1e308, -1e308)
+
+    @pytest.mark.parametrize("values,bad", [
+        ([math.inf, -math.inf], "inf"),
+        ([1.0, math.nan, math.inf], "nan"),
+        ([1e308, 1e308, -math.inf], "-inf"),
+        ([-1e308, -1e308, math.nan], "nan"),
+    ])
+    def test_first_non_finite_named(self, values, bad):
+        with pytest.raises(SequenceError, match=f"^sequence values must be finite, got {bad}$"):
+            RealSequence(values)
+
+    def test_conversions_unchanged(self):
+        seq = RealSequence([True, "1", 2])
+        assert seq.values == (1.0, 1.0, 2.0)
+        assert all(type(v) is float for v in seq.values)
+        with pytest.raises(ValueError):
+            RealSequence(["x"])
+
 
 class TestPairwiseArith:
     def test_known_pairs(self):
@@ -565,6 +587,52 @@ class TestSelectRanks:
             o.select_ranks([], (1,))
         with pytest.raises(SequenceError):
             o.select_ranks([1.0, float("nan")], (1,))
+
+
+def outcome(call):
+    """(value, sign) pairs of what `call` returns, or its error's type and
+    message."""
+    try:
+        return [(v, math.copysign(1, v)) for v in call()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+SPLIT_BUDGETS = (None, 1, 2, 3, 5, 10, 30, 100, 1000, 0, 2.5)
+
+
+class TestSplitSelectRanks:
+    # select_ranks is _checked_ranks and then _select_checked; exhaustive_verify
+    # runs the first once per length, so it must depend on nothing else.
+    @pytest.mark.parametrize("mode", ["naive", "memo", "fullrange", "sorted"])
+    def test_halves_equal_the_whole(self, backend, monkeypatch, mode):
+        monkeypatch.setenv(o.BUDGET_ENV_VAR, "200")
+        rng = random.Random(8)
+        for length in range(1, 9):
+            values = tuple(rng.choice((-0.0, 0.0, 1.0, 2.5)) for _ in range(length))
+            up = list(range(1, length + 1))
+            for ranks in (up, up[::-1], [length, 1, length, 1], (), (0, 1),
+                          (1, length + 1), (1, 2.5), (True, 1.0)):
+                for budget in SPLIT_BUDGETS:
+                    whole, split = EvalStats(), EvalStats()
+                    want = outcome(lambda: o.select_ranks(
+                        values, ranks, mode=mode, stats=whole, budget=budget))
+                    try:
+                        checked = o.selection._checked_ranks(length, ranks, mode, budget)
+                    except Exception as exc:
+                        assert want == (type(exc), str(exc)), (values, ranks, budget)
+                        assert whole == EvalStats()
+                        continue
+                    assert all(type(rank) is int for rank in checked)
+                    got = outcome(lambda: o.selection._select_checked(
+                        RealSequence(values).values, checked, mode, split))
+                    assert got == want, (values, ranks, budget)
+                    assert split == whole, (values, ranks, budget)
+
+    @pytest.mark.parametrize("mode", ["naive", "memo", "fullrange"])
+    def test_checked_ranks_keep_order_and_duplicates(self, mode):
+        assert o.selection._checked_ranks(4, (4, 1, 1), mode, 100) == [4, 1, 1]
+        assert o.selection._checked_ranks(4, range(1, 5), mode, None) == [1, 2, 3, 4]
 
 
 class TestMedian:

@@ -93,6 +93,44 @@ class TestExhaustive:
         assert o.exhaustive_verify(VerifyPlan(max_n=2), case_budget=56.0).cases_run == 56
 
 
+# ORDSTAT_BUDGET -> what exhaustive_verify gives on BUDGET_GRID_PLAN, with
+# and without inject_fault: the error, taken from the code that called
+# select_ranks once per tuple and mode, or the clean run's (cases,
+# failures without and with the fault).
+BUDGET_GRID_PLAN = VerifyPlan(max_n=7, alphabet=(0.0, 1.0))
+NODE_BUDGET = "selection formula for rank {} of {} variables would exceed the node budget of {}"
+BUDGET_GRID = {
+    1: NODE_BUDGET.format(1, 1, 1),
+    2: "memoized selection of rank 2 from 2 elements may touch more than 2 "
+       "distinct subproblems; raise ORDSTAT_BUDGET if this is intended",
+    3: NODE_BUDGET.format(2, 2, 3),
+    5: NODE_BUDGET.format(2, 2, 5),
+    10: NODE_BUDGET.format(2, 3, 10),
+    20: NODE_BUDGET.format(3, 3, 20),
+    40: NODE_BUDGET.format(3, 4, 40),
+    100: NODE_BUDGET.format(4, 5, 100),
+    300: NODE_BUDGET.format(5, 6, 300),
+    1000: (1792, 0, 480),
+}
+
+
+class TestExhaustiveBudgetGrid:
+    # Selection checks run once per length, before the length's first
+    # tuple and its formulas; the first error must not move.
+    @pytest.mark.parametrize("fault", [False, True])
+    @pytest.mark.parametrize("budget", sorted(BUDGET_GRID))
+    def test_same_error_at_every_budget(self, backend, monkeypatch, budget, fault):
+        monkeypatch.setenv(o.BUDGET_ENV_VAR, str(budget))
+        want = BUDGET_GRID[budget]
+        if isinstance(want, str):
+            with pytest.raises(BudgetError) as info:
+                o.exhaustive_verify(BUDGET_GRID_PLAN, inject_fault=fault)
+            assert str(info.value) == want
+            return
+        report = o.exhaustive_verify(BUDGET_GRID_PLAN, inject_fault=fault)
+        assert (report.cases_run, len(report.failures)) == (want[0], want[1 + fault])
+
+
 class TestRandom:
     def test_clean_run(self):
         report = o.random_verify(VerifyPlan(max_n=9, random_trials=300, seed=1))
