@@ -5,23 +5,24 @@
  * floats and a 1-based rank in 1..N (positional arguments only) and raises
  * ValueError for a rank outside that range. normal_forms and naive_ranks
  * take an iterable of such ranks instead, in any order and with
- * duplicates, and answer every rank in one call; one parser, parse, reads
- * the ranks of all five entries and raises the same errors for each.
+ * duplicates, and answer every rank in one call. One reader, read_args,
+ * reads the arguments of all five entries and raises the same errors for
+ * each.
  *
- * select_memo and select_fullrange share one body, normal_form: both
- * recursions have the same max-min normal form, since every level above
- * the deepest takes a maximum, so the value is the first maximum of the
- * deepest level's minima. min distributes over that maximum, so leaf_max
- * folds it in one pass over the reversed values, with one running first
- * maximum per subset size: n * min(K, rank) comparisons and K + 1 doubles,
- * K = n - rank + 1, for any n. The running maxima do not depend on K, so
- * the same pass over a window kmin..kmax of sizes leaves every rank of the
- * window final: normal_forms reads all its ranks off one pass, n(n + 1)/2
- * steps for every rank. select_memo adds the counters the memoized
- * recursion would count (memo_counts), from two binomials checked against
- * 64-bit overflow; select_fullrange and normal_forms have none.
- * naive_ranks runs the plain recursion once per rank and sums its
- * counters.
+ * Each algorithm has one body, and the single entries are its one-rank
+ * case. naive_body runs the plain recursion once per rank and sums its
+ * counters (naive_ranks, select_naive). normal_body evaluates the max-min
+ * normal form that the memoized and the full-range recursion share, the
+ * first maximum of the leaf minima, in one pass of leaf_max over a window
+ * of subset sizes: n * min(K, rank) steps on K + 1 doubles for one rank,
+ * K = n - rank + 1, and n(n + 1)/2 for every rank (normal_forms,
+ * select_fullrange).
+ *
+ * No kernel counts the memoized recursion. Its counters are a closed form
+ * of (n, rank), kept once, in Python ints, as _pykernels._memo_counts, so
+ * they never overflow; ordstat.selection adds them only when asked.
+ * select_memo, which nothing in the package calls, returns
+ * select_fullrange's value and those counters.
  *
  * compile_slp turns a packed straight-line program (see
  * _pykernels.compile_slp, which defines it) into a callable that runs
@@ -124,57 +125,6 @@ leaf_max(const double *xs, size_t n, size_t kmin, size_t kmax, double *g)
     }
 }
 
-/* *r = *r * x / d, when d divides *r * x; -1 when the result does not fit
- * in 64 bits. *r and d shed their common factor first, which leaves d
- * dividing x, so nothing overflows that the result would not. */
-static int
-mul_div(u64 *r, u64 x, u64 d)
-{
-    u64 a = *r, b = d, t;
-
-    while (b != 0) {
-        t = a % b;
-        a = b;
-        b = t;
-    }
-    x /= d / a;
-    if (*r / a > ULLONG_MAX / x)
-        return -1;
-    *r = *r / a * x;
-    return 0;
-}
-
-/* The counters the memoized recursion would count, in
- * _pykernels.select_memo's closed form over C(n, K) leaves and
- * C(n + 1, K + 1) states (the level sizes C(p, K), p = K..n, summed).
- * C(n, K) is built up as C(n - K + i, i), i = 1..min(K, n - K), each step
- * exact; any count past 64 bits raises OverflowError. */
-static int
-memo_counts(size_t n, size_t rank, u64 counts[3])
-{
-    size_t keep = n - rank + 1, low = keep < rank - 1 ? keep : rank - 1, i;
-    u64 top = 1, states, above;
-
-    for (i = 1; i <= low; i++)
-        if (mul_div(&top, n - low + i, i) < 0)
-            goto overflow;
-    states = top;
-    if (mul_div(&states, (u64)n + 1, (u64)keep + 1) < 0)
-        goto overflow;
-    above = states - top;
-    if (above != 0 && (u64)(keep + 1) > (ULLONG_MAX - 1) / above)
-        goto overflow;
-    counts[0] = 1 + (u64)(keep + 1) * above;
-    counts[1] = top;
-    counts[2] = counts[0] - states;
-    return 0;
-overflow:
-    PyErr_Format(PyExc_OverflowError,
-                 "memoized selection of rank %zu from %zu elements: "
-                 "a count overflows 64 bits", rank, n);
-    return -1;
-}
-
 
 /* ---- compile_slp: packed straight-line programs ---------------------- */
 
@@ -199,19 +149,30 @@ slp_free(PyObject *capsule)
     PyMem_Free(PyCapsule_GetPointer(capsule, SLP_CAPSULE));
 }
 
-/* Raises ordstat.errors.ExprError, looked up only when it is needed: the
- * package imports this module before it is fully initialised. */
+/* The attribute `name` of the package module `module`, looked up only
+ * when it is needed: the package imports this module before it is fully
+ * initialised. */
+static PyObject *
+package_attr(const char *module, const char *name)
+{
+    PyObject *mod, *attr;
+
+    mod = PyImport_ImportModule(module);
+    if (mod == NULL)
+        return NULL;
+    attr = PyObject_GetAttrString(mod, name);
+    Py_DECREF(mod);
+    return attr;
+}
+
+/* Raises ordstat.errors.ExprError. */
 static void
 expr_error(const char *format, ...)
 {
-    PyObject *errors, *cls;
+    PyObject *cls;
     va_list va;
 
-    errors = PyImport_ImportModule("ordstat.errors");
-    if (errors == NULL)
-        return;
-    cls = PyObject_GetAttrString(errors, "ExprError");
-    Py_DECREF(errors);
+    cls = package_attr("ordstat.errors", "ExprError");
     if (cls == NULL)
         return;
     va_start(va, format);
@@ -446,28 +407,36 @@ compile_slp(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 /* ---- Python entry points --------------------------------------------- */
 
-/* Reads the m rank arguments ranks[0..m), each through __index__, and then
- * values, in _pykernels._checked's order: out[0..m) gets the ranks, each
- * checked against 1..n, and *xs a fresh array of the *n values as doubles,
- * which the caller frees with PyMem_Free. On the first fault (a rank that
- * is no integer, values that are no sequence, a rank out of range, a value
- * that is no number) returns -1 with nothing to free. */
+/* An entry's arguments, in one block at xs that the entry frees: the n
+ * values as doubles, then room for one result per rank (found), then the
+ * m ranks. */
+typedef struct {
+    double *xs, *found;
+    size_t n, *ranks;
+    Py_ssize_t m;
+} Args;
+
+/* Reads the m rank arguments given[0..m), each through __index__, and then
+ * values, in _pykernels._checked's order, into *a, each rank checked
+ * against 1..n. On the first fault (a rank that is no integer, values that
+ * are no sequence, a rank out of range, a value that is no number) returns
+ * -1 with nothing to free. */
 static int
-parse(PyObject *values, PyObject *const *ranks, Py_ssize_t m,
-      double **xs, size_t *n, size_t *out)
+parse(PyObject *values, PyObject *const *given, Py_ssize_t m, Args *a)
 {
     PyObject *one, **index, *seq = NULL;
     Py_ssize_t len, i, got;
     long r;
     int overflow, status = -1;
 
+    a->xs = NULL;
     index = m > 1 ? PyMem_Calloc((size_t)m, sizeof(PyObject *)) : &one;
     if (index == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     for (got = 0; got < m; got++) {
-        index[got] = PyNumber_Index(ranks[got]);
+        index[got] = PyNumber_Index(given[got]);
         if (index[got] == NULL)
             goto done;
     }
@@ -475,6 +444,13 @@ parse(PyObject *values, PyObject *const *ranks, Py_ssize_t m,
     if (seq == NULL)
         goto done;
     len = PyTuple_GET_SIZE(seq);
+    a->xs = PyMem_Malloc((size_t)(len + m) * sizeof(double) + (size_t)m * sizeof(size_t));
+    if (a->xs == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    a->found = a->xs + len;
+    a->ranks = (size_t *)(a->found + m);
     for (i = 0; i < m; i++) {
         /* An int past a C long is out of range too, as it is in Python. */
         r = PyLong_AsLongAndOverflow(index[i], &overflow);
@@ -482,23 +458,19 @@ parse(PyObject *values, PyObject *const *ranks, Py_ssize_t m,
             PyErr_Format(PyExc_ValueError, "rank %S out of range 1..%zd", index[i], len);
             goto done;
         }
-        out[i] = (size_t)r;
-    }
-    *xs = PyMem_Malloc((size_t)len * sizeof(double));
-    if (*xs == NULL) {
-        PyErr_NoMemory();
-        goto done;
+        a->ranks[i] = (size_t)r;
     }
     for (i = 0; i < len; i++) {
-        (*xs)[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(seq, i));
-        if ((*xs)[i] == -1.0 && PyErr_Occurred()) {
-            PyMem_Free(*xs);
+        a->xs[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(seq, i));
+        if (a->xs[i] == -1.0 && PyErr_Occurred())
             goto done;
-        }
     }
-    *n = (size_t)len;
+    a->n = (size_t)len;
+    a->m = m;
     status = 0;
 done:
+    if (status < 0)
+        PyMem_Free(a->xs);
     for (i = 0; i < got; i++)
         Py_DECREF(index[i]);
     if (index != &one)
@@ -507,62 +479,94 @@ done:
     return status;
 }
 
+/* Reads an entry's (values, rank), or its (values, ranks) when many is
+ * set: any iterable of ranks. */
 static int
-two_args(Py_ssize_t nargs, const char *name, const char *second)
-{
-    if (nargs == 2)
-        return 0;
-    PyErr_Format(PyExc_TypeError, "%s() takes 2 positional arguments "
-                 "(values, %s) but %zd were given", name, second, nargs);
-    return -1;
-}
-
-/* (values, rank) of a single entry. */
-static int
-parse_args(PyObject *const *args, Py_ssize_t nargs, const char *name,
-           double **xs, size_t *n, size_t *rank)
-{
-    if (two_args(nargs, name, "rank") < 0)
-        return -1;
-    return parse(args[0], args + 1, 1, xs, n, rank);
-}
-
-/* (values, ranks) of normal_forms and naive_ranks: any iterable of ranks,
- * read into a fresh array *ranks of *m, which the caller frees as it frees
- * *xs. */
-static int
-parse_ranks(PyObject *const *args, Py_ssize_t nargs, const char *name,
-            double **xs, size_t *n, size_t **ranks, Py_ssize_t *m)
+read_args(PyObject *const *args, Py_ssize_t nargs, const char *name, int many, Args *a)
 {
     PyObject *items;
-    int status = -1;
+    int status;
 
-    if (two_args(nargs, name, "ranks") < 0)
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "%s() takes 2 positional arguments (values, %s) "
+                     "but %zd were given", name, many ? "ranks" : "rank", nargs);
         return -1;
+    }
+    if (!many)
+        return parse(args[0], args + 1, 1, a);
     items = PySequence_Tuple(args[1]);
     if (items == NULL)
         return -1;
-    *m = PyTuple_GET_SIZE(items);
-    *ranks = PyMem_Malloc((size_t)*m * sizeof(size_t));
-    if (*ranks == NULL)
-        PyErr_NoMemory();
-    else if (parse(args[0], PySequence_Fast_ITEMS(items), *m, xs, n, *ranks) == 0)
-        status = 0;
-    else
-        PyMem_Free(*ranks);
+    status = parse(args[0], PySequence_Fast_ITEMS(items), PyTuple_GET_SIZE(items), a);
     Py_DECREF(items);
     return status;
 }
 
-/* The tuple of the m floats v[0..m), or NULL with an exception set. */
-static PyObject *
-float_tuple(const double *v, Py_ssize_t m)
+/* The plain recursion at each rank, into found, on scratch for the
+ * deepest: one copy of the shrinking sequence per depth. The counters are
+ * the sums over the ranks. */
+static int
+naive_body(Args *a, u64 *recursive, u64 *base)
 {
-    PyObject *out = PyTuple_New(m), *f;
+    double *scratch = NULL;
+    size_t deepest = 0;
     Py_ssize_t i;
 
-    for (i = 0; out != NULL && i < m; i++) {
-        f = PyFloat_FromDouble(v[i]);
+    for (i = 0; i < a->m; i++)
+        if (a->ranks[i] > deepest)
+            deepest = a->ranks[i];
+    if (a->n == 0 || deepest <= PY_SSIZE_T_MAX / sizeof(double) / a->n)
+        scratch = PyMem_Malloc(deepest * a->n * sizeof(double));
+    if (scratch == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < a->m; i++)
+        a->found[i] = naive(a->xs, a->n, a->ranks[i], scratch, a->n, recursive, base);
+    PyMem_Free(scratch);
+    return 0;
+}
+
+/* The normal form at each rank, into found, from one fold over the window
+ * of their subset sizes, on K + 1 doubles for the largest K. */
+static int
+normal_body(Args *a)
+{
+    double *g;
+    size_t keep, kmin = a->n, kmax = 0;
+    Py_ssize_t i;
+
+    for (i = 0; i < a->m; i++) {
+        keep = a->n - a->ranks[i] + 1;
+        if (keep < kmin)
+            kmin = keep;
+        if (keep > kmax)
+            kmax = keep;
+    }
+    g = PyMem_Malloc((kmax + 1) * sizeof(double));
+    if (g == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    leaf_max(a->xs, a->n, kmin, kmax, g);
+    for (i = 0; i < a->m; i++)
+        a->found[i] = g[a->n - a->ranks[i] + 1];
+    PyMem_Free(g);
+    return 0;
+}
+
+/* The value found at the one rank, or the tuple of those at many. */
+static PyObject *
+found_values(const Args *a, int many)
+{
+    PyObject *out, *f;
+    Py_ssize_t i;
+
+    if (!many)
+        return PyFloat_FromDouble(a->found[0]);
+    out = PyTuple_New(a->m);
+    for (i = 0; out != NULL && i < a->m; i++) {
+        f = PyFloat_FromDouble(a->found[i]);
         if (f == NULL)
             Py_CLEAR(out);
         else
@@ -571,146 +575,81 @@ float_tuple(const double *v, Py_ssize_t m)
     return out;
 }
 
-/* Scratch for the naive recursion down to `rank`, one copy of the shrinking
- * sequence per depth, and `extra` doubles after it. */
-static double *
-naive_scratch(size_t n, size_t rank, size_t extra)
+static PyObject *
+naive_entry(PyObject *const *args, Py_ssize_t nargs, const char *name, int many)
 {
-    double *scratch = NULL;
+    Args a;
+    u64 recursive = 0, base = 0;
+    PyObject *values, *out = NULL;
 
-    if (n == 0 || rank <= (PY_SSIZE_T_MAX / sizeof(double) - extra) / n)
-        scratch = PyMem_Malloc((rank * n + extra) * sizeof(double));
-    if (scratch == NULL)
-        PyErr_NoMemory();
-    return scratch;
+    if (read_args(args, nargs, name, many, &a) < 0)
+        return NULL;
+    if (naive_body(&a, &recursive, &base) == 0) {
+        values = found_values(&a, many);
+        if (values != NULL)
+            out = Py_BuildValue("(NKK)", values, recursive, base);
+    }
+    PyMem_Free(a.xs);
+    return out;
+}
+
+static PyObject *
+normal_entry(PyObject *const *args, Py_ssize_t nargs, const char *name, int many)
+{
+    Args a;
+    PyObject *out = NULL;
+
+    if (read_args(args, nargs, name, many, &a) < 0)
+        return NULL;
+    if (normal_body(&a) == 0)
+        out = found_values(&a, many);
+    PyMem_Free(a.xs);
+    return out;
 }
 
 static PyObject *
 select_naive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    double *xs, *scratch, value;
-    size_t n, rank;
-    u64 recursive = 0, base = 0;
-
-    if (parse_args(args, nargs, "select_naive", &xs, &n, &rank) < 0)
-        return NULL;
-    scratch = naive_scratch(n, rank, 0);
-    if (scratch == NULL) {
-        PyMem_Free(xs);
-        return NULL;
-    }
-    value = naive(xs, n, rank, scratch, n, &recursive, &base);
-    PyMem_Free(scratch);
-    PyMem_Free(xs);
-    return Py_BuildValue("(dKK)", value, recursive, base);
+    return naive_entry(args, nargs, "select_naive", 0);
 }
 
-/* The plain recursion once per rank, on scratch for the deepest; the
- * counters are the sums of the single calls'. */
 static PyObject *
 naive_ranks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    double *xs, *scratch, *found;
-    size_t n, *ranks, deepest = 0;
-    Py_ssize_t m, i;
-    u64 recursive = 0, base = 0;
-    PyObject *values, *out = NULL;
-
-    if (parse_ranks(args, nargs, "naive_ranks", &xs, &n, &ranks, &m) < 0)
-        return NULL;
-    for (i = 0; i < m; i++)
-        if (ranks[i] > deepest)
-            deepest = ranks[i];
-    scratch = naive_scratch(n, deepest, (size_t)m);
-    if (scratch != NULL) {
-        found = scratch + deepest * n;
-        for (i = 0; i < m; i++)
-            found[i] = naive(xs, n, ranks[i], scratch, n, &recursive, &base);
-        values = float_tuple(found, m);
-        if (values != NULL)
-            out = Py_BuildValue("(NKK)", values, recursive, base);
-        PyMem_Free(scratch);
-    }
-    PyMem_Free(ranks);
-    PyMem_Free(xs);
-    return out;
-}
-
-/* Both entries take the first maximum of the leaf minima, on K + 1
- * doubles of scratch. Only select_memo counts, and returns its counters
- * too. */
-static PyObject *
-normal_form(PyObject *const *args, Py_ssize_t nargs, const char *name, int count)
-{
-    double *xs, *g, value;
-    size_t n, rank, keep;
-    u64 counts[3];
-    PyObject *out = NULL;
-
-    if (parse_args(args, nargs, name, &xs, &n, &rank) < 0)
-        return NULL;
-    keep = n - rank + 1;
-    g = PyMem_Malloc((keep + 1) * sizeof(double));
-    if (g == NULL) {
-        PyMem_Free(xs);
-        return PyErr_NoMemory();
-    }
-    leaf_max(xs, n, keep, keep, g);
-    value = g[keep];
-    if (!count)
-        out = PyFloat_FromDouble(value);
-    else if (memo_counts(n, rank, counts) == 0)
-        out = Py_BuildValue("(dKKK)", value, counts[0], counts[1], counts[2]);
-    PyMem_Free(g);
-    PyMem_Free(xs);
-    return out;
-}
-
-static PyObject *
-select_memo(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    return normal_form(args, nargs, "select_memo", 1);
+    return naive_entry(args, nargs, "naive_ranks", 1);
 }
 
 static PyObject *
 select_fullrange(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    return normal_form(args, nargs, "select_fullrange", 0);
+    return normal_entry(args, nargs, "select_fullrange", 0);
 }
 
-/* Every rank from one fold over the window of their subset sizes, on
- * K + 1 doubles for the largest K, and one double per rank. */
 static PyObject *
 normal_forms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    double *xs, *g, *found;
-    size_t n, *ranks, keep, kmin, kmax = 0;
-    Py_ssize_t m, i;
-    PyObject *out = NULL;
+    return normal_entry(args, nargs, "normal_forms", 1);
+}
 
-    if (parse_ranks(args, nargs, "normal_forms", &xs, &n, &ranks, &m) < 0)
+/* select_fullrange's value, then the three counters of
+ * ordstat._pykernels._memo_counts(n, rank). */
+static PyObject *
+select_memo(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Args a;
+    PyObject *fn, *counts = NULL, *out = NULL, *recursive, *base, *hits;
+
+    if (read_args(args, nargs, "select_memo", 0, &a) < 0)
         return NULL;
-    kmin = n;
-    for (i = 0; i < m; i++) {
-        keep = n - ranks[i] + 1;
-        if (keep < kmin)
-            kmin = keep;
-        if (keep > kmax)
-            kmax = keep;
+    if (normal_body(&a) == 0
+            && (fn = package_attr("ordstat._pykernels", "_memo_counts")) != NULL) {
+        counts = PyObject_CallFunction(fn, "nn", (Py_ssize_t)a.n, (Py_ssize_t)a.ranks[0]);
+        Py_DECREF(fn);
     }
-    g = PyMem_Malloc((kmax + 1 + (size_t)m) * sizeof(double));
-    if (g == NULL) {
-        PyErr_NoMemory();
-    } else {
-        leaf_max(xs, n, kmin, kmax, g);
-        found = g + kmax + 1;
-        for (i = 0; i < m; i++)
-            found[i] = g[n - ranks[i] + 1];
-        out = float_tuple(found, m);
-        PyMem_Free(g);
-    }
-    PyMem_Free(ranks);
-    PyMem_Free(xs);
+    if (counts != NULL && PyArg_ParseTuple(counts, "OOO", &recursive, &base, &hits))
+        out = Py_BuildValue("(dOOO)", a.found[0], recursive, base, hits);
+    Py_XDECREF(counts);
+    PyMem_Free(a.xs);
     return out;
 }
 
@@ -720,9 +659,9 @@ static PyMethodDef methods[] = {
      "Plain elimination recursion."},
     {"select_memo", (PyCFunction)(void (*)(void))select_memo, METH_FASTCALL,
      "select_memo(values, rank) -> (value, recursive_calls, base_case_calls, "
-     "memo_hits)\n\nThe first maximum of the leaf minima, the memoized "
-     "recursion's max-min normal form; counters are those the memoized "
-     "recursion would count."},
+     "memo_hits)\n\nselect_fullrange's value, which is the memoized "
+     "recursion's, and the counters it would count, from "
+     "ordstat._pykernels._memo_counts."},
     {"select_fullrange", (PyCFunction)(void (*)(void))select_fullrange,
      METH_FASTCALL,
      "select_fullrange(values, rank) -> value\n\n"

@@ -18,17 +18,25 @@ backends, are what the memoized recursion would count:
   * base_case_calls  counts rank-1 entries that compute a minimum,
   * memo_hits        counts entries answered from the cache.
 
-select_memo and select_fullrange run neither recursion nor its fold:
-every fold level takes a maximum, so both evaluate the max-min normal
-form, the first maximum of the leaf minima, which the two recursions
-share. min distributes over that maximum, so _leaf_max folds it in one
-pass over the reversed values without building a leaf: N * min(K, rank)
-steps, K = N - rank + 1. The pass fills every subset size at once, so
+Each algorithm has one body here, as in the C twin, and each single
+entry is its one-rank case. naive_ranks runs the plain recursion once
+per rank and sums its counters; select_naive is naive_ranks at one rank.
+normal_forms runs neither the memoized nor the full-range recursion:
+every fold level takes a maximum, so both have the same max-min normal
+form, the first maximum of the leaf minima. min distributes over that
+maximum, so _leaf_max folds it in one pass over the reversed values
+without building a leaf: N * min(K, rank) steps for one rank,
+K = N - rank + 1. The pass fills every subset size at once, so
 normal_forms reads all its ranks off one pass over the window of their
-sizes: N(N + 1)/2 steps for every rank. select_memo reads the three
-counters off the level sizes the memoized recursion would fill
-(_memo_counts, which ordstat.selection uses too); naive_ranks runs the
-plain recursion once per rank and sums its counters.
+sizes: N(N + 1)/2 steps for every rank. select_fullrange is normal_forms
+at one rank.
+
+The memo counters are a closed form of (N, rank), and _memo_counts is its
+one copy on both backends, in Python ints, so no counter overflows.
+ordstat.selection adds them only when stats are asked for. The
+select_memo entry of either twin returns select_fullrange's value and
+these counters; nothing in ordstat calls it, and perfbench's tracer reads
+its counters.
 
 compile_slp turns a packed straight-line program into a callable. Both
 twins check the program once, here with _check_slp, which also checks
@@ -100,14 +108,6 @@ def _naive(xs, m, counters):
     return max(_naive(xs[:j] + xs[j + 1:], m - 1, counters) for j in range(hi))
 
 
-def select_naive(values, rank):
-    """Plain recursion. Returns (value, recursive_calls, base_case_calls)."""
-    xs, (rank,) = _checked(values, (rank,))
-    counters = [0, 0]
-    value = _naive(xs, rank, counters)
-    return value, counters[0], counters[1]
-
-
 def naive_ranks(values, ranks):
     """select_naive at each rank, in the order given. Returns (values,
     recursive_calls, base_case_calls), the counters summed over the
@@ -116,6 +116,13 @@ def naive_ranks(values, ranks):
     counters = [0, 0]
     found = tuple([_naive(xs, rank, counters) for rank in ranks])
     return found, counters[0], counters[1]
+
+
+def select_naive(values, rank):
+    """naive_ranks at one rank: the plain recursion. Returns (value,
+    recursive_calls, base_case_calls)."""
+    (value,), recursive, base = naive_ranks(values, (rank,))
+    return value, recursive, base
 
 
 def _memo_counts(n, rank):
@@ -130,32 +137,30 @@ def _memo_counts(n, rank):
     return recursive, leaves, recursive - states
 
 
-def select_memo(values, rank):
-    """The memoized recursion's max-min normal form (see _leaf_max) and the
-    counters it would count (see _memo_counts). Returns (value,
-    recursive_calls, base_case_calls, memo_hits)."""
-    xs, (rank,) = _checked(values, (rank,))
-    keep = len(xs) - rank + 1
-    return (_leaf_max(xs, keep, keep)[keep], *_memo_counts(len(xs), rank))
-
-
-def select_fullrange(values, rank):
-    """Variant that deletes at every position, not just the first
-    N - n + 2. Its leaves are select_memo's, first reached in the same
-    order, so it returns the same normal form (see _leaf_max); returns the
-    value only."""
-    xs, (rank,) = _checked(values, (rank,))
-    keep = len(xs) - rank + 1
-    return _leaf_max(xs, keep, keep)[keep]
-
-
 def normal_forms(values, ranks):
-    """select_fullrange's value at each rank, in the order given, from one
+    """The max-min normal form at each rank, in the order given, from one
     _leaf_max pass over the window of their subset sizes."""
     xs, ranks = _checked(values, ranks)
     keeps = [len(xs) - rank + 1 for rank in ranks]
     g = _leaf_max(xs, min(keeps, default=0), max(keeps, default=0))
     return tuple([g[keep] for keep in keeps])
+
+
+def select_fullrange(values, rank):
+    """normal_forms at one rank. The full-range recursion deletes at every
+    position, not just the first N - n + 2, but its leaves are the memoized
+    recursion's, first reached in the same order, so it has the same normal
+    form (see _leaf_max). Returns the value only."""
+    return normal_forms(values, (rank,))[0]
+
+
+def select_memo(values, rank):
+    """select_fullrange's value, which is the memoized recursion's, and the
+    counters that recursion would count (see _memo_counts). Returns (value,
+    recursive_calls, base_case_calls, memo_hits)."""
+    rank = operator.index(rank)
+    xs = tuple(values)
+    return (select_fullrange(xs, rank), *_memo_counts(len(xs), rank))
 
 
 # Opcodes of a packed straight-line program, numbered by position here and
@@ -246,13 +251,17 @@ def _real(v):
 
 
 def _inputs(xs, n):
+    # Each value is converted and checked before the next is read, as the
+    # C twin's run_slp does, so both raise for the first faulty value.
     xs = tuple(xs)
     if len(xs) < n:
         raise ExprError(f"formula needs {n} values, got {len(xs)}")
-    vals = [float(x) for x in xs[:n]]
-    for i, v in enumerate(vals):
+    vals = []
+    for i, x in enumerate(xs[:n]):
+        v = float(x)
         if not math.isfinite(v):
             raise ExprError(f"input x{i + 1} is not finite: {v!r}")
+        vals.append(v)
     return vals
 
 

@@ -194,8 +194,9 @@ def backend_table(length: int, rank: int, *, repeats: int = 5, budget: int | Non
     """Time the naive and memoized kernels of every available backend
     (pure Python, and the compiled extension when built) on one input.
 
-    Modes are labeled like "memo[python]" or "naive[cython]". All backends
-    must agree exactly on the result.
+    Modes are labeled like "memo[python]" or "naive[cython]". A memo row
+    times the kernel's select_fullrange, which is what select_memo runs.
+    All backends must agree exactly on the result.
     """
     _check_naive_budget(length, rank, resolve_budget(budget))
     values = _fixed_sequence(length)
@@ -204,7 +205,7 @@ def backend_table(length: int, rank: int, *, repeats: int = 5, budget: int | Non
     for name in available_backends():
         kern = get_kernels(name)
         for mode, run in (("naive", lambda: kern.select_naive(values, rank)[0]),
-                          ("memo", lambda: kern.select_memo(values, rank)[0])):
+                          ("memo", lambda: kern.select_fullrange(values, rank))):
             got = run()
             if got != expected:
                 raise OrdstatError(

@@ -9,13 +9,17 @@ elimination indices are all 1-based.
 Two evaluation strategies share that recursion: select_naive re-solves
 every subproblem, select_memo returns what the recursion memoized on the
 set of surviving original positions returns, as the first maximum of its
-leaf minima. Both compare elements directly, so results are exact
-copies of input values. select_ranks selects several ranks of one sequence
-in one call: it validates the sequence and resolves the budget once, then
-makes one kernel call for every rank, whose normal-form modes read all
-the ranks off one fold pass; median uses it, and exhaustive_verify
-its two halves: _checked_ranks once per length and _select_checked once
-per sequence. The two-argument identities
+leaf minima, from the kernel's select_fullrange, whose recursion has the
+same normal form. Both compare elements directly, so results are exact
+copies of input values. The memo counters are a closed form of (N, n),
+_pykernels._memo_counts, the one copy on both backends: _add_memo_counts
+adds them, in Python ints, only when ``stats`` is passed, so they cost
+nothing otherwise and never overflow. select_ranks selects several
+ranks of one sequence in one call: it validates the sequence and
+resolves the budget once, then makes one kernel call for every rank,
+whose normal-form modes read all the ranks off one fold pass; median
+uses it, and exhaustive_verify its two halves: _checked_ranks once per
+length and _select_checked once per sequence. The two-argument identities
 
     min(a, b) = (a + b - |a - b|) / 2
     max(a, b) = (a + b + |a - b|) / 2
@@ -262,6 +266,17 @@ def select_naive(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     return value
 
 
+def _add_memo_counts(stats: EvalStats, n_len: int, ranks) -> None:
+    """Adds to ``stats`` the counters the memoized recursion would count at
+    each rank of n_len values: _memo_counts, the one closed form of them,
+    in Python ints, which no kernel computes."""
+    for rank in ranks:
+        recursive, base, hits = _memo_counts(n_len, rank)
+        stats.recursive_calls += recursive
+        stats.base_case_calls += base
+        stats.memo_hits += hits
+
+
 def select_memo(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
                 *, budget: int | None = None) -> float:
     """Same value as select_naive, bit for bit: the memoized recursion's.
@@ -271,30 +286,29 @@ def select_memo(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     survivors denotes the same subsequence; there are
     memo_state_count(N, rank) of them, and the budget bounds that number.
     Every level above its minima takes a max, so both backends evaluate
-    its max-min normal form, the first maximum of the leaf minima; min
-    distributes over that max, so they fold it in one pass over the
-    values, N * min(K, rank) comparisons with K = N - rank + 1, for any N.
-    The counters added to `stats` are still those the memoized recursion
-    would count; the compiled backend raises OverflowError when one does
-    not fit in 64 bits.
+    its max-min normal form, the first maximum of the leaf minima, with
+    the kernel's select_fullrange; min distributes over that max, so it
+    is one pass over the values, N * min(K, rank) comparisons with
+    K = N - rank + 1, for any N. Only when ``stats`` is passed are the
+    counters the memoized recursion would count added to it, from the
+    closed form _memo_counts in Python ints, the same on both backends
+    and for any N.
     """
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq.values))
     _check_memo_budget(len(seq.values), rank, resolve_budget(budget))
-    value, recursive, base, hits = _backend.kernels().select_memo(seq.values, rank)
+    value = _backend.kernels().select_fullrange(seq.values, rank)
     if stats is not None:
-        stats.recursive_calls += recursive
-        stats.base_case_calls += base
-        stats.memo_hits += hits
+        _add_memo_counts(stats, len(seq.values), (rank,))
     return value
 
 
 def select_fullrange(rank: int, seq: SequenceLike, *, budget: int | None = None) -> float:
     """Diagnostic selector that scans every elimination index at each level
     instead of stopping at N - n + 2. Its recursion reaches the same
-    leaves as select_memo's in the same order, so both backends evaluate
-    the same max-min normal form, in select_memo's one pass without its
-    counters, and it agrees with select_naive bit for bit. The
+    leaves as select_memo's in the same order, so it has the same max-min
+    normal form: select_memo takes its value from this selector's kernel
+    entry, and both agree with select_naive bit for bit. The
     verification suites check it against the sort, and the tests against
     select_naive. Its budget bounds the states the full-range recursion
     would touch."""
@@ -339,12 +353,7 @@ def _select_checked(values: tuple, ranks: list, mode: str,
         return found
     found = _backend.kernels().normal_forms(values, ranks)
     if stats is not None and mode == "memo":
-        n_len = len(values)
-        for rank in ranks:
-            recursive, base, hits = _memo_counts(n_len, rank)
-            stats.recursive_calls += recursive
-            stats.base_case_calls += base
-            stats.memo_hits += hits
+        _add_memo_counts(stats, len(values), ranks)
     return found
 
 
@@ -363,10 +372,9 @@ def select_ranks(seq: SequenceLike, ranks: Iterable[int], *, mode: str = "memo",
     runs the plain recursion once per rank in it. Memo and fullrange modes
     read every rank off one pass of the normal-form fold, over the window
     of their subset sizes: N(N + 1)/2 steps for all N ranks. The memo
-    counters are computed, only when ``stats`` is passed, with Python ints
-    from the same closed form as the pure-Python kernel's, so they never
-    overflow, on either backend; the single compiled select_memo raises
-    OverflowError past 64 bits. The checks depend only on the length, the
+    counters are added as select_memo adds them, only when ``stats`` is
+    passed, from the one closed form in Python ints, so they never
+    overflow, on either backend. The checks depend only on the length, the
     ranks, the mode and the budget, so exhaustive_verify runs them once
     per length and the kernel call once per sequence.
     """

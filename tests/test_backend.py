@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -359,3 +360,83 @@ def test_twins_read_code_after_the_constants(backend):
 
     with pytest.raises(ValueError, match="^instruction 0: unknown op 9$"):
         get_kernels(backend).compile_slp(1, [Rewrites()], code, 2)
+
+
+def test_kernel_select_memo_twins_agree(compiled_build_error):
+    # Both twins' select_memo is select_fullrange's value and the one
+    # closed form's counters, past 64 bits too, and reads values once.
+    if compiled_build_error is not None:
+        pytest.skip(f"compiled kernels unavailable: {compiled_build_error}")
+    from ordstat._pykernels import _memo_counts
+    python, compiled = get_kernels("python"), get_kernels("cython")
+    values = [float((k * 37) % 101) for k in range(200)]
+    want = (compiled.select_fullrange(values, 100), *_memo_counts(200, 100))
+    assert typed(python.select_memo(values, 100)) == typed(want)
+    assert typed(compiled.select_memo(values, 100)) == typed(want)
+    for kern in (python, compiled):
+        assert kern.select_memo(iter(values), 100) == want
+        assert kern.select_memo(iter(values[:9]), I(4)) == kern.select_memo(values[:9], 4)
+
+
+def leak_cases(kern):
+    """name -> (callable, args): every entry of a kernel module, and the
+    formula compile_slp returns, on a success path and its error paths.
+    Values and ranks are lists, so an entry that keeps the tuple it copies
+    them into grows the traced memory."""
+    values = [3.0, 1.0, 2.0, 5.0]
+    code = array("i", [0, 0, 1, 1, 3, 2])
+    formula = kern.compile_slp(2, [1.0], code, 4)
+    cases = {"compile_slp": (kern.compile_slp, (2, [1.0], code, 4)),
+             "compile_slp-malformed": (kern.compile_slp, (2, [1.0], array("i", [9, 0, 1]), 3)),
+             "compile_slp-const-str": (kern.compile_slp, (2, ["x"], code, 4)),
+             "formula": (formula, ([1, 2.5],)),
+             "formula-inf": (formula, ([math.inf, 2.5],)),
+             "formula-str": (formula, ([1.5, "x"],))}
+    for name in ("select_naive", "select_memo", "select_fullrange"):
+        entry = getattr(kern, name)
+        cases.update({name: (entry, (values, 3)), f"{name}-rank": (entry, (values, 5)),
+                      f"{name}-str": (entry, (["x", 1.0], 1))})
+    for name in ("normal_forms", "naive_ranks"):
+        entry = getattr(kern, name)
+        cases.update({name: (entry, (values, [3, 1, 4])),
+                      f"{name}-rank": (entry, (values, [1, 5])),
+                      f"{name}-str": (entry, (["x", 1.0], [1, 2]))})
+    return cases
+
+
+LEAK_CALLS = 20_000
+
+
+@pytest.mark.parametrize("case", sorted(leak_cases(get_kernels("python"))))
+def test_compiled_entries_keep_no_memory(compiled_build_error, case):
+    # A reference lost on any path, success or error, leaks at least one
+    # object per call, LEAK_CALLS of them in all, or adds LEAK_CALLS to
+    # the count of an argument, of an item of one or of the error's class;
+    # a sound entry's traced memory comes back to where it started.
+    if compiled_build_error is not None:
+        pytest.skip(f"compiled kernels unavailable: {compiled_build_error}")
+    call, args = leak_cases(get_kernels("cython"))[case]
+    raised = set()
+
+    def run(times):
+        for _ in range(times):
+            try:
+                call(*args)
+            except (TypeError, ValueError) as exc:
+                raised.add(type(exc))
+
+    tracemalloc.start()
+    try:
+        # The interpreter's free lists and caches fill up, traced, first.
+        run(LEAK_CALLS // 4)
+        held = [*args, *raised,
+                *(item for arg in args if isinstance(arg, list) for item in arg)]
+        refs = [sys.getrefcount(obj) for obj in held]
+        before = tracemalloc.get_traced_memory()[0]
+        run(LEAK_CALLS)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < LEAK_CALLS, f"{case}: {grown} bytes more after {LEAK_CALLS} calls"
+    # Other code may hold a small int for a while, but not LEAK_CALLS times.
+    assert max(sys.getrefcount(obj) - ref for obj, ref in zip(held, refs)) < 1000

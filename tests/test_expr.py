@@ -839,6 +839,19 @@ class TestCompiledFormulas:
         with pytest.raises(ExprError, match=f"input x2 is not finite: {bad!r}"):
             fn([1.0, bad, 2.0])
 
+    @pytest.mark.parametrize("xs,want", [
+        ((float("inf"), "x"), (ExprError, "input x1 is not finite: inf")),
+        ((float("nan"), "x"), (ExprError, "input x1 is not finite: nan")),
+        (("x", float("inf")), (ValueError, "could not convert string to float: 'x'")),
+        (("1.5", "inf"), (ExprError, "input x2 is not finite: inf")),
+    ], ids=["inf-then-str", "nan-then-str", "str-then-inf", "texts"])
+    def test_inputs_checked_in_order(self, backend, xs, want):
+        # Both twins convert and check each input before they read the next.
+        fn = get_kernels(backend).compile_slp(2, [], array("i", [0, 0, 1]), 2)
+        with pytest.raises(want[0]) as info:
+            fn(xs)
+        assert (type(info.value), str(info.value)) == want
+
     def test_missing_input_raises(self, backend):
         fn = o.compile_to_pyfunc(o.add(x1, x3))
         with pytest.raises(ExprError, match="needs 3 values, got 2"):

@@ -305,20 +305,83 @@ class TestWideMemo:
 
     def test_oversized_level_refused(self, backend):
         # C(201, 99) states: the default budget refuses them. With the
-        # budget lifted, compiled select_memo must refuse counters that do
-        # not fit in 64 bits instead of wrapping them; full-range selection
-        # counts nothing, so it answers on every backend.
+        # budget lifted, every backend answers, and the counters are the
+        # closed form's Python ints, so none wraps past 64 bits.
+        from ordstat import _pykernels
         with pytest.raises(BudgetError):
             o.select_memo(100, range(200))
-        if backend != "python":
-            with pytest.raises(OverflowError):
-                o.select_memo(100, range(200), budget=10**70)
+        stats = EvalStats()
+        assert o.select_memo(100, range(200), stats, budget=10**70) == 99.0
+        counters = (stats.recursive_calls, stats.base_case_calls, stats.memo_hits)
+        assert counters == _pykernels._memo_counts(200, 100)
+        assert min(counters) > 2**64
         assert o.select_fullrange(100, range(200), budget=10**70) == 99.0
+
+    def test_counters_past_64_bits_need_no_stats(self, backend):
+        # C(64, 33) base cases overflow 64 bits; without stats nothing counts.
+        assert o.select_memo(32, range(64), budget=10**70) == 31.0
 
     def test_memo_state_count_quadratic_at_max_rank(self):
         from ordstat.selection import memo_state_count
         assert memo_state_count(70, 70) == sum(t + 1 for t in range(70))
         assert memo_state_count(5, 1) == 1
+
+
+def memoized_recursion_counts(length, rank):
+    """(recursive_calls, base_case_calls, memo_hits) of the memoized
+    recursion itself, run on the positions 0..length-1 and keyed on the
+    surviving ones."""
+    solved, counts = set(), [0, 0, 0]
+
+    def solve(survivors, m):
+        counts[0] += 1
+        if survivors in solved:
+            counts[2] += 1
+            return
+        solved.add(survivors)
+        if m == 1:
+            counts[1] += 1
+            return
+        for j in range(len(survivors) - m + 2):
+            solve(survivors[:j] + survivors[j + 1:], m - 1)
+
+    solve(tuple(range(length)), rank)
+    return tuple(counts)
+
+
+class TestMemoCountersOnRequest:
+    def test_one_kernel_call_and_no_counters_without_stats(self, backend, monkeypatch):
+        from ordstat import _backend, _pykernels, selection
+        kern = _backend.kernels()
+        calls = []
+
+        class Recording:
+            """The active kernels, recording every entry the selectors call."""
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(kern, name)
+
+        monkeypatch.setattr(_backend, "kernels", Recording)
+
+        def refuse(n, rank):
+            raise AssertionError("_memo_counts called without stats")
+
+        monkeypatch.setattr(selection, "_memo_counts", refuse)
+        monkeypatch.setattr(_pykernels, "_memo_counts", refuse)
+        for length, rank in ((1, 1), (7, 4), (16, 8), (65, 3)):
+            calls.clear()
+            assert o.select_memo(rank, range(length)) == rank - 1
+            assert calls == ["select_fullrange"]
+
+    def test_counters_equal_the_memoized_recursion(self, backend):
+        for length in range(1, 10):
+            values = [float((k * 5) % 7) for k in range(length)]
+            for rank in range(1, length + 1):
+                stats = EvalStats()
+                o.select_memo(rank, values, stats)
+                assert (stats.recursive_calls, stats.base_case_calls, stats.memo_hits) \
+                    == memoized_recursion_counts(length, rank), (length, rank)
 
 
 def long_shapes(length):
