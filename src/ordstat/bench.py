@@ -1,8 +1,10 @@
 """Call-count growth, expression-size growth, and wall-clock comparisons.
 
-Counts come from the instrumented selectors, never from the closed form;
-growth_table re-derives base_case_calls = (length - rank + 2)**(rank - 1)
-from the counter and raises if the measured count ever deviates. Timings
+The naive counts are measured: growth_table runs the instrumented naive
+recursion and raises if its base_case_calls ever deviates from the closed
+form (length - rank + 2)**(rank - 1). The memo counters are not measured;
+select_memo reports them from their own closed form of (length, rank),
+_pykernels._memo_counts. Timings
 are medians over a configurable repetition count; repeats=0 skips timing
 and reports 0.0, which keeps the serialized tables byte-stable.
 
@@ -24,6 +26,8 @@ from .expr import build_selection_expr, compile_to_pyfunc, cse
 from .selection import (
     EvalStats,
     _check_naive_budget,
+    _check_rank,
+    _integral,
     naive_call_count,
     resolve_budget,
     select_memo,
@@ -88,6 +92,7 @@ def count_calls(length: int, rank: int, *, budget: int | None = None) -> int:
     serves; this runs the instrumented recursion rather than trusting the
     closed form.
     """
+    length = _integral(length, ValueError, "length")
     stats = EvalStats()
     select_naive(rank, _fixed_sequence(length), stats, budget=budget)
     return stats.base_case_calls
@@ -96,12 +101,15 @@ def count_calls(length: int, rank: int, *, budget: int | None = None) -> int:
 def growth_table(max_N: int, *, repeats: int = 3, budget: int | None = None):
     """One record per (N, n) with 1 <= n <= N <= max_N, mode "growth".
 
-    Each record carries the naive base-case count, the memo hit count, the
-    minmax formula's tree/DAG node counts, and the median wall time of a
-    memoized select. The measured naive count is checked against
-    (N - n + 2)**(n - 1) and the memoized count must not exceed it; any
-    deviation raises OrdstatError.
+    Each record carries the measured naive base-case count, the memo hit
+    count (select_memo's closed form), the minmax formula's tree/DAG node
+    counts, and the median wall time of a memoized select. The naive count
+    is checked against (N - n + 2)**(n - 1), the memo base-case count must
+    not exceed it, and the two selectors must agree; any deviation raises
+    OrdstatError.
     """
+    max_N = _integral(max_N, ValueError, "max_N")
+    repeats = _integral(repeats, ValueError, "repeats")
     if max_N < 1:
         raise ValueError(f"max_N must be at least 1, got {max_N}")
     limit = resolve_budget(budget)
@@ -147,6 +155,8 @@ def compare_wallclock(length: int, trials: int, seed: int = 0, *,
     valued, so all three modes must agree exactly; a mismatch raises
     OrdstatError. Returns records with modes "memo", "expr", "oracle".
     """
+    length = _integral(length, ValueError, "length")
+    trials = _integral(trials, ValueError, "trials")
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
     if trials < 1:
@@ -198,6 +208,9 @@ def backend_table(length: int, rank: int, *, repeats: int = 5, budget: int | Non
     times the kernel's select_fullrange, which is what select_memo runs.
     All backends must agree exactly on the result.
     """
+    length = _integral(length, ValueError, "length")
+    rank = _check_rank(rank, length)
+    repeats = _integral(repeats, ValueError, "repeats")
     _check_naive_budget(length, rank, resolve_budget(budget))
     values = _fixed_sequence(length)
     expected = oracle_select(rank, values)

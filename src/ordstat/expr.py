@@ -40,19 +40,18 @@ the Python backend's loop.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import weakref
 from array import array
 from collections.abc import Mapping
-from functools import reduce
-from itertools import combinations, count, repeat
+from functools import partial, reduce
+from itertools import combinations, count
 
 from . import _backend
 from ._pykernels import SLP_OPS, _check_slp, _run_slp
 from ._record import FrozenRecord
 from .errors import ExprError, SequenceError, TextParseError
-from .selection import _check_formula_budget, _check_rank, _integral, resolve_budget
+from .selection import _check_formula_budget, _check_rank, _integral, _to_float, resolve_budget
 
 _ARITY = {
     "var": 0,
@@ -103,7 +102,7 @@ class Expr:
             if payload < 1:
                 raise ExprError(f"variable index must be a positive integer, got {payload}")
         elif kind == "const":
-            payload = float(payload)
+            payload = _to_float(payload)
             if not math.isfinite(payload):
                 raise ExprError(f"constants must be finite, got {payload!r}")
         elif payload is not None:
@@ -231,65 +230,22 @@ def metrics_of(expr: Expr) -> ExprMetrics:
     return ExprMetrics(size, n_read + len(program.consts) + len(tree), depth)
 
 
-def _leaves(n, keep, atom, step):
-    """The left folds step(...step(atom(c_0), atom(c_1))..., atom(c_{K-1}))
-    over every K-subset c_0 < ... < c_{K-1} of range(n), K = keep >= 1, as
-    a list in colex order (ascending largest member, then the rest alike).
-
-    The list is built from prefixes, one member more per pass: in colex
-    order the k-subsets with largest member t follow those of range(t), and
-    they are the first C(t, k - 1) values of the pass below, the
-    (k - 1)-subsets of range(t), each with t added. So each value is one
-    `step` away from a value of the pass below. Pass k holds the k-subsets
-    of range(n - keep + k), the k-member prefixes of the last pass, and all
-    passes take about C(n + 1, K) steps where one left fold per subset
-    would take C(n, K) * K.
-    """
-    lead = n - keep + 1
-    values = [atom(i) for i in range(lead)]
-    for k in range(2, keep + 1):
-        below = values
-        values = []
-        for t in range(k - 1, lead + k - 1):
-            width = math.comb(t, k - 1)
-            values += map(step, below[:width], repeat(atom(t), width))
-    return values
-
-
 def _fill_levels(n, rank, atom, step, fold):
     """Evaluate the rank-`rank` elimination recursion over positions
     0..n-1 bottom-up, deepest level first, and return its root.
 
-    With R = n - rank + 2, elimination always takes one of the first R
-    survivors, so after t removals the survivors are the positions from
-    p = R + t - 1 on plus R - 1 positions kept in range(p). A state is the
-    bitmask S of those kept positions, and every (R - 1)-subset of range(p)
-    is reachable. Its children, in elimination order, are S - {s} + {p}
-    for each s in S ascending, then S itself. Every level above the
-    deepest maps S to fold(children in elimination order). Only two levels
-    are alive at any time.
-
-    The deepest level (p = n) maps S = {c_0 < ... < c_{K-1}}, K = R - 1,
-    to the left fold step(...step(atom(c_0), atom(c_1))..., atom(c_{K-1})).
-    _leaves builds those folds from shared prefixes, and the bitmasks
-    too, with OR as the step. `atom` names the value of one position (a
-    variable, for a formula), `step` one step of the left fold over a
-    leaf's atoms (min_of), and `fold` a level's fold over its children
-    (a max chain).
+    With K = n - rank + 1, a state at level p is the sorted K-tuple S of
+    survivors kept in range(p); positions p.. all survive. The deepest
+    level (p = n) maps S to the left fold reduce(step, map(atom, S)).
+    Level p maps S to fold of its children in elimination order,
+    S[:i] + S[i + 1:] + (p,) for each i, then S. Only two levels are
+    alive at any time.
     """
     keep = n - rank + 1
-    bit = [1 << i for i in range(n)]
-    level = dict(zip(_leaves(n, keep, bit.__getitem__, operator.or_),
-                     _leaves(n, keep, atom, step)))
+    level = {S: reduce(step, map(atom, S)) for S in combinations(range(n), keep)}
     for p in range(n - 1, keep - 1, -1):
-        top = bit[p]
-        above = {}
-        for S in combinations(range(p), keep):
-            mask = sum([bit[i] for i in S])
-            kids = [level[mask ^ bit[s] | top] for s in S]
-            kids.append(level[mask])
-            above[mask] = fold(kids)
-        level = above
+        level = {S: fold([level[S[:i] + S[i + 1:] + (p,)] for i in range(keep)] + [level[S]])
+                 for S in combinations(range(p), keep)}
     (root,) = level.values()
     return root
 
@@ -315,8 +271,8 @@ def build_selection_expr(n_vars: int, rank: int, form: str = "minmax",
     _check_formula_budget(n_vars, rank, resolve_budget(budget))
 
     variables = [var(i + 1) for i in range(n_vars)]
-    root = _fill_levels(n_vars, rank, variables.__getitem__, min_of,
-                        lambda kids: reduce(max_of, kids))
+    root = _fill_levels(n_vars, rank, variables.__getitem__, partial(_op, "min"),
+                        partial(reduce, partial(_op, "max")))
     if form == "arithmetic":
         root = lower_minmax_to_arith(root)
     return root

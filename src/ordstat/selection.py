@@ -61,7 +61,13 @@ class RealSequence(FrozenRecord):
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[float]):
-        vals = tuple(map(float, values))
+        # Not _to_float: map(float) keeps this path in C, and `values` may
+        # be an iterator that cannot be read again after an overflow.
+        try:
+            vals = tuple(map(float, values))
+        except OverflowError:
+            raise SequenceError("sequence values must be finite, got a number "
+                                "past the float range") from None
         if not vals:
             raise SequenceError("sequence must contain at least one value")
         # A float sum is finite only if every term is, so one C-level sum
@@ -104,8 +110,18 @@ class EvalStats(Record):
 _ARITH_LIMIT = 2.0 ** 1022
 
 
+def _to_float(x) -> float:
+    # float(x), but a number past the float range (an int such as 10**400)
+    # becomes the infinity of its sign instead of raising OverflowError, so
+    # the caller's finiteness check refuses it as it refuses 1e400.
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _arith_operand(x) -> float:
-    x = float(x)
+    x = _to_float(x)
     if not abs(x) <= _ARITH_LIMIT:
         raise SequenceError(
             f"value must be finite with magnitude at most 2**1022, got {x!r}")

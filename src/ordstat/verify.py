@@ -52,6 +52,7 @@ from .selection import (
     _checked_ranks,
     _integral,
     _select_checked,
+    _to_float,
     median,
     naive_call_count,
     resolve_budget,
@@ -77,7 +78,7 @@ class VerifyPlan(FrozenRecord):
         max_n = _integral(max_n, ValueError, "max_n")
         if max_n < 1:
             raise ValueError(f"max_n must be at least 1, got {max_n}")
-        alphabet = tuple(float(a) for a in alphabet)
+        alphabet = tuple(map(_to_float, alphabet))
         if not alphabet:
             raise ValueError("alphabet must be non-empty")
         if not all(math.isfinite(a) for a in alphabet):

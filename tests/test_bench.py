@@ -5,7 +5,7 @@ import json
 import pytest
 
 import ordstat as o
-from ordstat import CSV_HEADER, BudgetError, OrdstatError
+from ordstat import CSV_HEADER, BudgetError, OrdstatError, RankError
 
 
 class TestCountCalls:
@@ -76,6 +76,35 @@ class TestBackendTable:
     def test_budget(self):
         with pytest.raises(BudgetError):
             o.backend_table(30, 15, repeats=1)
+
+
+class TestIntegralSizes:
+    # Sizes that equal an integer are taken as that int, as
+    # build_selection_expr and VerifyPlan take them; other values raise.
+    def test_integral_values_taken_as_ints(self):
+        assert o.growth_table(2.0, repeats=0.0) == o.growth_table(2, repeats=0)
+        assert o.count_calls(5.0, 3) == o.count_calls(5, 3) == 16
+        assert o.backend_table(5.0, 3.0, repeats=0) == o.backend_table(5, 3, repeats=0)
+        for rec in o.compare_wallclock(True, 1.0) + o.compare_wallclock(5, 2.0):
+            assert type(rec.N) is int and type(rec.n) is int
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda: o.growth_table(2.5, repeats=0), "max_N"),
+        (lambda: o.growth_table("2", repeats=0), "max_N"),
+        (lambda: o.growth_table(2, repeats=0.5), "repeats"),
+        (lambda: o.count_calls(5.5, 3), "length"),
+        (lambda: o.backend_table(5.5, 3, repeats=0), "length"),
+        (lambda: o.backend_table(5, 3, repeats=1.5), "repeats"),
+        (lambda: o.compare_wallclock(5.5, 1), "length"),
+        (lambda: o.compare_wallclock(5, 1.5), "trials"),
+    ])
+    def test_non_integral_sizes_refused(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+
+    def test_non_integral_rank_refused(self):
+        with pytest.raises(RankError, match="^rank must be an integer"):
+            o.backend_table(5, 2.5, repeats=0)
 
 
 class TestSerialization:

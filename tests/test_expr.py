@@ -222,6 +222,24 @@ class TestBuildSelection:
         with pytest.raises(BudgetError):
             o.build_selection_expr(100_000, 2)
 
+    def test_is_the_recursion_node_for_node(self):
+        # The paper's recursion, built the plain way over survivor tuples:
+        # rank 1 is a left min chain, rank m a max over the first
+        # len(S) - m + 2 single deletions. Interning makes "the same
+        # formula" mean "the same node".
+        @functools.lru_cache(maxsize=None)
+        def recursion(survivors, m):
+            if m == 1:
+                return functools.reduce(o.min_of, map(o.var, survivors))
+            return functools.reduce(o.max_of, [
+                recursion(survivors[:i] + survivors[i + 1:], m - 1)
+                for i in range(len(survivors) - m + 2)])
+
+        for n_vars in range(1, 10):
+            for rank in range(1, n_vars + 1):
+                assert o.build_selection_expr(n_vars, rank) is \
+                    recursion(tuple(range(1, n_vars + 1)), rank), (n_vars, rank)
+
     @pytest.mark.parametrize("n_vars,rank", [(n, r) for n in range(1, 7)
                                              for r in range(1, n + 1)])
     def test_evaluates_to_selection(self, n_vars, rank):

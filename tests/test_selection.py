@@ -76,6 +76,27 @@ class TestRealSequence:
             RealSequence(["x"])
 
 
+# An int past the float range is refused with each entry's documented
+# error, as the float 1e400 (inf) is, not with float()'s OverflowError.
+@pytest.mark.parametrize("call,error", [
+    (lambda: RealSequence([10 ** 400]), SequenceError),
+    (lambda: RealSequence([1.0, -10 ** 400]), SequenceError),
+    (lambda: o.select_memo(1, [1.0, 10 ** 400]), SequenceError),
+    (lambda: o.median([10 ** 400]), SequenceError),
+    (lambda: o.VerifyPlan(alphabet=(10 ** 400,)), ValueError),
+    (lambda: o.VerifyPlan(alphabet=(0.0, -10 ** 400)), ValueError),
+    (lambda: o.const(10 ** 400), o.ExprError),
+    (lambda: o.const(-10 ** 400), o.ExprError),
+    (lambda: o.pairwise_max_arith(1, 10 ** 400), SequenceError),
+    (lambda: o.pairwise_min_arith(-10 ** 400, 1), SequenceError),
+], ids=["sequence", "sequence-negative", "select_memo", "median", "alphabet",
+        "alphabet-negative", "const", "const-negative", "pairwise_max_arith",
+        "pairwise_min_arith"])
+def test_int_past_float_range_refused(call, error):
+    with pytest.raises(error, match="finite"):
+        call()
+
+
 class TestPairwiseArith:
     def test_known_pairs(self):
         assert o.pairwise_min_arith(1, 2) == 1
