@@ -189,6 +189,7 @@ run_slp(PyObject *self, PyObject *values)
     double stack[SLP_STACK_REGS], *r = stack, *t, a, b, v;
     Py_ssize_t i, k, n_regs;
     const int *c;
+    int positive;
 
     if (p == NULL)
         return NULL;
@@ -214,10 +215,24 @@ run_slp(PyObject *self, PyObject *values)
             v = PyFloat_AS_DOUBLE(item);
         } else {
             f = PyNumber_Float(item);
-            if (f == NULL)
-                goto done;
-            v = PyFloat_AS_DOUBLE(f);
-            Py_DECREF(f);
+            if (f != NULL) {
+                v = PyFloat_AS_DOUBLE(f);
+                Py_DECREF(f);
+            } else {
+                /* A number past the float range is the infinity of its
+                   sign, refused below, as _pykernels._to_float gives it. */
+                if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+                    goto done;
+                PyErr_Clear();
+                f = PyLong_FromLong(0);
+                if (f == NULL)
+                    goto done;
+                positive = PyObject_RichCompareBool(item, f, Py_GT);
+                Py_DECREF(f);
+                if (positive < 0)
+                    goto done;
+                v = positive ? Py_HUGE_VAL : -Py_HUGE_VAL;
+            }
         }
         if (!isfinite(v)) {
             f = PyFloat_FromDouble(v);

@@ -178,8 +178,9 @@ def compile_slp(n_vars, consts, code, result):
     an array('i') of (op, a, b) triples with op indexing SLP_OPS, writes
     register n_vars + len(consts) + k from registers a and b, which must
     lie below it; f returns register `result`. f converts values[0..n_vars)
-    with float() and raises ExprError when one is missing or not finite,
-    or when an instruction's value is not finite. A malformed program
+    with float(), a number past the float range to the infinity of its
+    sign (_to_float), and raises ExprError when one is missing or not
+    finite, or when an instruction's value is not finite. A malformed program
     raises ValueError here, before anything runs, as does one with more
     than 2**31 - 1 registers, which C ints cannot number; code that is no
     buffer, an n_vars or result that is no integer, or a constant that is
@@ -250,6 +251,16 @@ def _real(v):
     return float(v)
 
 
+def _to_float(x) -> float:
+    # float(x), but a number past the float range (an int such as 10**400)
+    # becomes the infinity of its sign instead of raising OverflowError, so
+    # the caller's finiteness check refuses it as it refuses 1e400.
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _inputs(xs, n):
     # Each value is converted and checked before the next is read, as the
     # C twin's run_slp does, so both raise for the first faulty value.
@@ -258,7 +269,7 @@ def _inputs(xs, n):
         raise ExprError(f"formula needs {n} values, got {len(xs)}")
     vals = []
     for i, x in enumerate(xs[:n]):
-        v = float(x)
+        v = _to_float(x)
         if not math.isfinite(v):
             raise ExprError(f"input x{i + 1} is not finite: {v!r}")
         vals.append(v)

@@ -6,7 +6,8 @@ form (length - rank + 2)**(rank - 1). The memo counters are not measured;
 select_memo reports them from their own closed form of (length, rank),
 _pykernels._memo_counts. Timings
 are medians over a configurable repetition count; repeats=0 skips timing
-and reports 0.0, which keeps the serialized tables byte-stable.
+and reports 0.0, which keeps the serialized tables byte-stable, and a
+negative count raises ValueError.
 
 Correctness is re-checked inside every benchmark: all timed modes must
 agree on the benchmarked inputs (inputs are integer-valued, so agreement
@@ -110,6 +111,8 @@ def growth_table(max_N: int, *, repeats: int = 3, budget: int | None = None):
     """
     max_N = _integral(max_N, ValueError, "max_N")
     repeats = _integral(repeats, ValueError, "repeats")
+    if repeats < 0:
+        raise ValueError(f"repeats must be nonnegative, got {repeats}")
     if max_N < 1:
         raise ValueError(f"max_N must be at least 1, got {max_N}")
     limit = resolve_budget(budget)
@@ -211,6 +214,8 @@ def backend_table(length: int, rank: int, *, repeats: int = 5, budget: int | Non
     length = _integral(length, ValueError, "length")
     rank = _check_rank(rank, length)
     repeats = _integral(repeats, ValueError, "repeats")
+    if repeats < 0:
+        raise ValueError(f"repeats must be nonnegative, got {repeats}")
     _check_naive_budget(length, rank, resolve_budget(budget))
     values = _fixed_sequence(length)
     expected = oracle_select(rank, values)

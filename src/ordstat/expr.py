@@ -17,7 +17,8 @@ Two forms exist:
 Canonical text rendering (emit_text) is deterministic: chains associate
 left, binary + and - are always parenthesized, absolute value uses bars,
 halving renders as a /2 suffix, and min/max render as min{a, b}/max{a, b}.
-parse_text inverts both the infix and the sexpr renderings.
+parse_text inverts both renderings with one reader, _Parser: a tokenizer
+loop driven by a token pattern per syntax, and a recursive-descent cursor.
 
 A graph's straight-line program (SLP) is one packed register program per
 root. One walk numbers every distinct operation node as a temp, children
@@ -48,10 +49,10 @@ from functools import partial, reduce
 from itertools import combinations, count
 
 from . import _backend
-from ._pykernels import SLP_OPS, _check_slp, _run_slp
+from ._pykernels import SLP_OPS, _check_slp, _run_slp, _to_float
 from ._record import FrozenRecord
 from .errors import ExprError, SequenceError, TextParseError
-from .selection import _check_formula_budget, _check_rank, _integral, _to_float, resolve_budget
+from .selection import _check_formula_budget, _check_rank, _integral, resolve_budget
 
 _ARITY = {
     "var": 0,
@@ -413,36 +414,36 @@ def emit_text(expr: Expr, syntax: str = "infix") -> str:
     return var_text(r + 1) if r < n_vars else txt[r - n_vars]
 
 
-_INFIX_TOKEN = re.compile(
-    r"\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|x\d+|min|max|[(){}|,+\-/])"
-)
-_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?\Z")
+# Per syntax, the pattern of one token after optional whitespace; re
+# compiles each the first time a parse uses it, and caches it.
+_TOKEN = {
+    "infix": r"\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|x\d+|min|max|[(){}|,+\-/])",
+    "sexpr": r"\s*([()]|[^\s()]+)",
+}
 
 
-def _tokenize_infix(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _INFIX_TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise TextParseError(f"unexpected character at {text[pos:pos + 10]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+class _Parser:
+    """A cursor over the tokens of one formula text, for either syntax:
+    chain reads infix and sexpr reads an s-expression, one Python frame
+    per s-expression level and three per infix level. A None token ends
+    the list, so peek never runs past it and take refuses it."""
 
-
-class _InfixParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text, syntax):
+        token = re.compile(_TOKEN[syntax])
+        self.tokens = []
+        self.pos = pos = 0
+        while m := token.match(text, pos):
+            self.tokens.append(m.group(1))
+            pos = m.end()
+        if text[pos:].strip():
+            raise TextParseError(f"unexpected character at {text[pos:pos + 10]!r}")
+        self.tokens.append(None)
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self, expected=None):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise TextParseError("unexpected end of formula")
         if expected is not None and tok != expected:
@@ -450,57 +451,65 @@ class _InfixParser:
         self.pos += 1
         return tok
 
-    def parse_chain(self):
-        node = self.parse_operand()
+    def chain(self):
+        node = self.operand()
         while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.parse_operand()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = _op("add" if self.take() == "+" else "sub", node, self.operand())
         return node
 
-    def parse_operand(self):
-        node = self.parse_primary()
+    def operand(self):
+        node = self.primary()
         while self.peek() == "/":
-            self.take("/")
+            self.take()
             if self.take() != "2":
                 raise TextParseError("only /2 is supported")
-            node = halve(node)
+            node = _op("halve", node)
         return node
 
-    def parse_primary(self):
-        tok = self.peek()
-        if tok is None:
-            raise TextParseError("unexpected end of formula")
-        if tok == "(":
-            self.take()
-            node = self.parse_chain()
-            self.take(")")
-            return node
-        if tok == "|":
-            self.take()
-            node = self.parse_chain()
-            self.take("|")
-            return abs_of(node)
+    def primary(self):
+        # A token that starts with a digit is a number: no other does.
+        tok = self.take()
+        if tok in ("(", "|"):
+            node = self.chain()
+            self.take(")" if tok == "(" else "|")
+            return node if tok == "(" else _op("abs", node)
         if tok in ("min", "max"):
-            self.take()
             self.take("{")
-            a = self.parse_chain()
+            a = self.chain()
             self.take(",")
-            b = self.parse_chain()
+            b = self.chain()
             self.take("}")
-            return min_of(a, b) if tok == "min" else max_of(a, b)
+            return _op(tok, a, b)
         if tok == "-":
-            self.take()
             num = self.take()
-            if not _NUMBER.match(num):
+            if not num[0].isdigit():
                 raise TextParseError(f"expected a number after '-', found {num!r}")
             return _leaf("const", "-" + num)
-        self.take()
-        if tok.startswith("x") and tok[1:].isdigit():
+        if tok[0] == "x":
             return _leaf("var", tok[1:])
-        if _NUMBER.match(tok):
+        if tok[0].isdigit():
             return _leaf("const", tok)
         raise TextParseError(f"unexpected token {tok!r}")
+
+    def sexpr(self):
+        # Children are read in a plain loop: a comprehension would add a
+        # frame per level.
+        self.take("(")
+        head = self.take()
+        if head in ("var", "const"):
+            tok = self.take()
+            if head == "var" and not tok.isdigit():
+                raise TextParseError(f"bad variable index {tok!r}")
+            node = _leaf(head, tok)
+        elif _ARITY.get(head):
+            kids = []
+            for _ in range(_ARITY[head]):
+                kids.append(self.sexpr())
+            node = _op(head, *kids)
+        else:
+            raise TextParseError(f"unknown operator {head!r}")
+        self.take(")")
+        return node
 
 
 def _leaf(kind, text):
@@ -519,55 +528,19 @@ def parse_text(text: str, syntax: str = "infix") -> Expr:
 
     Any text that is no such rendering, including x0 and constants that
     overflow to infinity, raises TextParseError; an unknown `syntax`
-    raises ExprError. Text nested past the recursion limit is refused too."""
+    raises ExprError. Text nested past the recursion limit is refused too:
+    under the default limit of 1000, past about 330 infix or 990 sexpr
+    groups, fewer when parse_text is called from deeper in the stack."""
+    if syntax not in ("infix", "sexpr"):
+        raise ExprError(f"syntax must be 'infix' or 'sexpr', got {syntax!r}")
     try:
-        if syntax == "infix":
-            parser = _InfixParser(_tokenize_infix(text))
-            node = parser.parse_chain()
-            if parser.peek() is not None:
-                raise TextParseError(f"trailing input from {parser.peek()!r}")
-            return node
-        if syntax == "sexpr":
-            tokens = re.findall(r"[()]|[^\s()]+", text)
-            node, rest = _parse_sexpr(tokens, 0)
-            if rest != len(tokens):
-                raise TextParseError(f"trailing input from {tokens[rest]!r}")
-            return node
+        parser = _Parser(text, syntax)
+        node = parser.chain() if syntax == "infix" else parser.sexpr()
     except RecursionError:
         raise TextParseError("formula nests too deeply to parse") from None
-    raise ExprError(f"syntax must be 'infix' or 'sexpr', got {syntax!r}")
-
-
-def _parse_sexpr(tokens, pos):
-    if pos >= len(tokens):
-        raise TextParseError("unexpected end of expression")
-    if tokens[pos] != "(":
-        raise TextParseError(f"expected '(', found {tokens[pos]!r}")
-    pos += 1
-    if pos >= len(tokens):
-        raise TextParseError("unexpected end of expression")
-    head = tokens[pos]
-    pos += 1
-    if head in ("var", "const"):
-        if pos >= len(tokens):
-            raise TextParseError("unexpected end of expression")
-        tok = tokens[pos]
-        if head == "var" and not tok.isdigit():
-            raise TextParseError(f"bad variable index {tok!r}")
-        node = _leaf(head, tok)
-        pos += 1
-    else:
-        arity = _ARITY.get(head)
-        if arity is None or arity == 0:
-            raise TextParseError(f"unknown operator {head!r}")
-        kids = []
-        for _ in range(arity):
-            child, pos = _parse_sexpr(tokens, pos)
-            kids.append(child)
-        node = Expr(head, None, tuple(kids))
-    if pos >= len(tokens) or tokens[pos] != ")":
-        raise TextParseError("expected ')'")
-    return node, pos + 1
+    if parser.peek() is not None:
+        raise TextParseError(f"trailing input from {parser.peek()!r}")
+    return node
 
 
 class SlpInstruction(FrozenRecord):
@@ -739,7 +712,7 @@ class _Loads(dict):
 
     def __missing__(self, r):
         try:
-            v = float(self.assignment[r + 1])
+            v = _to_float(self.assignment[r + 1])
         except KeyError:
             raise ExprError(f"assignment is missing variable x{r + 1}") from None
         if not math.isfinite(v):
@@ -755,8 +728,9 @@ def compile_to_pyfunc(expr: Expr):
     active kernel backend checks the root's program once, and f then runs
     its instructions in order, so results match eval_expr bit for bit. f
     converts x1..xN (N the largest variable index) with float() and
-    returns a float; a missing or non-finite input, or a non-finite
-    intermediate, raises ExprError, as eval_expr does.
+    returns a float; a missing or non-finite input, an int past the float
+    range included, or a non-finite intermediate, raises ExprError, as
+    eval_expr does.
     """
     return _compile_program(_program_of(expr))
 

@@ -43,7 +43,7 @@ import os
 from collections.abc import Iterable
 
 from . import _backend
-from ._pykernels import _memo_counts
+from ._pykernels import _memo_counts, _to_float
 from ._record import FrozenRecord, Record
 from .errors import BudgetError, RankError, SequenceError
 
@@ -108,16 +108,6 @@ class EvalStats(Record):
 # Largest magnitude the branchless helpers accept: with |a|, |b| <= 2**1022
 # neither a + b nor a - b (nor their sum) can overflow.
 _ARITH_LIMIT = 2.0 ** 1022
-
-
-def _to_float(x) -> float:
-    # float(x), but a number past the float range (an int such as 10**400)
-    # becomes the infinity of its sign instead of raising OverflowError, so
-    # the caller's finiteness check refuses it as it refuses 1e400.
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 def _arith_operand(x) -> float:

@@ -43,6 +43,7 @@ import json
 import math
 import random
 
+from ._pykernels import _to_float
 from ._record import FrozenRecord
 from .errors import BudgetError
 from .expr import _compile_program, _lower_program, _program_of, build_selection_expr
@@ -52,7 +53,7 @@ from .selection import (
     _checked_ranks,
     _integral,
     _select_checked,
-    _to_float,
+    as_real_sequence,
     median,
     naive_call_count,
     resolve_budget,
@@ -86,6 +87,7 @@ class VerifyPlan(FrozenRecord):
         random_trials = _integral(random_trials, ValueError, "random_trials")
         if random_trials < 0:
             raise ValueError(f"random_trials must be nonnegative, got {random_trials}")
+        seed = _integral(seed, ValueError, "seed")
         if not (isinstance(tolerance, (int, float)) and tolerance >= 0):
             raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
         self._store(max_n, alphabet, random_trials, seed, tolerance)
@@ -144,11 +146,11 @@ def _signed(values):
 
 
 def oracle_select(rank: int, seq) -> float:
-    """Ground truth: sort a copy, take the rank-th smallest (1-based)."""
-    values = [float(v) for v in seq]
-    rank = _check_rank(rank, len(values))
-    values.sort()
-    return values[rank - 1]
+    """Ground truth: sort a copy, take the rank-th smallest (1-based).
+    The sequence is validated as the selectors validate it, so an empty
+    or non-finite one raises SequenceError."""
+    values = sorted(as_real_sequence(seq).values)
+    return values[_check_rank(rank, len(values)) - 1]
 
 
 def _oracle_median(seq) -> float:
@@ -289,7 +291,7 @@ def random_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False)
         combo = tuple(values)
         seq = RealSequence(combo)
         rank = rng.randint(1, length)
-        expected = oracle_select(rank, combo)
+        expected = oracle_select(rank, seq)
         scale = max(1.0, max(abs(v) for v in combo))
 
         memo_rank = rank % length + 1 if inject_fault else rank

@@ -102,6 +102,14 @@ class TestIntegralSizes:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: o.growth_table(2, repeats=-5),
+        lambda: o.backend_table(4, 2, repeats=-1),
+    ], ids=["growth_table", "backend_table"])
+    def test_negative_repeats_refused(self, call):
+        with pytest.raises(ValueError, match="^repeats must be nonnegative, got -"):
+            call()
+
     def test_non_integral_rank_refused(self):
         with pytest.raises(RankError, match="^rank must be an integer"):
             o.backend_table(5, 2.5, repeats=0)

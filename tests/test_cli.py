@@ -304,6 +304,24 @@ class TestBenchCommand:
              "--budget", "100"], capsys=capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--growth", "--max-n", "2"],
+        ["bench", "--backends", "--n", "4", "--rank", "2"],
+    ], ids=["growth", "backends"])
+    def test_negative_repeats_exit_3(self, capsys, argv):
+        code, out, err = run_cli(argv + ["--repeats", "-1"], capsys=capsys)
+        assert (code, out) == (3, "")
+        assert "repeats must be nonnegative, got -1" in err
+
+    def test_zero_repeats_output_unchanged(self, capsys):
+        code, out, _ = run_cli(["bench", "--growth", "--max-n", "2", "--repeats", "0"],
+                               capsys=capsys)
+        assert code == 0
+        assert out == ("N,n,mode,base_case_calls,memo_hits,tree_nodes,dag_nodes,wall_time_s\n"
+                       "1,1,growth,1,0,1,1,0.0\n"
+                       "2,1,growth,1,0,3,3,0.0\n"
+                       "2,2,growth,2,0,3,3,0.0\n")
+
 
 class TestDeterminism:
     def test_verify_byte_identical(self, capsys):

@@ -7,6 +7,7 @@ import math
 import random
 import struct
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -542,6 +543,14 @@ class TestParseText:
             except TextParseError:
                 pass
 
+    def test_deep_nesting_parses(self):
+        # One frame per s-expression level and three per infix level reach
+        # these depths under the default recursion limit; a parser that
+        # spent more frames per level would refuse them.
+        assert o.parse_text("(" * 250 + "x1" + ")" * 250) is x1
+        nested = functools.reduce(lambda e, _: o.abs_of(e), range(800), x1)
+        assert o.parse_text("(abs " * 800 + "(var 1)" + ")" * 800, "sexpr") is nested
+
     def test_scientific_notation(self):
         assert o.parse_text("1e-05") == o.const(1e-05)
         assert o.parse_text(o.emit_text(o.const(1.5e300))) == o.const(1.5e300)
@@ -856,6 +865,21 @@ class TestCompiledFormulas:
         fn = o.compile_to_pyfunc(o.build_selection_expr(3, 2, "minmax"))
         with pytest.raises(ExprError, match=f"input x2 is not finite: {bad!r}"):
             fn([1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("big,text", [
+        (10**400, "inf"), (-10**400, "-inf"), (Fraction(10**400), "inf"),
+    ], ids=["int", "negative-int", "fraction"])
+    def test_number_past_float_range_is_not_finite(self, backend, big, text):
+        # Both twins and interpret_slp read it as the infinity of its sign.
+        e = o.build_selection_expr(2, 1)
+        with pytest.raises(ExprError) as info:
+            o.compile_to_pyfunc(e)([1, big])
+        assert str(info.value) == f"input x2 is not finite: {text}"
+        for run in (lambda: o.eval_expr(e, {1: 1, 2: big}),
+                    lambda: o.interpret_slp(o.emit_slp(e), {1: 1, 2: big})):
+            with pytest.raises(ExprError) as info:
+                run()
+            assert str(info.value) == f"assignment for x2 is not finite: {text}"
 
     @pytest.mark.parametrize("xs,want", [
         ((float("inf"), "x"), (ExprError, "input x1 is not finite: inf")),

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import math
 
 import pytest
 
 import ordstat as o
-from ordstat import BudgetError, RankError, VerifyPlan
+from ordstat import BudgetError, RankError, SequenceError, VerifyPlan
 
 
 class TestOracleSelect:
@@ -23,6 +24,17 @@ class TestOracleSelect:
         values = [3.0, 1.0, 2.0]
         o.oracle_select(1, values)
         assert values == [3.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("seq", [
+        [math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [10**400], [-10**400, 1], [],
+    ], ids=["nan", "inf", "-inf", "huge-int", "-huge-int", "empty"])
+    def test_refuses_what_the_selectors_refuse(self, seq):
+        # The ground truth validates as select_memo does, with the same error.
+        with pytest.raises(SequenceError) as oracle:
+            o.oracle_select(1, seq)
+        with pytest.raises(SequenceError) as selector:
+            o.select_memo(1, seq)
+        assert str(oracle.value) == str(selector.value)
 
 
 class TestVerifyPlan:
@@ -44,6 +56,16 @@ class TestVerifyPlan:
     def test_invalid_plans(self, kwargs):
         with pytest.raises(ValueError):
             VerifyPlan(**kwargs)
+
+    @pytest.mark.parametrize("seed", [[1], None, 2.5, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        # A frozen plan hashes by value, so an unhashable seed cannot get in.
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            VerifyPlan(seed=seed)
+
+    def test_integral_seed_taken_as_int(self):
+        plan = VerifyPlan(seed=4.0)
+        assert type(plan.seed) is int and hash(plan) == hash(VerifyPlan(seed=4))
 
 
 @pytest.mark.parametrize("make,error", [
