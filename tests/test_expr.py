@@ -543,6 +543,12 @@ class TestParseText:
             except TextParseError:
                 pass
 
+    @pytest.mark.parametrize("syntax", ["Infix", "json", None, ["infix"]],
+                             ids=["Infix", "json", "None", "unhashable"])
+    def test_unknown_syntax_raises_expr_error(self, syntax):
+        with pytest.raises(ExprError, match="^syntax must be 'infix' or 'sexpr'"):
+            o.parse_text("x1", syntax)
+
     def test_deep_nesting_parses(self):
         # One frame per s-expression level and three per infix level reach
         # these depths under the default recursion limit; a parser that
