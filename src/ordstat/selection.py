@@ -394,7 +394,10 @@ def median(seq: SequenceLike, *, mode: str = "memo",
     """Median via selection: the middle rank for odd length, the average of
     the two middle ranks for even length, from one select_ranks call. In
     memo mode both middle ranks come from one pass of the normal-form
-    fold, which costs about as much as one. ``mode`` is naive or memo."""
+    fold, which costs about as much as one. ``mode`` is naive or memo.
+    The average of two finite values is finite: where their sum
+    overflows, it is taken as the sum of their halves, which are exact
+    there, so it is still the correctly rounded mean."""
     seq = as_real_sequence(seq)
     if mode not in ("memo", "naive"):
         raise ValueError(f"mode must be one of ['memo', 'naive'], got {mode!r}")
@@ -402,4 +405,5 @@ def median(seq: SequenceLike, *, mode: str = "memo",
     if len(seq.values) % 2 == 1:
         return select_ranks(seq, (half + 1,), mode=mode, stats=stats, budget=budget)[0]
     lo, hi = select_ranks(seq, (half, half + 1), mode=mode, stats=stats, budget=budget)
-    return (lo + hi) / 2
+    mid = (lo + hi) / 2
+    return mid if math.isfinite(mid) else lo / 2 + hi / 2

@@ -11,14 +11,23 @@ branchless arithmetic form to a tolerance.
 Comparison-based modes must match the oracle bit for bit (they return one
 of the input values). Arithmetic-form checks use an input-scale tolerance:
 |actual - expected| <= tolerance * max(1, max_k |x_k|). Failures record
-(input, rank, expected, actual, mode); median checks use rank 0.
+(input, rank, expected, actual, mode); median checks use rank 0. The
+expected median of two middle values whose float sum overflows is their
+exact rational mean, rounded once, so a median that overflows to an
+infinity on finite input is a failure.
 
 Each suite call resolves the selection budget (ORDSTAT_BUDGET) once, for
 its selections and formula builds alike, and validates each sequence
 once, as a RealSequence that every selector of that sequence reuses.
-It builds the minmax formula of each (length, rank) once and keeps its
-packed program; the arithmetic form is that program lowered
-(expr._lower_program) and compiled, so no arithmetic graph is built.
+Compiled formulas are kept for the process, keyed by the kernel module,
+length, rank and form, and evicted least recently used first once they
+hold more than _CACHE_INSTRUCTIONS SLP instructions in all, so repeated
+suite calls build no formula. Each suite call still checks the formula
+budget of each (length, rank, form) at its first use, before the
+lookup, so a warm cache raises what a cold one would. A missing minmax
+formula is built and only its packed program kept; the arithmetic form
+is that program lowered (expr._lower_program) and compiled, so no
+arithmetic graph is built.
 exhaustive_verify runs select_ranks in its two halves: the rank and
 budget checks of each mode (selection._checked_ranks) once per length,
 before the length's first tuple, since they depend on nothing else, and
@@ -28,7 +37,7 @@ as do the median's, which goes through the public median. Under a budget
 too small for the plan, the first length whose checks fail raises the
 error select_ranks would raise on its first tuple: the naive ranks are
 all checked before any memo rank, and every mode before any formula of
-that length is built.
+that length is checked.
 
 merge_reports combines reports into one whose failure order does not
 depend on the order of the reports; ``ordstat verify`` merges its two
@@ -42,13 +51,16 @@ import itertools
 import json
 import math
 import random
+from _thread import allocate_lock
 
+from . import _backend
 from ._pykernels import _to_float
 from ._record import FrozenRecord
 from .errors import BudgetError
 from .expr import _compile_program, _lower_program, _program_of, build_selection_expr
 from .selection import (
     RealSequence,
+    _check_formula_budget,
     _check_rank,
     _checked_ranks,
     _integral,
@@ -90,6 +102,9 @@ class VerifyPlan(FrozenRecord):
         seed = _integral(seed, ValueError, "seed")
         if not (isinstance(tolerance, (int, float)) and tolerance >= 0):
             raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
+        # An infinite tolerance would pass any arithmetic-form result.
+        if not math.isfinite(_to_float(tolerance)):
+            raise ValueError(f"tolerance must be finite, got {tolerance!r}")
         self._store(max_n, alphabet, random_trials, seed, tolerance)
 
 
@@ -158,24 +173,71 @@ def _oracle_median(seq) -> float:
     half = len(values) // 2
     if len(values) % 2:
         return values[half]
-    return (values[half - 1] + values[half]) / 2
+    mid = (values[half - 1] + values[half]) / 2
+    if math.isfinite(mid):
+        return mid
+    # The float sum overflowed; the exact mean is finite, and computing it
+    # apart from median's own fallback keeps the check independent. The
+    # import is here so that importing ordstat does not load fractions.
+    from fractions import Fraction
+
+    return float((Fraction(values[half - 1]) + Fraction(values[half])) / 2)
+
+
+# Compiled formulas kept for the process: (kernel module, length, rank,
+# form) -> (callable, SLP instructions), least recently used first. They
+# hold at most _CACHE_INSTRUCTIONS instructions in all, so a large plan's
+# formulas do not outlive its call; every formula of N <= 9 in both forms
+# is 29,400. _lock makes each lookup and each insertion atomic.
+_CACHE_INSTRUCTIONS = 2**18
+_cache = {}
+_held = 0
+_lock = allocate_lock()
 
 
 def _formulas(limit):
     """Compiled minmax/arithmetic evaluators, one per (length, rank, form),
-    for one suite call. Each (length, rank) builds its minmax formula once,
-    under the suite's resolved budget, and keeps only its program; the
-    arithmetic form is that program lowered, so no arithmetic node is
-    built."""
+    for one suite call. The first use of each in the call checks its
+    formula budget under the suite's resolved limit, so a warm cache
+    raises the BudgetError a cold one would, in the same order; then it
+    takes the compiled formula from _cache. On a miss the minmax formula
+    of (length, rank) is built, at most once per call, and only its
+    program is kept; the arithmetic form is that program lowered, so no
+    arithmetic node is built. The kernel module is part of the key, as
+    set_backend can switch it between calls."""
     program = functools.cache(lambda length, rank: _program_of(
         build_selection_expr(length, rank, "minmax", budget=limit)))
 
     @functools.cache
     def formula(length, rank, form):
-        minmax = program(length, rank)
-        return _compile_program(minmax if form == "minmax" else _lower_program(minmax))
+        _check_formula_budget(length, rank, limit)
+        key = (_backend.kernels(), length, rank, form)
+        with _lock:
+            entry = _cache.pop(key, None)
+            if entry is not None:
+                _cache[key] = entry
+                return entry[0]
+        slp = program(length, rank)
+        if form != "minmax":
+            slp = _lower_program(slp)
+        compiled = _compile_program(slp)
+        _keep(key, compiled, len(slp.code) // 3)
+        return compiled
 
     return formula
+
+
+def _keep(key, compiled, size):
+    """Add a formula of ``size`` instructions to _cache, evicting the least
+    recently used first; one past the bound alone is not kept."""
+    global _held
+    with _lock:
+        if size > _CACHE_INSTRUCTIONS or key in _cache:
+            return
+        _cache[key] = (compiled, size)
+        _held += size
+        while _held > _CACHE_INSTRUCTIONS:
+            _held -= _cache.pop(next(iter(_cache)))[1]
 
 
 def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False,

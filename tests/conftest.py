@@ -48,6 +48,7 @@ def _load_compiled():
 
 COMPILED_BUILD_ERROR = _load_compiled()
 
+from ordstat import verify  # noqa: E402
 from ordstat._backend import active_backend, available_backends, set_backend  # noqa: E402
 
 
@@ -64,3 +65,11 @@ def backend(request):
     set_backend(request.param)
     yield request.param
     set_backend(previous)
+
+
+@pytest.fixture(autouse=True)
+def cold_formula_cache(monkeypatch):
+    """Start every test with an empty process-wide verify formula cache, so
+    no test sees what an earlier one compiled; the cache comes back after."""
+    monkeypatch.setattr(verify, "_cache", {})
+    monkeypatch.setattr(verify, "_held", 0)

@@ -348,3 +348,21 @@ def test_cli_import_skips_heavy_stdlib_modules():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+class TestNearOverflow:
+    @pytest.mark.parametrize("mode", ["memo", "naive"])
+    @pytest.mark.parametrize("fmt,expected", [
+        ("text", "1.25e+308\n"),
+        ("json", '{"value":1.25e+308}\n'),
+    ])
+    def test_median_is_finite(self, monkeypatch, capsys, mode, fmt, expected):
+        code, out, err = run_cli(["median", "--mode", mode, "--format", fmt],
+                                 "1e308 1.5e308", monkeypatch, capsys)
+        assert (code, out, err) == (0, expected, "")
+
+    def test_verify_refuses_infinite_tolerance(self, capsys):
+        code, out, err = run_cli(["verify", "--max-n", "2", "--trials", "1",
+                                  "--tolerance", "inf"], capsys=capsys)
+        assert (code, out) == (3, "")
+        assert "tolerance must be finite, got inf" in err

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -761,3 +762,34 @@ class TestMedian:
         else:
             expected = (ordered[half - 1] + ordered[half]) / 2
         assert o.median(values) == expected
+
+
+def exact_mean(a, b):
+    return float((Fraction(a) + Fraction(b)) / 2)
+
+
+class TestMedianNearOverflow:
+    BIG = sys.float_info.max
+
+    @pytest.mark.parametrize("mode", ["naive", "memo"])
+    @pytest.mark.parametrize("values,expected", [
+        ([1e308, 1.5e308], 1.25e308),
+        ([-1e308, -1.5e308], -1.25e308),
+        ([BIG, BIG], BIG),
+        ([-BIG, -BIG], -BIG),
+        ([1.7e308, 3.0, 1.6e308, -BIG], exact_mean(3.0, 1.6e308)),
+        ([1.7e308, 1.5e308, 1.6e308, 1.4e308], exact_mean(1.5e308, 1.6e308)),
+    ])
+    def test_finite(self, backend, mode, values, expected):
+        assert o.median(values, mode=mode) == expected
+
+    @given(st.floats(min_value=-sys.float_info.max, max_value=sys.float_info.max),
+           st.floats(min_value=-sys.float_info.max, max_value=sys.float_info.max))
+    @settings(max_examples=300)
+    def test_correctly_rounded_mean(self, a, b):
+        got = o.median([a, b])
+        assert got == exact_mean(a, b)
+        # Only a mean whose float sum overflows changed.
+        if math.isfinite(a + b):
+            want = (a + b) / 2
+            assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import pytest
 
@@ -269,3 +271,185 @@ class TestGoldenReports:
         assert run(plan).ok
         assert calls.count(None) == 1
         assert set(calls) == {None, 5000}
+
+
+def counting_builds(monkeypatch):
+    builds = []
+    real = o.verify.build_selection_expr
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(o.verify, "build_selection_expr", counting)
+    return builds
+
+
+# Each test starts with an empty formula cache (conftest's cold_formula_cache).
+class TestFormulaCache:
+    @pytest.mark.parametrize("suite", sorted(GOLDEN_PLANS))
+    def test_repeated_call_builds_nothing(self, backend, monkeypatch,
+                                          suite):
+        run, plan = GOLDEN_PLANS[suite]
+        builds = counting_builds(monkeypatch)
+        first = run(plan).to_json()
+        assert builds
+        builds.clear()
+        assert run(plan).to_json() == first
+        assert builds == []
+
+    # Budgets at which a formula budget check fails first.
+    @pytest.mark.parametrize("run,plan,budget", [
+        (o.exhaustive_verify, BUDGET_GRID_PLAN, 1),
+        (o.exhaustive_verify, BUDGET_GRID_PLAN, 10),
+        (o.exhaustive_verify, BUDGET_GRID_PLAN, 300),
+        (o.random_verify, GOLDEN_PLANS["random"][1], 60),
+        (o.random_verify, GOLDEN_PLANS["random"][1], 100),
+        (o.random_verify, GOLDEN_PLANS["random"][1], 500),
+    ])
+    def test_warm_cache_raises_the_cold_error(self, backend, monkeypatch,
+                                              run, plan, budget):
+        monkeypatch.setenv(o.BUDGET_ENV_VAR, str(budget))
+        with pytest.raises(BudgetError) as cold:
+            run(plan)
+        monkeypatch.delenv(o.BUDGET_ENV_VAR)
+        assert run(plan).ok
+        monkeypatch.setenv(o.BUDGET_ENV_VAR, str(budget))
+        with pytest.raises(BudgetError) as warm:
+            run(plan)
+        assert str(warm.value) == str(cold.value)
+        assert "selection formula" in str(cold.value)
+
+    def test_other_backend_compiles_its_own(self, backend, monkeypatch):
+        others = [name for name in o.available_backends() if name != backend]
+        if not others:
+            pytest.skip("only one kernel backend is available")
+        run, plan = GOLDEN_PLANS["random"]
+        want = run(plan).to_json()
+        other = o._backend.get_kernels(others[0])
+        compiled = []
+        real = other.compile_slp
+
+        def recording(*args):
+            compiled.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(other, "compile_slp", recording)
+        o._backend.set_backend(others[0])
+        assert run(plan).to_json() == want
+        assert compiled
+
+    @pytest.mark.parametrize("bound", [0, 40, 300])
+    def test_bounded_by_instructions(self, backend, monkeypatch, bound):
+        monkeypatch.setattr(o.verify, "_CACHE_INSTRUCTIONS", bound)
+        check = o.verify._check_formula_budget
+        sizes = {}
+
+        def held_within_bound(length, rank, limit):
+            # Runs before each suite call's first lookup of a formula.
+            assert o.verify._held == sum(size for _, size in o.verify._cache.values())
+            assert o.verify._held <= bound
+            return check(length, rank, limit)
+
+        def recording(program):
+            sizes[len(program.code) // 3] = True
+            return compile_program(program)
+
+        compile_program = o.verify._compile_program
+        monkeypatch.setattr(o.verify, "_check_formula_budget", held_within_bound)
+        monkeypatch.setattr(o.verify, "_compile_program", recording)
+        for digest, (suite, fault) in [(p.values[2], p.values[:2]) for p in GOLDEN]:
+            run, plan = GOLDEN_PLANS[suite]
+            report = run(plan, inject_fault=fault)
+            assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+        assert o.verify._held == sum(size for _, size in o.verify._cache.values())
+        assert o.verify._held <= bound
+        assert max(sizes) > bound
+        assert all(size <= bound for _, size in o.verify._cache.values())
+
+    def test_least_recently_used_goes_first(self, backend, monkeypatch):
+        # Room for the three formulas of length 4 below rank 4, exactly.
+        sizes = [len(o.emit_slp(o.build_selection_expr(4, rank)).code) // 3 for rank in (1, 2, 3)]
+        monkeypatch.setattr(o.verify, "_CACHE_INSTRUCTIONS", sum(sizes))
+        exprs = o.verify._formulas(o.resolve_budget())
+        for rank in (1, 2, 3):
+            exprs(4, rank, "minmax")
+        assert o.verify._held == sum(sizes)
+        # A later suite call's hit makes (4, 1) the most recently used, so
+        # the next formula evicts (4, 2).
+        exprs = o.verify._formulas(o.resolve_budget())
+        exprs(4, 1, "minmax")
+        exprs(2, 1, "minmax")
+        assert [key[1:] for key in o.verify._cache] == [
+            (4, 3, "minmax"), (4, 1, "minmax"), (2, 1, "minmax")]
+        assert o.verify._held == sizes[0] + sizes[2] + 1
+
+    def test_threads_share_the_cache(self, backend, monkeypatch):
+        # More threads than cores, switching often, all inserting and
+        # evicting: every report is right and the count of held
+        # instructions stays exact.
+        monkeypatch.setattr(o.verify, "_CACHE_INSTRUCTIONS", 200)
+        plan = VerifyPlan(max_n=6, random_trials=40, seed=7)
+        want = o.random_verify(plan).to_json()
+        got = []
+        # Node interning in ordstat.expr is not safe across threads, so the
+        # graphs are built here, once, and kept alive; the threads then
+        # only look up, lower, compile, insert and evict.
+        roots = {(length, rank): o.build_selection_expr(length, rank)
+                 for length in range(1, 7) for rank in range(1, length + 1)}
+        monkeypatch.setattr(o.verify, "build_selection_expr",
+                            lambda length, rank, form, budget: roots[length, rank])
+
+        def work():
+            for _ in range(3):
+                got.append(o.random_verify(plan).to_json())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 18
+        assert o.verify._held == sum(size for _, size in o.verify._cache.values()) <= 200
+
+
+class TestMedianNearOverflow:
+    ALPHABET = (-1.7e308, -1e308, 1e308, 1.7e308)
+
+    def test_oracle_mean_is_exact(self):
+        assert o.verify._oracle_median([1e308, 1.5e308]) == 1.25e308
+        assert o.verify._oracle_median([-1.5e308, -1e308]) == -1.25e308
+        assert o.verify._oracle_median([4.0, 1.0]) == 2.5
+
+    def test_clean(self, backend):
+        assert o.exhaustive_verify(VerifyPlan(max_n=3, alphabet=self.ALPHABET)).ok
+
+    def test_overflowing_median_caught(self, backend, monkeypatch):
+        # The median of the code before the fix: (lo + hi) / 2, which is
+        # an infinity when both middle values are large and of one sign.
+        def overflowing(seq, *, budget=None):
+            values = sorted(o.as_real_sequence(seq).values)
+            half = len(values) // 2
+            if len(values) % 2:
+                return values[half]
+            return (values[half - 1] + values[half]) / 2
+
+        monkeypatch.setattr(o.verify, "median", overflowing)
+        report = o.exhaustive_verify(VerifyPlan(max_n=2, alphabet=self.ALPHABET))
+        assert not report.ok
+        assert {f.mode for f in report.failures} == {"median"}
+        assert {f.actual for f in report.failures} == {math.inf, -math.inf}
+        assert all(math.isfinite(f.expected) for f in report.failures)
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, 10**400], ids=["inf", "10**400"])
+def test_tolerance_must_be_finite(tolerance):
+    # An infinite tolerance passes every arithmetic-form result.
+    with pytest.raises(ValueError, match="^tolerance must be finite, got "):
+        VerifyPlan(tolerance=tolerance)
