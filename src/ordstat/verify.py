@@ -197,14 +197,11 @@ _lock = allocate_lock()
 
 def _formulas(limit):
     """Compiled minmax/arithmetic evaluators, one per (length, rank, form),
-    for one suite call. The first use of each in the call checks its
-    formula budget under the suite's resolved limit, so a warm cache
-    raises the BudgetError a cold one would, in the same order; then it
-    takes the compiled formula from _cache. On a miss the minmax formula
-    of (length, rank) is built, at most once per call, and only its
-    program is kept; the arithmetic form is that program lowered, so no
-    arithmetic node is built. The kernel module is part of the key, as
-    set_backend can switch it between calls."""
+    for one suite call. The first use of each checks its formula budget
+    under the suite's limit and then looks it up in _cache. A miss builds
+    the minmax formula of (length, rank), at most once per call, and keeps
+    only its program; the arithmetic form is that program lowered, so no
+    arithmetic node is built."""
     program = functools.cache(lambda length, rank: _program_of(
         build_selection_expr(length, rank, "minmax", budget=limit)))
 

@@ -288,8 +288,7 @@ def counting_builds(monkeypatch):
 # Each test starts with an empty formula cache (conftest's cold_formula_cache).
 class TestFormulaCache:
     @pytest.mark.parametrize("suite", sorted(GOLDEN_PLANS))
-    def test_repeated_call_builds_nothing(self, backend, monkeypatch,
-                                          suite):
+    def test_repeated_call_builds_nothing(self, backend, monkeypatch, suite):
         run, plan = GOLDEN_PLANS[suite]
         builds = counting_builds(monkeypatch)
         first = run(plan).to_json()
@@ -307,8 +306,7 @@ class TestFormulaCache:
         (o.random_verify, GOLDEN_PLANS["random"][1], 100),
         (o.random_verify, GOLDEN_PLANS["random"][1], 500),
     ])
-    def test_warm_cache_raises_the_cold_error(self, backend, monkeypatch,
-                                              run, plan, budget):
+    def test_warm_cache_raises_the_cold_error(self, backend, monkeypatch, run, plan, budget):
         monkeypatch.setenv(o.BUDGET_ENV_VAR, str(budget))
         with pytest.raises(BudgetError) as cold:
             run(plan)
@@ -343,7 +341,7 @@ class TestFormulaCache:
     def test_bounded_by_instructions(self, backend, monkeypatch, bound):
         monkeypatch.setattr(o.verify, "_CACHE_INSTRUCTIONS", bound)
         check = o.verify._check_formula_budget
-        sizes = {}
+        sizes = []
 
         def held_within_bound(length, rank, limit):
             # Runs before each suite call's first lookup of a formula.
@@ -352,13 +350,13 @@ class TestFormulaCache:
             return check(length, rank, limit)
 
         def recording(program):
-            sizes[len(program.code) // 3] = True
+            sizes.append(len(program.code) // 3)
             return compile_program(program)
 
         compile_program = o.verify._compile_program
         monkeypatch.setattr(o.verify, "_check_formula_budget", held_within_bound)
         monkeypatch.setattr(o.verify, "_compile_program", recording)
-        for digest, (suite, fault) in [(p.values[2], p.values[:2]) for p in GOLDEN]:
+        for suite, fault, digest in (param.values for param in GOLDEN):
             run, plan = GOLDEN_PLANS[suite]
             report = run(plan, inject_fault=fault)
             assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
