@@ -24,6 +24,10 @@
  * select_memo, which nothing in the package calls, returns
  * select_fullrange's value and those counters.
  *
+ * real_values validates a sequence for ordstat.selection.RealSequence:
+ * a list or tuple of finite floats in one pass here, any other input in
+ * _pykernels.real_values, the one copy of the checks and messages.
+ *
  * compile_slp turns a packed straight-line program (see
  * _pykernels.compile_slp, which defines it) into a callable that runs
  * each op on a double register file: no Python source is generated or
@@ -151,13 +155,20 @@ slp_free(PyObject *capsule)
 
 /* The attribute `name` of the package module `module`, looked up only
  * when it is needed: the package imports this module before it is fully
- * initialised. */
+ * initialised. A module already in sys.modules is taken from there, which
+ * costs far less than an import statement. */
 static PyObject *
 package_attr(const char *module, const char *name)
 {
-    PyObject *mod, *attr;
+    PyObject *mod_name, *mod, *attr;
 
-    mod = PyImport_ImportModule(module);
+    mod_name = PyUnicode_FromString(module);
+    if (mod_name == NULL)
+        return NULL;
+    mod = PyImport_GetModule(mod_name);
+    if (mod == NULL && !PyErr_Occurred())
+        mod = PyImport_Import(mod_name);
+    Py_DECREF(mod_name);
     if (mod == NULL)
         return NULL;
     attr = PyObject_GetAttrString(mod, name);
@@ -417,6 +428,39 @@ compile_slp(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     fn = PyCFunction_New(&run_slp_def, capsule);
     Py_DECREF(capsule);
     return fn;
+}
+
+
+/* ---- real_values: a sequence validated ------------------------------ */
+
+/* A list or tuple, of exact types, whose items are all exact finite floats
+ * comes back as a tuple in one pass, a tuple as itself: float() returns an
+ * exact float unchanged, so that is the tuple _pykernels.real_values
+ * builds from it. Any other input, an empty or non-finite one included,
+ * goes to that function, which converts it or raises its SequenceError.
+ * No Python code runs during the pass, so the list cannot change under
+ * it. */
+static PyObject *
+real_values(PyObject *module, PyObject *values)
+{
+    PyObject **items, *fn, *out;
+    Py_ssize_t n, i;
+
+    if (PyTuple_CheckExact(values) || PyList_CheckExact(values)) {
+        n = PySequence_Fast_GET_SIZE(values);
+        items = PySequence_Fast_ITEMS(values);
+        for (i = 0; i < n; i++)
+            if (!PyFloat_CheckExact(items[i]) || !isfinite(PyFloat_AS_DOUBLE(items[i])))
+                break;
+        if (n > 0 && i == n)
+            return PyTuple_CheckExact(values) ? Py_NewRef(values) : PyList_AsTuple(values);
+    }
+    fn = package_attr("ordstat._pykernels", "real_values");
+    if (fn == NULL)
+        return NULL;
+    out = PyObject_CallOneArg(fn, values);
+    Py_DECREF(fn);
+    return out;
 }
 
 
@@ -690,6 +734,10 @@ static PyMethodDef methods[] = {
      "naive_ranks(values, ranks) -> (values, recursive_calls, base_case_calls)"
      "\n\nselect_naive at each rank, in the order given; the counters are "
      "the sums of the single calls'."},
+    {"real_values", real_values, METH_O,
+     "real_values(values) -> tuple of floats\n\n"
+     "A list or tuple of finite floats as a tuple, a tuple as itself; any "
+     "other input as ordstat._pykernels.real_values reads or refuses it."},
     {"compile_slp", (PyCFunction)(void (*)(void))compile_slp, METH_FASTCALL,
      "compile_slp(n_vars, consts, code, result) -> formula(values)\n\n"
      "Checks a packed straight-line program and returns a callable that "

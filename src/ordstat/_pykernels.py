@@ -45,6 +45,11 @@ over its (op, a, b) triples that checks every value. Here that loop is
 _run_slp, the one Python loop that runs programs: expr.interpret_slp and
 expr.eval_expr run in it too, so it is the reference the C twin is
 tested against, as the select_* functions here are for its kernels.
+
+real_values validates a sequence for ordstat.selection.RealSequence and
+is the one copy of that check: the C twin answers only a list or tuple
+of finite floats itself and calls this function for anything else, so
+both give the same values and the same SequenceError.
 """
 
 import math
@@ -52,7 +57,31 @@ import operator
 import sys
 from itertools import count
 
-from .errors import ExprError
+from .errors import ExprError, SequenceError
+
+
+def real_values(values):
+    """`values` as a tuple of floats, each as float() reads it, or
+    SequenceError when there are none, when one is not finite or when an
+    int lies past the float range; the other errors of float() pass
+    through."""
+    # Not _to_float: map(float) keeps this path in C, and `values` may be
+    # an iterator that cannot be read again after an overflow.
+    try:
+        vals = tuple(map(float, values))
+    except OverflowError:
+        raise SequenceError("sequence values must be finite, got a number "
+                            "past the float range") from None
+    if not vals:
+        raise SequenceError("sequence must contain at least one value")
+    # A float sum is finite only if every term is, so one C-level sum
+    # clears almost every input. When it is not finite, a scan names the
+    # first bad value; finding none, the sum only overflowed.
+    if not math.isfinite(sum(vals)):
+        bad = next((v for v in vals if not math.isfinite(v)), None)
+        if bad is not None:
+            raise SequenceError(f"sequence values must be finite, got {bad!r}")
+    return vals
 
 
 def _checked(values, ranks):

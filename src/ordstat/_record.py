@@ -5,15 +5,37 @@ A record lists its fields in ``__slots__`` and writes its own
 checking them, it stores them with one ``self._store(...)`` call, and
 code that has values known to be right builds a record with
 ``cls._make(...)``, which skips ``__init__``. Both write through the slot
-descriptors, whose ``__set__`` each class caches in slot order when it is
-defined: that bypasses a frozen record's ``__setattr__`` and costs less
-than ``object.__setattr__``. The bases derive the rest from the slot
-names, as ``dataclasses`` would: ``Name(field=value, ...)`` reprs,
-equality between instances of the same class, and pickling and copying
-through the constructor. A frozen record also hashes by value and
-refuses to set or delete a field.
+descriptors' ``__set__``, which bypasses a frozen record's
+``__setattr__`` and costs less than ``object.__setattr__``. Each class
+gets its own ``_store`` when it is defined, which makes one such call
+per field and runs no Python loop: a one-field record's calls its
+field's bound ``__set__``, and a wider record's maps the descriptors'
+``__set__`` over its values in C. No source is generated. The bases
+derive the rest from the slot names, as ``dataclasses`` would:
+``Name(field=value, ...)`` reprs, equality between instances of the
+same class, and pickling and copying through the constructor. A frozen
+record also hashes by value and refuses to set or delete a field.
 Importing ``dataclasses`` would cost more than all of ordstat's modules.
 """
+
+from itertools import repeat
+from types import MemberDescriptorType
+
+_set_member = MemberDescriptorType.__set__
+
+
+def _storer(members):
+    """The _store of a class whose slot descriptors are `members`."""
+    if len(members) == 1:
+        set_value = members[0].__set__
+
+        def _store(self, value):
+            set_value(self, value)
+    else:
+        def _store(self, *values):
+            # Each __set__ returns None, so any() runs every one of them.
+            any(map(_set_member, members, repeat(self), values))
+    return _store
 
 
 class Record:
@@ -25,12 +47,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         # getattr, not cls.__dict__: a subclass without __slots__ of its
         # own inherits its fields' descriptors.
-        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
-
-    def _store(self, *values):
-        """Set the fields, in slot order."""
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
+        cls._store = _storer(tuple([getattr(cls, name) for name in cls.__slots__]))
 
     @classmethod
     def _make(cls, *values):

@@ -38,11 +38,9 @@ from .expr import (
     emit_slp,
     emit_text,
     format_real,
-    metrics_of,
 )
 from .selection import (
     EvalStats,
-    _check_text_budget,
     as_real_sequence,
     median,
     resolve_budget,
@@ -161,8 +159,7 @@ def cmd_emit(args) -> int:
         return 0
     limit = resolve_budget(args.budget)
     expr = build_selection_expr(args.n, args.rank, args.form, budget=limit)
-    _check_text_budget(metrics_of(expr).node_count_tree, limit)
-    print(emit_text(expr, args.syntax))
+    print(emit_text(expr, args.syntax, budget=limit))
     return 0
 
 

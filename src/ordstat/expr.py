@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 from array import array
 from collections.abc import Mapping
 from functools import partial, reduce
@@ -52,7 +53,13 @@ from . import _backend
 from ._pykernels import SLP_OPS, _check_slp, _run_slp, _to_float
 from ._record import FrozenRecord
 from .errors import ExprError, SequenceError, TextParseError
-from .selection import _check_formula_budget, _check_rank, _integral, resolve_budget
+from .selection import (
+    _check_formula_budget,
+    _check_rank,
+    _check_text_budget,
+    _integral,
+    resolve_budget,
+)
 
 _ARITY = {
     "var": 0,
@@ -79,9 +86,10 @@ class _Ref(weakref.ref):
 
 
 def _forget(dead, table=_INTERNED):
-    # A dead reference may already have been replaced by a live node.
-    if table.get(dead.key) is dead:
-        del table[dead.key]
+    # In one step, so another thread cannot store a live node in between:
+    # the entry goes only if it is still a dead reference, this one or
+    # another, and a missing entry is no error.
+    _remove_dead_weakref(table, dead.key)
 
 
 class Expr:
@@ -126,14 +134,23 @@ def _intern(key, kind, payload, children):
     parts. A new node's program (see _program_of) is computed on demand."""
     entry = _INTERNED.get(key)
     node = entry() if entry is not None else None
-    if node is None:
-        node = object.__new__(Expr)
-        node.kind = kind
-        node.payload = payload
-        node.children = children
-        node._program = None
-        entry = _INTERNED[key] = _Ref(node, _forget)
-        entry.key = key
+    if node is not None:
+        return node
+    node = object.__new__(Expr)
+    node.kind = kind
+    node.payload = payload
+    node.children = children
+    node._program = None
+    ref = _Ref(node, _forget)
+    ref.key = key
+    # setdefault stores the new node in one step unless another thread
+    # stored one first, whose node wins if it is alive. A dead entry whose
+    # _forget has not run yet is removed here, and the store retried.
+    while (entry := _INTERNED.setdefault(key, ref)) is not ref:
+        other = entry()
+        if other is not None:
+            return other
+        _remove_dead_weakref(_INTERNED, key)
     return node
 
 
@@ -389,12 +406,19 @@ _SYNTAX = {
 }
 
 
-def emit_text(expr: Expr, syntax: str = "infix") -> str:
+def emit_text(expr: Expr, syntax: str = "infix", *, budget: int | None = None) -> str:
     """Deterministic rendering; parse_text inverts it for both syntaxes.
     Each register of the root's program gets its text once, children
-    first, as the program lists them."""
+    first, as the program lists them.
+
+    The text writes out the tree, every shared node once per use, so it
+    can be exponentially larger than the graph. Before rendering anything,
+    a tree of more nodes than the budget (``budget``, else ORDSTAT_BUDGET,
+    else 2**24; see resolve_budget) raises BudgetError: under the default
+    budget, the (16, 8) formula's 179,999,999 tree nodes are refused."""
     if syntax not in _SYNTAX:
         raise ExprError(f"syntax must be 'infix' or 'sexpr', got {syntax!r}")
+    _check_text_budget(metrics_of(expr).node_count_tree, resolve_budget(budget))
     var_text, const_text, templates = _SYNTAX[syntax]
     var_text = var_text.format
     program = _program_of(expr)

@@ -17,9 +17,10 @@ adds them, in Python ints, only when ``stats`` is passed, so they cost
 nothing otherwise and never overflow. select_ranks selects several
 ranks of one sequence in one call: it validates the sequence and
 resolves the budget once, then makes one kernel call for every rank,
-whose normal-form modes read all the ranks off one fold pass; median
-uses it, and exhaustive_verify its two halves: _checked_ranks once per
-length and _select_checked once per sequence. The two-argument identities
+whose normal-form modes read all the ranks off one fold pass. median
+runs its two halves on the sequence it validated, and exhaustive_verify
+runs _checked_ranks once per length and _select_checked once per
+sequence. The two-argument identities
 
     min(a, b) = (a + b - |a - b|) / 2
     max(a, b) = (a + b + |a - b|) / 2
@@ -55,29 +56,15 @@ class RealSequence(FrozenRecord):
     """A non-empty, finite sequence of finite real values (as floats).
 
     Positions are 1-based throughout ordstat: position k is
-    ``values[k - 1]``.
+    ``values[k - 1]``. The active kernel backend's real_values checks the
+    values and converts them with float(), so ``RealSequence(t).values``
+    may be ``t`` itself when ``t`` is a tuple of floats.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[float]):
-        # Not _to_float: map(float) keeps this path in C, and `values` may
-        # be an iterator that cannot be read again after an overflow.
-        try:
-            vals = tuple(map(float, values))
-        except OverflowError:
-            raise SequenceError("sequence values must be finite, got a number "
-                                "past the float range") from None
-        if not vals:
-            raise SequenceError("sequence must contain at least one value")
-        # A float sum is finite only if every term is, so one C-level sum
-        # clears almost every input. When it is not finite, a scan names the
-        # first bad value; finding none, the sum only overflowed.
-        if not math.isfinite(sum(vals)):
-            bad = next((v for v in vals if not math.isfinite(v)), None)
-            if bad is not None:
-                raise SequenceError(f"sequence values must be finite, got {bad!r}")
-        self._store(vals)
+        self._store(_backend.kernels().real_values(values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -90,6 +77,8 @@ SequenceLike = RealSequence | Iterable[float]
 
 
 def as_real_sequence(seq: SequenceLike) -> RealSequence:
+    """``seq`` itself when it is a RealSequence, else RealSequence(seq),
+    whose ``values`` may be ``seq`` itself when it is a tuple of floats."""
     if isinstance(seq, RealSequence):
         return seq
     return RealSequence(seq)
@@ -339,11 +328,14 @@ def _checked_ranks(n_len: int, ranks: Iterable[int], mode: str, budget: int | No
     else:
         raise ValueError(
             f"mode must be one of ['fullrange', 'memo', 'naive'], got {mode!r}")
-    ranks = [_check_rank(rank, n_len) for rank in ranks]
-    limit = resolve_budget(budget)
+    # A plain loop: a comprehension would make a frame on every call.
+    checked = []
     for rank in ranks:
+        checked.append(_check_rank(rank, n_len))
+    limit = resolve_budget(budget)
+    for rank in checked:
         check(n_len, rank, limit)
-    return ranks
+    return checked
 
 
 def _select_checked(values: tuple, ranks: list, mode: str,
@@ -392,7 +384,8 @@ def select_ranks(seq: SequenceLike, ranks: Iterable[int], *, mode: str = "memo",
 def median(seq: SequenceLike, *, mode: str = "memo",
            stats: EvalStats | None = None, budget: int | None = None) -> float:
     """Median via selection: the middle rank for odd length, the average of
-    the two middle ranks for even length, from one select_ranks call. In
+    the two middle ranks for even length, from select_ranks' two halves,
+    _checked_ranks and _select_checked, on the sequence validated once. In
     memo mode both middle ranks come from one pass of the normal-form
     fold, which costs about as much as one. ``mode`` is naive or memo.
     The average of two finite values is finite: where their sum
@@ -401,9 +394,13 @@ def median(seq: SequenceLike, *, mode: str = "memo",
     seq = as_real_sequence(seq)
     if mode not in ("memo", "naive"):
         raise ValueError(f"mode must be one of ['memo', 'naive'], got {mode!r}")
-    half = len(seq.values) // 2
-    if len(seq.values) % 2 == 1:
-        return select_ranks(seq, (half + 1,), mode=mode, stats=stats, budget=budget)[0]
-    lo, hi = select_ranks(seq, (half, half + 1), mode=mode, stats=stats, budget=budget)
+    n_len = len(seq.values)
+    half = n_len // 2
+    ranks = _checked_ranks(n_len, (half, half + 1) if n_len % 2 == 0 else (half + 1,),
+                           mode, budget)
+    found = _select_checked(seq.values, ranks, mode, stats)
+    if n_len % 2 == 1:
+        return found[0]
+    lo, hi = found
     mid = (lo + hi) / 2
     return mid if math.isfinite(mid) else lo / 2 + hi / 2

@@ -6,11 +6,14 @@ import random
 import sys
 import tracemalloc
 from array import array
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordstat
-from ordstat import _backend
+from ordstat import BudgetError, RankError, RealSequence, SequenceError, _backend
 from ordstat._backend import available_backends, get_kernels
 from ordstat.expr import CompiledProgram
 
@@ -257,6 +260,131 @@ def test_twins_read_values_alike(backend, values, want):
     assert typed(kern.naive_ranks(values, (1, top))[0]) == (lo, hi)
 
 
+def real_outcome(validate, make):
+    """What validate(make()) returns, each value typed, or its error."""
+    try:
+        return typed(tuple(validate(make())))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class ListOf(list):
+    """A list subclass, which the compiled fast path leaves to Python."""
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7e308, -1.7e308]
+PAST_RANGE = (SequenceError, "sequence values must be finite, got a number past the float range")
+EMPTY = (SequenceError, "sequence must contain at least one value")
+
+# name -> (a function making the input, what real_values returns for it:
+# typed values or the error). The inputs are made afresh for every call,
+# since a generator or iterator is read only once.
+REAL_INPUTS = {
+    "floats-list": (lambda: list(EDGE_FLOATS), typed(tuple(EDGE_FLOATS))),
+    "floats-tuple": (lambda: tuple(EDGE_FLOATS), typed(tuple(EDGE_FLOATS))),
+    "list-subclass": (lambda: ListOf([2.0, -0.0]), typed((2.0, -0.0))),
+    "sum-overflows": (lambda: [1.7e308, 1.7e308], typed((1.7e308, 1.7e308))),
+    "bool-and-ints": (lambda: [True, 2, -3], typed((1.0, 2.0, -3.0))),
+    "int-tuple": (lambda: (0, 1), typed((0.0, 1.0))),
+    "int-past-float": (lambda: [1.0, 10**400], PAST_RANGE),
+    "negative-int-past-float": (lambda: (-10**400,), PAST_RANGE),
+    "fraction": (lambda: [Fraction(1, 3), 1.0], typed((1 / 3, 1.0))),
+    # float() calls a subclass's own __float__, as RealSequence always did.
+    "float-subclass": (lambda: [Lying(3.0), 1.5], typed((99.0, 1.5))),
+    "numeric-string": (lambda: [" 2.5", 1.0], typed((2.5, 1.0))),
+    "string": (lambda: ["x"], (ValueError, "could not convert string to float: 'x'")),
+    "none": (lambda: (1.0, None), (TypeError, "float() argument must be a string or a real "
+                                              "number, not 'NoneType'")),
+    "not-iterable": (lambda: 5, (TypeError, "'int' object is not iterable")),
+    "empty-list": (lambda: [], EMPTY),
+    "empty-tuple": (lambda: (), EMPTY),
+    "empty-generator": (lambda: (v for v in ()), EMPTY),
+    "generator": (lambda: (float(k) for k in range(3)), typed((0.0, 1.0, 2.0))),
+    "iterator": (lambda: iter([2.0, -0.0]), typed((2.0, -0.0))),
+    "range": (lambda: range(3), typed((0.0, 1.0, 2.0))),
+}
+for _bad in (math.nan, math.inf, -math.inf):
+    for _where in range(3):
+        for _kind in (list, tuple):
+            _values = [1.0, 2.0, 3.0]
+            _values[_where] = _bad
+            REAL_INPUTS[f"{_bad}-at-{_where}-{_kind.__name__}"] = (
+                lambda v=_values, k=_kind: k(v),
+                (SequenceError, f"sequence values must be finite, got {_bad!r}"))
+    # Past the first non-finite value the message names the first one.
+    REAL_INPUTS[f"{_bad}-then-nan"] = (lambda b=_bad: [1.0, b, math.nan],
+                                       (SequenceError, f"sequence values must be finite, "
+                                                       f"got {_bad!r}"))
+
+
+@pytest.mark.parametrize("make,want", REAL_INPUTS.values(), ids=REAL_INPUTS.keys())
+def test_twins_validate_sequences_alike(backend, make, want):
+    # The C twin answers a list or tuple of finite floats itself and hands
+    # everything else to the Python one, so both give the same values, bit
+    # for bit, or the same error; RealSequence uses the active backend's.
+    assert real_outcome(get_kernels(backend).real_values, make) == want
+    assert real_outcome(lambda v: RealSequence(v).values, make) == want
+
+
+@given(st.lists(st.floats()), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_twins_validate_float_lists_alike(values, as_tuple):
+    # Floats of every kind, nan and both infinities included, in a list or
+    # a tuple: every backend returns them bit for bit, or names the first
+    # value that is not finite.
+    bad = next((v for v in values if not math.isfinite(v)), None)
+    if not values:
+        want = EMPTY
+    elif bad is not None:
+        want = (SequenceError, f"sequence values must be finite, got {bad!r}")
+    else:
+        want = typed(tuple(values))
+    seq = tuple(values) if as_tuple else values
+    for name in available_backends():
+        assert real_outcome(get_kernels(name).real_values, lambda: seq) == want, name
+
+
+def test_compiled_real_values_keeps_a_float_tuple(compiled_build_error):
+    if compiled_build_error is not None:
+        pytest.skip(f"compiled kernels unavailable: {compiled_build_error}")
+    compiled = get_kernels("cython")
+    values = (3.0, -0.0, 1.5)
+    assert compiled.real_values(values) is values
+    listed = list(values)
+    copied = compiled.real_values(listed)
+    assert type(copied) is tuple and copied == values
+    listed.append(2.0)
+    assert copied == values
+    # The pure-Python twin builds a new tuple of the same floats.
+    assert get_kernels("python").real_values(values) == values
+
+
+ORDER_INPUTS = {"list": list, "tuple": tuple, "generator": lambda v: (x for x in v)}
+ORDER_CALLS = {
+    "select_naive": lambda v, r: ordstat.select_naive(r, v, budget=1),
+    "select_memo": lambda v, r: ordstat.select_memo(r, v, budget=1),
+    "select_fullrange": lambda v, r: ordstat.select_fullrange(r, v, budget=1),
+    "select_ranks": lambda v, r: ordstat.select_ranks(v, (1, r), budget=1),
+    "median": lambda v, r: ordstat.median(v, budget=1),  # its ranks are in range
+}
+
+
+@pytest.mark.parametrize("kind", ORDER_INPUTS)
+def test_errors_keep_their_order(backend, kind):
+    # A bad sequence is refused before a bad rank, and a bad rank before
+    # the budget, whatever the sequence is given as.
+    wrap = ORDER_INPUTS[kind]
+    good, bad = [3.0, 1.0, 2.0, 5.0], [3.0, 1.0, math.nan, 5.0]
+    for name, call in ORDER_CALLS.items():
+        with pytest.raises(SequenceError, match="got nan"):
+            call(wrap(bad), 9)
+        if name != "median":
+            with pytest.raises(RankError):
+                call(wrap(good), 9)
+        with pytest.raises(BudgetError):
+            call(wrap(good), 3)
+
+
 # A well-formed program, x1 + x2 - 1.0, and single faults to put in it:
 # (name, the part it changes, the change). Two faults combine unless one
 # part names the other or holds it ("consts" holds "consts[0]"); checks of
@@ -391,7 +519,13 @@ def leak_cases(kern):
              "compile_slp-const-str": (kern.compile_slp, (2, ["x"], code, 4)),
              "formula": (formula, ([1, 2.5],)),
              "formula-inf": (formula, ([math.inf, 2.5],)),
-             "formula-str": (formula, ([1.5, "x"],))}
+             "formula-str": (formula, ([1.5, "x"],)),
+             "real_values": (kern.real_values, (values,)),
+             "real_values-tuple": (kern.real_values, (tuple(values),)),
+             "real_values-ints": (kern.real_values, ([3, 1, 2],)),
+             "real_values-nan": (kern.real_values, ([1.0, math.nan],)),
+             "real_values-empty": (kern.real_values, ([],)),
+             "real_values-str": (kern.real_values, ([1.0, "x"],))}
     for name in ("select_naive", "select_memo", "select_fullrange"):
         entry = getattr(kern, name)
         cases.update({name: (entry, (values, 3)), f"{name}-rank": (entry, (values, 5)),

@@ -9,6 +9,7 @@ ordstat.selection, as the golden report hashes were.
 
 import io
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,7 @@ ENTRY_POINTS = {
     "compare_wallclock": lambda b: o.compare_wallclock(5, 3, budget=b),
     "backend_table": lambda b: o.backend_table(5, 3, repeats=1, budget=b),
     "count_calls": lambda b: o.count_calls(5, 3, budget=b),
+    "emit_text": lambda b: o.emit_text(o.build_selection_expr(4, 2, budget=1000), budget=b),
 }
 
 SUITES = {
@@ -107,6 +109,59 @@ class TestOneReadPerCall:
             assert main(argv + ["--budget", "1000000"]) == 0
             assert None not in reads
         capsys.readouterr()
+
+
+# What the benchmark's tracer wraps in ordstat.selection.
+LAYER_NAMES = ("as_real_sequence", "resolve_budget", "_check_naive_budget",
+               "_check_memo_budget", "_check_fullrange_budget")
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """Rebinds each of LAYER_NAMES in every ordstat module that holds it, as
+    the benchmark's tracer does; returns a Counter of the calls by name."""
+    calls = Counter()
+    for name in LAYER_NAMES:
+        original = getattr(o.selection, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if modname == "ordstat" or modname.startswith("ordstat."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+# public call -> the budget checks it makes, by name, besides exactly one
+# as_real_sequence and one resolve_budget.
+LAYER_CONTRACT = {
+    "select_naive": (lambda: o.select_naive(3, VALUES), {"_check_naive_budget": 1}),
+    "select_memo": (lambda: o.select_memo(3, VALUES), {"_check_memo_budget": 1}),
+    "select_fullrange": (lambda: o.select_fullrange(3, VALUES),
+                         {"_check_fullrange_budget": 1}),
+    "median-even": (lambda: o.median(VALUES), {"_check_memo_budget": 2}),
+    "median-odd": (lambda: o.median(VALUES[:5]), {"_check_memo_budget": 1}),
+    "median-naive": (lambda: o.median(VALUES, mode="naive"), {"_check_naive_budget": 2}),
+    "select_ranks-memo": (lambda: o.select_ranks(VALUES, (1, 3, 6)), {"_check_memo_budget": 3}),
+    "select_ranks-naive": (lambda: o.select_ranks(VALUES, [2, 2], mode="naive"),
+                           {"_check_naive_budget": 2}),
+    "select_ranks-fullrange": (lambda: o.select_ranks(VALUES, iter([4]), mode="fullrange"),
+                               {"_check_fullrange_budget": 1}),
+}
+
+
+@pytest.mark.parametrize("name", LAYER_CONTRACT)
+def test_layer_contract(backend, layer_calls, name):
+    # Each public call validates its sequence once, resolves the budget once
+    # and checks each rank's budget by the rule's name, so the benchmark's
+    # traced validation and budget counts mean what they say.
+    call, checks = LAYER_CONTRACT[name]
+    call()
+    assert layer_calls == Counter({"as_real_sequence": 1, "resolve_budget": 1, **checks})
 
 
 # (N, rank) -> the smallest budget the rule accepts.
@@ -175,6 +230,18 @@ class TestThresholds:
         assert main(argv + ["--budget", str(smallest - 1)]) == 3
         out, err = capsys.readouterr()
         assert out == "" and refusal in err
+
+
+    @pytest.mark.parametrize("shape", sorted(EMIT_THRESHOLDS))
+    def test_emit_text(self, shape):
+        # emit_text refuses the text itself, before rendering, at the limit
+        # the command refuses it.
+        smallest, refusal = EMIT_THRESHOLDS[shape]
+        expr = o.build_selection_expr(*shape, budget=10**6)
+        assert o.emit_text(expr, budget=max(smallest, 2)) == o.emit_text(expr, budget=10**6)
+        if refusal == "tree nodes":
+            with pytest.raises(BudgetError, match=f"^formula text of {smallest} tree nodes"):
+                o.emit_text(expr, "sexpr", budget=smallest - 1)
 
 
 NOT_INTEGERS = [2.7, "2", Fraction(5, 2), float("nan"), float("inf")]

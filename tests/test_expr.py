@@ -6,6 +6,8 @@ import itertools
 import math
 import random
 import struct
+import sys
+import threading
 from array import array
 from fractions import Fraction
 
@@ -162,6 +164,38 @@ class TestInterning:
             assert o.emit_slp(root).to_text() == first
             assert o.eval_expr(root, dict(enumerate(xs, 1))) == fn(xs) == 4.0
         assert [id(r) for r in walks] == [id(tree)]
+
+    def test_threads_share_one_node_per_structure(self):
+        # Six threads build, drop and rebuild the same formulas, with a
+        # thread switch after almost every bytecode, so nodes die and are
+        # interned again concurrently. No weakref callback may fail, and a
+        # root built while another thread holds an equal one must be it.
+        shapes = [(n, r) for n in range(1, 7) for r in range(1, n + 1)]
+        roots = [None] * 6
+        unraisable = []
+
+        def work(k):
+            for _ in range(60):
+                for shape in shapes:
+                    o.build_selection_expr(*shape)
+            roots[k] = {shape: o.build_selection_expr(*shape) for shape in shapes}
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        hook, interval = sys.unraisablehook, sys.getswitchinterval()
+        sys.unraisablehook = unraisable.append
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            sys.unraisablehook = hook
+        assert not any(t.is_alive() for t in threads)
+        assert [repr(u.exc_value) for u in unraisable] == []
+        for shape in shapes:
+            assert all(r[shape] is roots[0][shape] for r in roots), shape
 
     def test_negative_zero_constant_keeps_its_sign(self):
         zero = o.const(0.0)
@@ -481,6 +515,27 @@ class TestEmitText:
     def test_deterministic(self):
         e = o.build_selection_expr(4, 2, "arithmetic")
         assert o.emit_text(e) == o.emit_text(e)
+
+    def test_oversized_text_refused_before_rendering(self, monkeypatch):
+        # The (16, 8) formula is 96,389 graph nodes but 179,999,999 tree
+        # nodes of text: the default budget refuses it before any is made.
+        monkeypatch.delenv(o.BUDGET_ENV_VAR, raising=False)
+        e = o.build_selection_expr(16, 8, budget=10**9)
+
+        class NoRendering(dict):
+            def __getitem__(self, syntax):
+                raise AssertionError("emit_text began rendering")
+
+        monkeypatch.setattr(expr_module, "_SYNTAX", NoRendering(expr_module._SYNTAX))
+        for syntax in ("infix", "sexpr"):
+            with pytest.raises(BudgetError, match="^formula text of 179999999 tree nodes "
+                                                  "is over the budget of 16777216$"):
+                o.emit_text(e, syntax)
+        monkeypatch.setenv(o.BUDGET_ENV_VAR, "10")
+        with pytest.raises(BudgetError, match="over the budget of 10$"):
+            o.emit_text(o.build_selection_expr(4, 2, budget=100))
+        with pytest.raises(ExprError):
+            o.emit_text(e, "latex")
 
 
 class TestParseText:

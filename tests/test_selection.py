@@ -394,7 +394,9 @@ class TestMemoCountersOnRequest:
         for length, rank in ((1, 1), (7, 4), (16, 8), (65, 3)):
             calls.clear()
             assert o.select_memo(rank, range(length)) == rank - 1
-            assert calls == ["select_fullrange"]
+            # The sequence is validated by the kernels' real_values, and
+            # then one kernel call selects.
+            assert calls == ["real_values", "select_fullrange"]
 
     def test_counters_equal_the_memoized_recursion(self, backend):
         for length in range(1, 10):
@@ -600,14 +602,24 @@ class TestSelectRanks:
         # and rank 7 fits none.
         values = [float(k % 5) for k in range(12)]
         stats = EvalStats(recursive_calls=1)
+        kernels = o.selection._backend.kernels()
+        calls = []
 
-        def no_kernel():
-            raise AssertionError("a kernel ran")
+        class ValidateOnly:
+            """The kernels' real_values, which validates the sequence;
+            every selection entry fails the test."""
 
-        monkeypatch.setattr(o.selection._backend, "kernels", no_kernel)
+            def __getattr__(self, name):
+                calls.append(name)
+                if name != "real_values":
+                    raise AssertionError(f"kernel {name} ran")
+                return kernels.real_values
+
+        monkeypatch.setattr(o.selection._backend, "kernels", ValidateOnly)
         with pytest.raises(error):
             o.select_ranks(values, ranks, mode=mode, stats=stats, budget=100)
         assert stats == EvalStats(recursive_calls=1)
+        assert calls == ["real_values"]
 
     @pytest.mark.parametrize("mode", ["naive", "memo", "fullrange"])
     def test_one_kernel_call_per_call(self, backend, monkeypatch, mode):
@@ -630,11 +642,12 @@ class TestSelectRanks:
             stats = EvalStats()
             got = o.select_ranks(values, ranks, mode=mode, stats=stats)
             assert got == tuple(sort_oracle(rank, values) for rank in ranks)
-            assert len(calls) == 1, calls
+            # One validation of the sequence, then one selection call.
+            assert len(calls) == 2 and calls[0] == "real_values", calls
         calls.clear()
         with pytest.raises(BudgetError):
             o.select_ranks(values, (1, 5), mode=mode, budget=10)
-        assert calls == []
+        assert calls == ["real_values"]
 
     def test_memo_counters_past_64_bits(self, backend):
         # The counters come from Python ints on every backend; the single
