@@ -231,14 +231,13 @@ class TestThresholds:
         out, err = capsys.readouterr()
         assert out == "" and refusal in err
 
-
     @pytest.mark.parametrize("shape", sorted(EMIT_THRESHOLDS))
     def test_emit_text(self, shape):
         # emit_text refuses the text itself, before rendering, at the limit
         # the command refuses it.
         smallest, refusal = EMIT_THRESHOLDS[shape]
         expr = o.build_selection_expr(*shape, budget=10**6)
-        assert o.emit_text(expr, budget=max(smallest, 2)) == o.emit_text(expr, budget=10**6)
+        assert o.emit_text(expr, budget=smallest) == o.emit_text(expr, budget=10**6)
         if refusal == "tree nodes":
             with pytest.raises(BudgetError, match=f"^formula text of {smallest} tree nodes"):
                 o.emit_text(expr, "sexpr", budget=smallest - 1)
