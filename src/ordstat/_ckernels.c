@@ -2,12 +2,17 @@
  *
  * Return values and counters equal those of ordstat._pykernels, the
  * reference, bit for bit. Each select_* entry point takes a sequence of
- * floats and a 1-based rank in 1..N (positional arguments only) and raises
- * ValueError for a rank outside that range. normal_forms and naive_ranks
- * take an iterable of such ranks instead, in any order and with
- * duplicates, and answer every rank in one call. One reader, read_args,
- * reads the arguments of all five entries and raises the same errors for
- * each.
+ * floats and a 1-based rank in 1..N (positional arguments only).
+ * normal_forms and naive_ranks take an iterable of such ranks instead, in
+ * any order and with duplicates, and answer every rank in one call.
+ *
+ * C reads exact input only (read_exact, slp_read, read_floats) and hands
+ * any other, as given, to _pykernels (_checked, _packed, _inputs,
+ * real_values), the one definition of what every entry accepts. It raises
+ * the error or returns the input in exact form, which C reads the same
+ * way; a result it cannot read raises SystemError. No Python code runs in
+ * C's checks, so __index__ and __float__ run once, in the reference's
+ * order; only a ranks iterable is read here first, into a tuple.
  *
  * Each algorithm has one body, and the single entries are its one-rank
  * case. naive_body runs the plain recursion once per rank and sums its
@@ -24,16 +29,11 @@
  * select_memo, which nothing in the package calls, returns
  * select_fullrange's value and those counters.
  *
- * real_values validates a sequence for ordstat.selection.RealSequence:
- * a list or tuple of finite floats in one pass here, any other input in
- * _pykernels.real_values, the one copy of the checks and messages.
- *
+ * real_values validates a sequence for ordstat.selection.RealSequence.
  * compile_slp turns a packed straight-line program (see
  * _pykernels.compile_slp, which defines it) into a callable that runs
  * each op on a double register file: no Python source is generated or
- * executed. The program is checked once, before it is kept: every opcode
- * must be known and every operand must name a register below the one its
- * instruction writes, so no program can read outside the register file.
+ * executed.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -176,84 +176,83 @@ package_attr(const char *module, const char *name)
     return attr;
 }
 
-/* Raises ordstat.errors.ExprError. */
-static void
-expr_error(const char *format, ...)
+/* ordstat._pykernels.<name> called on the tuple that Py_BuildValue makes
+ * of format: the reference, which reads or refuses every input that C
+ * does not read itself. It is looked up on each call. */
+static PyObject *
+reference(const char *name, const char *format, ...)
 {
-    PyObject *cls;
+    PyObject *fn, *args, *out = NULL;
     va_list va;
 
-    cls = package_attr("ordstat.errors", "ExprError");
-    if (cls == NULL)
-        return;
+    fn = package_attr("ordstat._pykernels", name);
+    if (fn == NULL)
+        return NULL;
     va_start(va, format);
-    PyErr_FormatV(cls, format, va);
+    args = Py_VaBuildValue(format, va);
     va_end(va);
-    Py_DECREF(cls);
+    if (args != NULL)
+        out = PyObject_Call(fn, args, NULL);
+    Py_XDECREF(args);
+    Py_DECREF(fn);
+    return out;
+}
+
+/* 1 when values is a tuple or list, of exact type, whose first n items are
+ * exact floats, finite ones if `finite` is set, copied into out unless it
+ * is NULL; else 0. No Python code runs, so a list cannot change. */
+static int
+read_floats(PyObject *values, Py_ssize_t n, int finite, double *out)
+{
+    PyObject **items;
+    Py_ssize_t i;
+    double v;
+
+    if (!(PyTuple_CheckExact(values) || PyList_CheckExact(values))
+            || PySequence_Fast_GET_SIZE(values) < n)
+        return 0;
+    items = PySequence_Fast_ITEMS(values);
+    for (i = 0; i < n; i++) {
+        if (!PyFloat_CheckExact(items[i]))
+            return 0;
+        v = PyFloat_AS_DOUBLE(items[i]);
+        if (finite && !isfinite(v))
+            return 0;
+        if (out != NULL)
+            out[i] = v;
+    }
+    return 1;
 }
 
 static PyObject *
 run_slp(PyObject *self, PyObject *values)
 {
     const Slp *p = PyCapsule_GetPointer(self, SLP_CAPSULE);
-    PyObject *seq, *item, *f, *out = NULL;
+    PyObject *inputs, *f, *cls, *out = NULL;
     double stack[SLP_STACK_REGS], *r = stack, *t, a, b, v;
-    Py_ssize_t i, k, n_regs;
+    Py_ssize_t k, n_regs;
     const int *c;
-    int positive;
+    int read;
 
     if (p == NULL)
         return NULL;
-    seq = PySequence_Tuple(values);
-    if (seq == NULL)
-        return NULL;
-    if (PyTuple_GET_SIZE(seq) < p->n_vars) {
-        expr_error("formula needs %zd values, got %zd", p->n_vars,
-                   PyTuple_GET_SIZE(seq));
-        goto done;
-    }
     n_regs = p->n_vars + p->n_consts + p->n_ins;
     if (n_regs > SLP_STACK_REGS) {
         r = PyMem_Malloc((size_t)n_regs * sizeof(double));
-        if (r == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
+        if (r == NULL)
+            return PyErr_NoMemory();
     }
-    for (i = 0; i < p->n_vars; i++) {
-        item = PyTuple_GET_ITEM(seq, i);
-        if (PyFloat_CheckExact(item)) {
-            v = PyFloat_AS_DOUBLE(item);
-        } else {
-            f = PyNumber_Float(item);
-            if (f != NULL) {
-                v = PyFloat_AS_DOUBLE(f);
-                Py_DECREF(f);
-            } else {
-                /* A number past the float range is the infinity of its
-                   sign, refused below, as _pykernels._to_float gives it. */
-                if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                    goto done;
-                PyErr_Clear();
-                f = PyLong_FromLong(0);
-                if (f == NULL)
-                    goto done;
-                positive = PyObject_RichCompareBool(item, f, Py_GT);
-                Py_DECREF(f);
-                if (positive < 0)
-                    goto done;
-                v = positive ? Py_HUGE_VAL : -Py_HUGE_VAL;
-            }
-        }
-        if (!isfinite(v)) {
-            f = PyFloat_FromDouble(v);
-            if (f != NULL) {
-                expr_error("input x%zd is not finite: %R", i + 1, f);
-                Py_DECREF(f);
-            }
+    if (!read_floats(values, p->n_vars, 1, r)) {
+        /* _inputs returns the first n_vars values as finite floats. */
+        inputs = reference("_inputs", "(On)", values, p->n_vars);
+        if (inputs == NULL)
+            goto done;
+        read = read_floats(inputs, p->n_vars, 1, r);
+        Py_DECREF(inputs);
+        if (!read) {
+            PyErr_BadInternalCall();
             goto done;
         }
-        r[i] = v;
     }
     if (p->n_consts)
         memcpy(r + p->n_vars, p->pool, (size_t)p->n_consts * sizeof(double));
@@ -270,11 +269,13 @@ run_slp(PyObject *self, PyObject *values)
         default: v = a >= b ? a : b; break;  /* OP_MAX */
         }
         if (!isfinite(v)) {
+            /* ordstat.errors.ExprError, as _pykernels._run_slp raises it. */
             f = PyFloat_FromDouble(v);
-            if (f != NULL) {
-                expr_error("non-finite intermediate %R at t%zd", f, k);
-                Py_DECREF(f);
+            if (f != NULL && (cls = package_attr("ordstat.errors", "ExprError")) != NULL) {
+                PyErr_Format(cls, "non-finite intermediate %R at t%zd", f, k);
+                Py_DECREF(cls);
             }
+            Py_XDECREF(f);
             goto done;
         }
         t[k] = v;
@@ -283,7 +284,6 @@ run_slp(PyObject *self, PyObject *values)
 done:
     if (r != stack)
         PyMem_Free(r);
-    Py_DECREF(seq);
     return out;
 }
 
@@ -294,131 +294,100 @@ static PyMethodDef run_slp_def = {
     "non-finite input, or a non-finite intermediate, raises ExprError.",
 };
 
-/* Copies and checks (n_vars, consts, code, result), in _check_slp's order,
- * so a program with several faults gets the error _pykernels.compile_slp
- * raises. Instruction k writes register n_vars + n_consts + k and may read
- * only registers below it, so a program that passes never reads outside
- * its register file. */
-static Slp *
-slp_new(PyObject *const *args)
+/* Copies the program (n_vars, consts, code, result) at args[0..4) to *out
+ * when it comes as expr._compile_program packs it: exact ints, a tuple of
+ * exact finite floats, a C-contiguous array('i') of (op, a, b) triples
+ * with known ops, at most INT_MAX registers. Instruction k writes register
+ * n_vars + n_consts + k and may read only registers below it, so no
+ * program kept reads outside its register file. Returns 1 when read, 0
+ * when not in that form, and -1 on MemoryError. Only an immutable type,
+ * such as array.array, is asked for a buffer: it is a C type, so that
+ * runs no Python code. The code is copied before it is checked, so no
+ * int is read unaligned. */
+static int
+slp_read(PyObject *const *args, Slp **out)
 {
-    Py_ssize_t n_vars, n_consts, n_ins, base, result, k, dest;
-    PyObject *view_obj, *n_obj = NULL, *result_obj = NULL, *pool = NULL;
-    Py_buffer *view;
-    Slp *p = NULL;
+    Py_buffer view;
+    long n_vars, result;
+    Py_ssize_t n_consts, n_ins, base, k;
+    int ints, big_n, big_r;
     const int *c;
+    Slp *p = NULL;
 
-    view_obj = PyMemoryView_FromObject(args[2]);
-    if (view_obj == NULL)
-        return NULL;
-    view = PyMemoryView_GET_BUFFER(view_obj);
-    if (view->ndim != 1 || view->itemsize != sizeof(int)
-            || strcmp(view->format, "i") != 0) {
-        PyErr_SetString(PyExc_ValueError, "code must be an array('i')");
-        goto done;
+    if (!PyLong_CheckExact(args[0]) || !PyTuple_CheckExact(args[1]) || !PyLong_CheckExact(args[3])
+            || !PyType_HasFeature(Py_TYPE(args[2]), Py_TPFLAGS_IMMUTABLETYPE))
+        return 0;
+    if (PyObject_GetBuffer(args[2], &view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0) {
+        PyErr_Clear();
+        return 0;
     }
-    /* Past Py_ssize_t, n_vars and result clamp to its bounds, and the
-     * checks below refuse them by value, however large, as _check_slp
-     * does; only an n_vars past PY_SSIZE_T_MAX overflows. */
-    n_obj = PyNumber_Index(args[0]);
-    if (n_obj == NULL)
-        goto done;
-    n_vars = PyNumber_AsSsize_t(n_obj, NULL);
-    if (n_vars == PY_SSIZE_T_MAX)
-        n_vars = PyNumber_AsSsize_t(n_obj, PyExc_OverflowError);
-    if (n_vars == -1 && PyErr_Occurred())
-        goto done;
-    result_obj = PyNumber_Index(args[3]);
-    if (result_obj == NULL)
-        goto done;
-    result = PyNumber_AsSsize_t(result_obj, NULL);
-    pool = PySequence_Tuple(args[1]);
-    if (pool == NULL)
-        goto done;
-    n_consts = PyTuple_GET_SIZE(pool);
-    p = PyMem_Malloc(sizeof(Slp) + (size_t)n_consts * sizeof(double) + (size_t)view->len);
+    n_consts = PyTuple_GET_SIZE(args[1]);
+    n_ins = view.len / (3 * (Py_ssize_t)sizeof(int));
+    ints = view.ndim == 1 && view.itemsize == sizeof(int) && strcmp(view.format, "i") == 0
+           && view.len % (3 * sizeof(int)) == 0;
+    if (ints) {
+        p = PyMem_Malloc(sizeof(Slp) + (size_t)n_consts * sizeof(double) + (size_t)view.len);
+        if (p != NULL) {
+            p->pool = (double *)(p + 1);
+            p->code = (int *)(p->pool + n_consts);
+            memcpy(p->code, view.buf, (size_t)view.len);
+        }
+    }
+    PyBuffer_Release(&view);
+    if (!ints)
+        return 0;
     if (p == NULL) {
         PyErr_NoMemory();
-        goto done;
+        return -1;
     }
-    p->pool = (double *)(p + 1);
-    p->code = (int *)(p->pool + n_consts);
-    for (k = 0; k < n_consts; k++) {
-        p->pool[k] = PyFloat_AsDouble(PyTuple_GET_ITEM(pool, k));
-        if (p->pool[k] == -1.0 && PyErr_Occurred())
-            goto fail;
-    }
-    /* Read after the constants, as _check_slp reads it; a sliced
-     * memoryview is strided, and this copies any layout in order. */
-    if (PyBuffer_ToContiguous(p->code, view, view->len, 'C') < 0)
-        goto fail;
-    if (view->shape[0] % 3 != 0) {
-        PyErr_SetString(PyExc_ValueError, "code must hold (op, a, b) triples");
-        goto fail;
-    }
-    n_ins = view->shape[0] / 3;
-    if (n_vars < 0) {
-        PyErr_Format(PyExc_ValueError, "n_vars must not be negative, got %S", n_obj);
-        goto fail;
-    }
-    for (k = 0; k < n_consts; k++) {
-        if (!isfinite(p->pool[k])) {
-            PyErr_Format(PyExc_ValueError, "constant %zd is not finite", k);
-            goto fail;
-        }
-    }
-    if (n_vars > INT_MAX || n_consts > INT_MAX - n_vars
-            || n_ins > INT_MAX - n_vars - n_consts) {
-        PyErr_SetString(PyExc_ValueError, "too many registers");
-        goto fail;
-    }
+    n_vars = PyLong_AsLongAndOverflow(args[0], &big_n);
+    result = PyLong_AsLongAndOverflow(args[3], &big_r);
+    if (big_n || big_r || n_vars < 0 || n_vars > INT_MAX || n_consts > INT_MAX - n_vars)
+        goto inexact;
     base = n_vars + n_consts;
-    if (result < 0 || result >= base + n_ins) {
-        PyErr_Format(PyExc_ValueError, "result register %S out of range 0..%zd",
-                     result_obj, base + n_ins - 1);
-        goto fail;
-    }
-    for (k = 0, c = p->code; k < n_ins; k++, c += 3) {
-        dest = base + k;
-        if (c[0] < 0 || c[0] >= N_OPS) {
-            PyErr_Format(PyExc_ValueError, "instruction %zd: unknown op %d", k, c[0]);
-            goto fail;
-        }
-        if (c[1] < 0 || c[1] >= dest || c[2] < 0 || c[2] >= dest) {
-            PyErr_Format(PyExc_ValueError, "instruction %zd: operands (%d, %d) "
-                         "must lie below its register %zd", k, c[1], c[2], dest);
-            goto fail;
-        }
-    }
+    if (n_ins > INT_MAX - base || result < 0 || result >= base + n_ins
+            || !read_floats(args[1], n_consts, 1, p->pool))
+        goto inexact;
+    for (k = 0, c = p->code; k < n_ins; k++, c += 3)
+        if (c[0] < 0 || c[0] >= N_OPS || c[1] < 0 || c[1] >= base + k
+                || c[2] < 0 || c[2] >= base + k)
+            goto inexact;
     p->n_vars = n_vars;
     p->n_consts = n_consts;
     p->n_ins = n_ins;
     p->result = result;
-    goto done;
-fail:
+    *out = p;
+    return 1;
+inexact:
     PyMem_Free(p);
-    p = NULL;
-done:
-    Py_DECREF(view_obj);
-    Py_XDECREF(n_obj);
-    Py_XDECREF(result_obj);
-    Py_XDECREF(pool);
-    return p;
+    return 0;
 }
 
 static PyObject *
 compile_slp(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *capsule, *fn;
-    Slp *p;
+    PyObject *packed, *capsule, *fn;
+    Slp *p = NULL;
+    int status;
 
     if (nargs != 4) {
         PyErr_Format(PyExc_TypeError, "compile_slp() takes 4 positional arguments "
                      "(n_vars, consts, code, result) but %zd were given", nargs);
         return NULL;
     }
-    p = slp_new(args);
-    if (p == NULL)
+    status = slp_read(args, &p);
+    if (status == 0) {
+        /* _packed raises the program's error or returns it packed. */
+        packed = reference("_packed", "(OOOO)", args[0], args[1], args[2], args[3]);
+        if (packed == NULL)
+            return NULL;
+        if (PyTuple_CheckExact(packed) && PyTuple_GET_SIZE(packed) == 4)
+            status = slp_read(PySequence_Fast_ITEMS(packed), &p);
+        Py_DECREF(packed);
+        if (status == 0)
+            PyErr_BadInternalCall();
+    }
+    if (status <= 0)
         return NULL;
     capsule = PyCapsule_New(p, SLP_CAPSULE, slp_free);
     if (capsule == NULL) {
@@ -437,30 +406,17 @@ compile_slp(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
  * comes back as a tuple in one pass, a tuple as itself: float() returns an
  * exact float unchanged, so that is the tuple _pykernels.real_values
  * builds from it. Any other input, an empty or non-finite one included,
- * goes to that function, which converts it or raises its SequenceError.
- * No Python code runs during the pass, so the list cannot change under
- * it. */
+ * goes to that function, which converts it or raises its SequenceError. */
 static PyObject *
 real_values(PyObject *module, PyObject *values)
 {
-    PyObject **items, *fn, *out;
-    Py_ssize_t n, i;
+    Py_ssize_t n;
 
-    if (PyTuple_CheckExact(values) || PyList_CheckExact(values)) {
-        n = PySequence_Fast_GET_SIZE(values);
-        items = PySequence_Fast_ITEMS(values);
-        for (i = 0; i < n; i++)
-            if (!PyFloat_CheckExact(items[i]) || !isfinite(PyFloat_AS_DOUBLE(items[i])))
-                break;
-        if (n > 0 && i == n)
-            return PyTuple_CheckExact(values) ? Py_NewRef(values) : PyList_AsTuple(values);
-    }
-    fn = package_attr("ordstat._pykernels", "real_values");
-    if (fn == NULL)
-        return NULL;
-    out = PyObject_CallOneArg(fn, values);
-    Py_DECREF(fn);
-    return out;
+    n = PyTuple_CheckExact(values) || PyList_CheckExact(values)
+        ? PySequence_Fast_GET_SIZE(values) : 0;
+    if (n > 0 && read_floats(values, n, 1, NULL))
+        return PyTuple_CheckExact(values) ? Py_NewRef(values) : PyList_AsTuple(values);
+    return reference("real_values", "(O)", values);
 }
 
 
@@ -475,75 +431,73 @@ typedef struct {
     Py_ssize_t m;
 } Args;
 
-/* Reads the m rank arguments given[0..m), each through __index__, and then
- * values, in _pykernels._checked's order, into *a, each rank checked
- * against 1..n. On the first fault (a rank that is no integer, values that
- * are no sequence, a rank out of range, a value that is no number) returns
- * -1 with nothing to free. */
+/* Reads values and the m ranks rank[0..m) into *a when they are exact:
+ * values a tuple or list of exact floats, and ranks exact ints in 1..n.
+ * Returns 1 when read, 0 when they are not exact, with nothing to free,
+ * and -1 on MemoryError. */
 static int
-parse(PyObject *values, PyObject *const *given, Py_ssize_t m, Args *a)
+read_exact(PyObject *values, PyObject *const *rank, Py_ssize_t m, Args *a)
 {
-    PyObject *one, **index, *seq = NULL;
-    Py_ssize_t len, i, got;
+    Py_ssize_t n, i;
     long r;
-    int overflow, status = -1;
+    int overflow;
 
-    a->xs = NULL;
-    index = m > 1 ? PyMem_Calloc((size_t)m, sizeof(PyObject *)) : &one;
-    if (index == NULL) {
+    if (!PyTuple_CheckExact(values) && !PyList_CheckExact(values))
+        return 0;
+    n = PySequence_Fast_GET_SIZE(values);
+    a->xs = PyMem_Malloc((size_t)(n + m) * sizeof(double) + (size_t)m * sizeof(size_t));
+    if (a->xs == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    for (got = 0; got < m; got++) {
-        index[got] = PyNumber_Index(given[got]);
-        if (index[got] == NULL)
-            goto done;
-    }
-    seq = PySequence_Tuple(values);
-    if (seq == NULL)
-        goto done;
-    len = PyTuple_GET_SIZE(seq);
-    a->xs = PyMem_Malloc((size_t)(len + m) * sizeof(double) + (size_t)m * sizeof(size_t));
-    if (a->xs == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    a->found = a->xs + len;
+    a->found = a->xs + n;
     a->ranks = (size_t *)(a->found + m);
-    for (i = 0; i < m; i++) {
-        /* An int past a C long is out of range too, as it is in Python. */
-        r = PyLong_AsLongAndOverflow(index[i], &overflow);
-        if (overflow || r < 1 || r > len) {
-            PyErr_Format(PyExc_ValueError, "rank %S out of range 1..%zd", index[i], len);
-            goto done;
-        }
+    a->n = (size_t)n;
+    a->m = m;
+    for (i = 0; i < m && PyLong_CheckExact(rank[i]); i++) {
+        r = PyLong_AsLongAndOverflow(rank[i], &overflow);
+        if (overflow || r < 1 || r > n)
+            break;
         a->ranks[i] = (size_t)r;
     }
-    for (i = 0; i < len; i++) {
-        a->xs[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(seq, i));
-        if (a->xs[i] == -1.0 && PyErr_Occurred())
-            goto done;
+    if (i == m && read_floats(values, n, 0, a->xs))
+        return 1;
+    PyMem_Free(a->xs);
+    return 0;
+}
+
+/* Reads what _pykernels._checked returns, the values as a tuple of floats
+ * and the ranks as a list of ints in range, the way read_exact does.
+ * Returns 1 when read and -1 on an error. */
+static int
+read_checked(PyObject *checked, Args *a)
+{
+    PyObject *ranks;
+    int status = 0;
+
+    if (checked == NULL)
+        return -1;
+    if (PyTuple_CheckExact(checked) && PyTuple_GET_SIZE(checked) == 2) {
+        ranks = PyTuple_GET_ITEM(checked, 1);
+        if (PyList_CheckExact(ranks))
+            status = read_exact(PyTuple_GET_ITEM(checked, 0), PySequence_Fast_ITEMS(ranks),
+                                PyList_GET_SIZE(ranks), a);
     }
-    a->n = (size_t)len;
-    a->m = m;
-    status = 0;
-done:
-    if (status < 0)
-        PyMem_Free(a->xs);
-    for (i = 0; i < got; i++)
-        Py_DECREF(index[i]);
-    if (index != &one)
-        PyMem_Free(index);
-    Py_XDECREF(seq);
-    return status;
+    Py_DECREF(checked);
+    if (status == 0)
+        PyErr_BadInternalCall();
+    return status == 1 ? 1 : -1;
 }
 
 /* Reads an entry's (values, rank), or its (values, ranks) when many is
- * set: any iterable of ranks. */
+ * set: any iterable of ranks, read into a tuple unless it is a list or a
+ * tuple. Input that read_exact does not take goes to _pykernels._checked,
+ * which raises the entry's error or returns it in the form read_exact
+ * takes. */
 static int
 read_args(PyObject *const *args, Py_ssize_t nargs, const char *name, int many, Args *a)
 {
-    PyObject *items;
+    PyObject *ranks = NULL;
     int status;
 
     if (nargs != 2) {
@@ -551,14 +505,21 @@ read_args(PyObject *const *args, Py_ssize_t nargs, const char *name, int many, A
                      "but %zd were given", name, many ? "ranks" : "rank", nargs);
         return -1;
     }
-    if (!many)
-        return parse(args[0], args + 1, 1, a);
-    items = PySequence_Tuple(args[1]);
-    if (items == NULL)
-        return -1;
-    status = parse(args[0], PySequence_Fast_ITEMS(items), PyTuple_GET_SIZE(items), a);
-    Py_DECREF(items);
-    return status;
+    if (many) {
+        ranks = PyTuple_CheckExact(args[1]) || PyList_CheckExact(args[1])
+                ? Py_NewRef(args[1]) : PySequence_Tuple(args[1]);
+        if (ranks == NULL)
+            return -1;
+        status = read_exact(args[0], PySequence_Fast_ITEMS(ranks),
+                            PySequence_Fast_GET_SIZE(ranks), a);
+    } else {
+        status = read_exact(args[0], args + 1, 1, a);
+    }
+    if (status == 0)
+        status = read_checked(reference("_checked", many ? "(OO)" : "(O(O))", args[0],
+                                        many ? ranks : args[1]), a);
+    Py_XDECREF(ranks);
+    return status < 0 ? -1 : 0;
 }
 
 /* The plain recursion at each rank, into found, on scratch for the
@@ -696,15 +657,12 @@ static PyObject *
 select_memo(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Args a;
-    PyObject *fn, *counts = NULL, *out = NULL, *recursive, *base, *hits;
+    PyObject *counts = NULL, *out = NULL, *recursive, *base, *hits;
 
     if (read_args(args, nargs, "select_memo", 0, &a) < 0)
         return NULL;
-    if (normal_body(&a) == 0
-            && (fn = package_attr("ordstat._pykernels", "_memo_counts")) != NULL) {
-        counts = PyObject_CallFunction(fn, "nn", (Py_ssize_t)a.n, (Py_ssize_t)a.ranks[0]);
-        Py_DECREF(fn);
-    }
+    if (normal_body(&a) == 0)
+        counts = reference("_memo_counts", "(nn)", (Py_ssize_t)a.n, (Py_ssize_t)a.ranks[0]);
     if (counts != NULL && PyArg_ParseTuple(counts, "OOO", &recursive, &base, &hits))
         out = Py_BuildValue("(dOOO)", a.found[0], recursive, base, hits);
     Py_XDECREF(counts);

@@ -2,17 +2,20 @@
 
 Reference implementation of the elimination recursion and of compiled
 formulas; ordstat._ckernels, a C extension, is the compiled twin and must
-match these counters, return values and errors exactly, for every
-sequence length and every program.
+match these counters and return values exactly, for every sequence length
+and every program. This module alone defines what every kernel entry of
+either backend accepts and raises for its input: the C twin reads only
+exact input itself and hands any other, as given, to _checked, _packed,
+_inputs or real_values, which raise the error or return it exact.
+
 The three select_* entry points take an already-validated sequence of
-finite floats and a 1-based rank, an int or any object with __index__,
-as the C twin's PyNumber_Index takes it; a rank out of range, however
-large, raises the same ValueError in both. Each value is read as the C
-twin's PyFloat_AsDouble reads it (_real), so both return floats for any
-numbers and refuse a str alike. normal_forms and naive_ranks
-take an iterable of such ranks instead, keep their order and duplicates,
-and raise the single entries' errors. Counter semantics, shared by both
-backends, are what the memoized recursion would count:
+finite floats and a 1-based rank, an int or any object with __index__;
+a rank out of range, however large, raises ValueError. Each value is
+read as _real reads it, so any number gives a float and a str is
+refused. normal_forms and naive_ranks take an iterable of such ranks
+instead, keep their order and duplicates, and raise the single entries'
+errors. Counter semantics, shared by both backends, are what the
+memoized recursion would count:
 
   * recursive_calls  counts every entry into the recursion,
   * base_case_calls  counts rank-1 entries that compute a minimum,
@@ -38,23 +41,22 @@ select_memo entry of either twin returns select_fullrange's value and
 these counters; nothing in ordstat calls it, and perfbench's tracer reads
 its counters.
 
-compile_slp turns a packed straight-line program into a callable. Both
-twins check the program once, here with _check_slp, which also checks
-every expr.CompiledProgram, and then run it on a register file, one loop
-over its (op, a, b) triples that checks every value. Here that loop is
-_run_slp, the one Python loop that runs programs: expr.interpret_slp and
-expr.eval_expr run in it too, so it is the reference the C twin is
+compile_slp turns a packed straight-line program into a callable. The
+program is checked once, by _check_slp, which also checks every
+expr.CompiledProgram; both twins then run it on a register file, one
+loop over its (op, a, b) triples that checks every value. Here that loop
+is _run_slp, the one Python loop that runs programs: expr.interpret_slp
+and expr.eval_expr run in it too, so it is the reference the C twin is
 tested against, as the select_* functions here are for its kernels.
 
 real_values validates a sequence for ordstat.selection.RealSequence and
-is the one copy of that check: the C twin answers only a list or tuple
-of finite floats itself and calls this function for anything else, so
-both give the same values and the same SequenceError.
+is the one copy of that check.
 """
 
 import math
 import operator
 import sys
+from array import array
 from itertools import count
 
 from .errors import ExprError, SequenceError
@@ -85,10 +87,11 @@ def real_values(values):
 
 
 def _checked(values, ranks):
-    """(values as a tuple of floats, ranks as ints), once every rank lies in
-    1..N; the C twin's TypeError or ValueError otherwise, for the first
-    fault in its order: every rank through __index__, then values, then
-    each range, then each value as its PyFloat_AsDouble reads it (_real)."""
+    """(values as a tuple of floats, ranks as a list of ints), once every
+    rank lies in 1..N; otherwise the TypeError or ValueError of the first
+    fault, in this order: every rank through __index__, then values, then
+    each rank's range, then each value as _real reads it. Every select
+    entry of both backends reads its input so."""
     ranks = [operator.index(rank) for rank in tuple(ranks)]
     xs = tuple(values)
     for rank in ranks:
@@ -133,8 +136,12 @@ def _naive(xs, m, counters):
     if m == 1:
         counters[1] += 1
         return min(xs)
-    hi = len(xs) - m + 2
-    return max(_naive(xs[:j] + xs[j + 1:], m - 1, counters) for j in range(hi))
+    # The first maximum, as the C twin keeps it.
+    for j in range(len(xs) - m + 2):
+        v = _naive(xs[:j] + xs[j + 1:], m - 1, counters)
+        if j == 0 or v > best:
+            best = v
+    return best
 
 
 def naive_ranks(values, ranks):
@@ -214,14 +221,10 @@ def compile_slp(n_vars, consts, code, result):
     than 2**31 - 1 registers, which C ints cannot number; code that is no
     buffer, an n_vars or result that is no integer, or a constant that is
     no number, raises TypeError, and an n_vars past sys.maxsize raises
-    OverflowError. The checks run in one order, the C twin's too, so a
-    program with several faults gets the same error from both: the code
-    buffer and its format, then _check_slp's.
+    OverflowError. A program with several faults gets the error of the
+    first check that fails, in _packed's order.
     """
-    view = memoryview(code)
-    if view.format != "i" or view.ndim != 1:
-        raise ValueError("code must be an array('i')")
-    n_vars, consts, code, result = _check_slp(n_vars, consts, view, result, _MAX_REGS)
+    n_vars, consts, code, result = _packed(n_vars, consts, code, result)
     base = n_vars + len(consts)
     tail = list(consts) + [None] * (len(code) // 3)
 
@@ -229,6 +232,17 @@ def compile_slp(n_vars, consts, code, result):
         return _run_slp(_inputs(xs, n_vars) + tail, base, code, result)
 
     return formula
+
+
+def _packed(n_vars, consts, code, result):
+    """(n_vars, consts, code, result) as (int, tuple of floats,
+    array('i'), int), or compile_slp's error for the first fault: the code
+    buffer and its format, then _check_slp's checks."""
+    view = memoryview(code)
+    if view.format != "i" or view.ndim != 1:
+        raise ValueError("code must be an array('i')")
+    n_vars, consts, code, result = _check_slp(n_vars, consts, view, result, _MAX_REGS)
+    return n_vars, consts, array("i", code), result
 
 
 # The most registers the C twin numbers: its code holds C ints.
@@ -240,10 +254,10 @@ def _check_slp(n_vars, consts, code, result, max_regs=math.inf):
     iterable; raises compile_slp's errors for a malformed program, the
     first fault in the order of the checks below."""
     n_vars = operator.index(n_vars)
-    if n_vars > sys.maxsize:  # as the C twin's Py_ssize_t overflows
+    if n_vars > sys.maxsize:  # no index-sized integer, on either backend
         raise OverflowError("cannot fit 'int' into an index-sized integer")
     result = operator.index(result)
-    # All read before any is converted, as the C twin's PySequence_Tuple.
+    # All read before any is converted: an error while reading wins.
     consts = tuple([_real(v) for v in tuple(consts)])
     code = tuple(map(operator.index, code))
     if len(code) % 3:
@@ -270,9 +284,10 @@ def _check_slp(n_vars, consts, code, result, max_regs=math.inf):
 
 
 def _real(v):
-    # The C twin's PyFloat_AsDouble: a float, of a subclass too, is its own
-    # double, whatever __float__ the subclass defines; any other number goes
-    # through __float__ or __index__. float() would also parse str and bytes.
+    # A value as the select entries read it, as PyFloat_AsDouble does: a
+    # float, of a subclass too, is its own double, whatever __float__ the
+    # subclass defines; any other number goes through __float__ or
+    # __index__. float() would also parse str and bytes.
     if isinstance(v, float):
         return float.__float__(v)
     if not (hasattr(type(v), "__float__") or hasattr(type(v), "__index__")):
@@ -291,8 +306,9 @@ def _to_float(x) -> float:
 
 
 def _inputs(xs, n):
-    # Each value is converted and checked before the next is read, as the
-    # C twin's run_slp does, so both raise for the first faulty value.
+    # The first n values as finite floats, for a formula on either backend.
+    # Each is converted and checked before the next, so the first bad one
+    # raises.
     xs = tuple(xs)
     if len(xs) < n:
         raise ExprError(f"formula needs {n} values, got {len(xs)}")

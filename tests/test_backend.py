@@ -506,6 +506,108 @@ def test_kernel_select_memo_twins_agree(compiled_build_error):
         assert kern.select_memo(iter(values[:9]), I(4)) == kern.select_memo(values[:9], 4)
 
 
+READERS = ("_checked", "_packed", "_inputs")
+
+
+def count_reader_calls(monkeypatch):
+    """name -> calls, from now on, of each pure-Python reader that the
+    compiled kernels hand input to when they do not read it themselves;
+    they look each one up at call time."""
+    python = get_kernels("python")
+    calls = dict.fromkeys(READERS, 0)
+    for name in READERS:
+        def counting(*args, _read=getattr(python, name), _name=name):
+            calls[_name] += 1
+            return _read(*args)
+        monkeypatch.setattr(python, name, counting)
+    return calls
+
+
+def test_package_input_stays_on_the_fast_path(compiled_build_error, monkeypatch):
+    # Everything the package hands the compiled kernels is exact: floats
+    # in a tuple or list, int ranks in range, a program as _compile_program
+    # packs it. So no public call reaches the readers.
+    if compiled_build_error is not None:
+        pytest.skip(f"compiled kernels unavailable: {compiled_build_error}")
+    monkeypatch.setattr(_backend, "_active", get_kernels("cython"))
+    calls = count_reader_calls(monkeypatch)
+    values = [3.0, 1.0, 2.0, 5.0, 4.0]
+    stats = ordstat.EvalStats()
+    assert ordstat.select_naive(2, values, stats) == ordstat.select_memo(2, values, stats) == 2.0
+    assert ordstat.select_fullrange(2, tuple(values)) == 2.0
+    for mode in ("naive", "memo", "fullrange"):
+        assert ordstat.select_ranks(values, [1, 3, 5], mode=mode) == (1.0, 3.0, 5.0)
+    assert ordstat.median(values) == 3.0 and ordstat.median(values[:4]) == 2.5
+    assert ordstat.exhaustive_verify(ordstat.VerifyPlan(max_n=3, alphabet=(-0.0, 0.0, 1))).ok
+    assert ordstat.random_verify(ordstat.VerifyPlan(max_n=6, random_trials=30, seed=3)).ok
+    for form in ("minmax", "arithmetic"):
+        formula = ordstat.compile_to_pyfunc(ordstat.build_selection_expr(5, 3, form))
+        assert formula(values) == formula(tuple(values)) == 3.0
+    assert calls == dict.fromkeys(READERS, 0)
+
+
+def reader_cases(kern):
+    """name -> (the reader it goes to, a call with input the compiled fast
+    path does not take, the same call on that input normalized)."""
+    ints, floats = [3, 1, 2, 5], (3.0, 1.0, 2.0, 5.0)
+    code = array("i", [0, 0, 1, 1, 3, 2])
+    strided = memoryview(array("i", [0, -1, 0, -1, 1, -1, 1, -1, 3, -1, 2, -1]))[::2]
+    formula = kern.compile_slp(2, (1.0,), code, 4)
+    cases = {}
+    for name, rank in (("select_naive", 2), ("select_memo", 2), ("select_fullrange", 2),
+                       ("normal_forms", [2, 4]), ("naive_ranks", [2, 4])):
+        entry = getattr(kern, name)
+        cases[f"{name}-int-values"] = (
+            "_checked", lambda e=entry, r=rank: e(ints, r), lambda e=entry, r=rank: e(floats, r))
+        index = I(2) if isinstance(rank, int) else [I(2), 4]
+        cases[f"{name}-index-rank"] = (
+            "_checked", lambda e=entry, i=index: e(floats, i), lambda e=entry, r=rank: e(floats, r))
+    cases["compile_slp-list-consts"] = (
+        "_packed", lambda: kern.compile_slp(2, [1.0], code, 4)([2.5, -4.0]),
+        lambda: formula([2.5, -4.0]))
+    cases["compile_slp-strided-code"] = (
+        "_packed", lambda: kern.compile_slp(2, (1.0,), strided, 4)([2.5, -4.0]),
+        lambda: formula([2.5, -4.0]))
+    cases["formula-int-values"] = ("_inputs", lambda: formula([2, -4]),
+                                   lambda: formula([2.0, -4.0]))
+    cases["formula-iterator"] = ("_inputs", lambda: formula(iter((2.5, -4.0))),
+                                 lambda: formula((2.5, -4.0)))
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(reader_cases(get_kernels("python"))))
+def test_other_input_is_read_once_by_the_reader(compiled_build_error, monkeypatch, case):
+    # The compiled kernels hand input they do not read themselves to one
+    # reader, once, and then return what the fast path returns for it.
+    if compiled_build_error is not None:
+        pytest.skip(f"compiled kernels unavailable: {compiled_build_error}")
+    reader, other, normalized = reader_cases(get_kernels("cython"))[case]
+    calls = count_reader_calls(monkeypatch)
+    want = typed(normalized())
+    assert calls == dict.fromkeys(READERS, 0)
+    assert typed(other()) == want
+    assert calls == {**dict.fromkeys(READERS, 0), reader: 1}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_compiled_kernels_check_what_a_reader_returns(compiled_build_error, monkeypatch, reader):
+    # Each result is read only if it has the exact form the fast path takes,
+    # so a reader that returns something else raises, and reads no memory
+    # it should not.
+    if compiled_build_error is not None:
+        pytest.skip(f"compiled kernels unavailable: {compiled_build_error}")
+    compiled = get_kernels("cython")
+    code = array("i", [0, 0, 1, 1, 3, 2])
+    formula = compiled.compile_slp(2, (1.0,), code, 4)
+    wrong = {"_checked": ((1.0, 2.0), [3]), "_packed": (2, (1.0,), code, 5), "_inputs": [1.0]}
+    call = {"_checked": lambda: compiled.normal_forms([1, 2], [1]),
+            "_packed": lambda: compiled.compile_slp(2, [1.0], code, 4),
+            "_inputs": lambda: formula([1, 2])}
+    monkeypatch.setattr(get_kernels("python"), reader, lambda *args: wrong[reader])
+    with pytest.raises(SystemError, match="bad argument to internal function"):
+        call[reader]()
+
+
 def leak_cases(kern):
     """name -> (callable, args): every entry of a kernel module, and the
     formula compile_slp returns, on a success path and its error paths.
@@ -513,11 +615,15 @@ def leak_cases(kern):
     them into grows the traced memory."""
     values = [3.0, 1.0, 2.0, 5.0]
     code = array("i", [0, 0, 1, 1, 3, 2])
+    code_view = memoryview(array("i", [0, -1, 0, -1, 1, -1, 1, -1, 3, -1, 2, -1]))[::2]
     formula = kern.compile_slp(2, [1.0], code, 4)
     cases = {"compile_slp": (kern.compile_slp, (2, [1.0], code, 4)),
              "compile_slp-malformed": (kern.compile_slp, (2, [1.0], array("i", [9, 0, 1]), 3)),
              "compile_slp-const-str": (kern.compile_slp, (2, ["x"], code, 4)),
+             "compile_slp-tuple-consts": (kern.compile_slp, (2, (1.0,), code, 4)),
+             "compile_slp-strided-code": (kern.compile_slp, (2, (1.0,), code_view, 4)),
              "formula": (formula, ([1, 2.5],)),
+             "formula-floats": (formula, ([1.5, 2.5],)),
              "formula-inf": (formula, ([math.inf, 2.5],)),
              "formula-str": (formula, ([1.5, "x"],)),
              "real_values": (kern.real_values, (values,)),
@@ -529,12 +635,16 @@ def leak_cases(kern):
     for name in ("select_naive", "select_memo", "select_fullrange"):
         entry = getattr(kern, name)
         cases.update({name: (entry, (values, 3)), f"{name}-rank": (entry, (values, 5)),
-                      f"{name}-str": (entry, (["x", 1.0], 1))})
+                      f"{name}-str": (entry, (["x", 1.0], 1)),
+                      f"{name}-ints": (entry, ([3, 1, 2, 5], 3)),
+                      f"{name}-index": (entry, (values, I(3)))})
     for name in ("normal_forms", "naive_ranks"):
         entry = getattr(kern, name)
         cases.update({name: (entry, (values, [3, 1, 4])),
                       f"{name}-rank": (entry, (values, [1, 5])),
-                      f"{name}-str": (entry, (["x", 1.0], [1, 2]))})
+                      f"{name}-str": (entry, (["x", 1.0], [1, 2])),
+                      f"{name}-ints": (entry, ([3, 1, 2, 5], [3, 1, 4])),
+                      f"{name}-index": (entry, (values, [I(3), 1]))})
     return cases
 
 

@@ -383,20 +383,13 @@ class TestFormulaCache:
         assert o.verify._held == sizes[0] + sizes[2] + 1
 
     def test_threads_share_the_cache(self, backend, monkeypatch):
-        # More threads than cores, switching often, all inserting and
-        # evicting: every report is right and the count of held
-        # instructions stays exact.
+        # More threads than cores, switching often, all building, interning,
+        # inserting and evicting: every report is right and the count of
+        # held instructions stays exact.
         monkeypatch.setattr(o.verify, "_CACHE_INSTRUCTIONS", 200)
         plan = VerifyPlan(max_n=6, random_trials=40, seed=7)
         want = o.random_verify(plan).to_json()
         got = []
-        # Node interning in ordstat.expr is not safe across threads, so the
-        # graphs are built here, once, and kept alive; the threads then
-        # only look up, lower, compile, insert and evict.
-        roots = {(length, rank): o.build_selection_expr(length, rank)
-                 for length in range(1, 7) for rank in range(1, length + 1)}
-        monkeypatch.setattr(o.verify, "build_selection_expr",
-                            lambda length, rank, form, budget: roots[length, rank])
 
         def work():
             for _ in range(3):
