@@ -31,13 +31,24 @@ arithmetic graph is built.
 exhaustive_verify runs select_ranks in its two halves: the rank and
 budget checks of each mode (selection._checked_ranks) once per length,
 before the length's first tuple, since they depend on nothing else, and
-then one kernel call per mode and tuple (selection._select_checked). The
-memo and fullrange ranks each come from one pass of the normal-form fold,
-as do the median's, which goes through the public median. Under a budget
-too small for the plan, the first length whose checks fail raises the
-error select_ranks would raise on its first tuple: the naive ranks are
-all checked before any memo rank, and every mode before any formula of
-that length is checked.
+then the kernel calls, one per mode and tuple (selection._select_checked).
+The memo and fullrange ranks each come from one pass of the normal-form
+fold, as do the median's, which goes through the public median. Under a
+budget too small for the plan, the first length whose checks fail raises
+the error select_ranks would raise on its first tuple: the naive ranks
+are all checked before any memo rank, and every mode before any formula
+of that length, whose formulas are fetched in rank order before its
+first tuple.
+
+exhaustive_verify checks each length column by column, in chunks of
+_CHUNK tuples: each tuple is validated and sorted once, one map per mode,
+per rank's formula and for the median makes a column over the chunk,
+and each column is compared whole with the sorted rows by list equality,
+which is == on floats as a per-tuple != would be. Only a chunk with a
+mismatch is walked again tuple by tuple, so its failures come in the
+order of a per-tuple loop: tuple, rank, then naive, memo, fullrange and
+expr-minmax, then the median. At most one chunk is held at a time, so
+memory does not grow with the plan.
 
 merge_reports combines reports into one whose failure order does not
 depend on the order of the reports; ``ordstat verify`` merges its two
@@ -169,7 +180,12 @@ def oracle_select(rank: int, seq) -> float:
 
 
 def _oracle_median(seq) -> float:
-    values = sorted(float(v) for v in seq)
+    return _middle_mean(sorted(float(v) for v in seq))
+
+
+def _middle_mean(values) -> float:
+    """The median of sorted values: the middle one, or the mean of the two
+    middle ones."""
     half = len(values) // 2
     if len(values) % 2:
         return values[half]
@@ -237,28 +253,45 @@ def _keep(key, compiled, size):
             _held -= _cache.pop(next(iter(_cache)))[1]
 
 
+# Tuples that exhaustive_verify checks at once: enough to spread the cost
+# of each column's map and compare, few enough that no long length is held.
+_CHUNK = 1024
+
+
 def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False,
                       case_budget: int | None = None) -> VerifyReport:
     """Check every mode against the oracle on all alphabet tuples of length
     1..plan.max_n at every rank, plus the median of every tuple.
 
-    cases_run counts (sequence, rank) pairs and median checks. With
-    inject_fault the naive mode is driven at an off-by-one rank, a negative
-    control proving the harness detects broken selectors.
+    cases_run counts (sequence, rank) pairs and median checks. A plan
+    whose count passes the case budget is refused before any check, at
+    the first length that takes the count past it. With inject_fault the
+    naive mode is driven at an off-by-one rank, a negative control proving
+    the harness detects broken selectors.
+
+    Each length's tuples are checked in chunks of _CHUNK, column by
+    column: each tuple is validated and sorted once, each mode's rows
+    come from one map of _select_checked, each rank's formula results and
+    the medians from one map each, and every column is compared whole
+    with the sorted rows. A chunk with a mismatch is walked tuple by
+    tuple, so failures come in the order of a per-tuple loop.
     """
     if plan is None:
         plan = VerifyPlan()
     case_limit = (DEFAULT_CASE_BUDGET if case_budget is None
                   else _integral(case_budget, BudgetError, "case budget"))
     base = len(plan.alphabet)
-    total = sum(base ** length * (length + 1) for length in range(1, plan.max_n + 1))
-    if total > case_limit:
-        raise BudgetError(
-            f"plan implies {total} cases, over the case budget of {case_limit}"
-        )
+    total = 0
+    for length in range(1, plan.max_n + 1):
+        total += base ** length * (length + 1)
+        if total > case_limit:
+            raise BudgetError(
+                f"plan implies at least {total} cases, over the case budget of {case_limit}"
+            )
     limit = resolve_budget()
 
     exprs = _formulas(limit)
+    middle = functools.partial(median, budget=limit)
     failures = []
     cases = 0
     for length in range(1, plan.max_n + 1):
@@ -268,30 +301,46 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
             "naive", limit)
         memo_ranks = _checked_ranks(length, ranks, "memo", limit)
         full_ranks = _checked_ranks(length, ranks, "fullrange", limit)
-        for combo in itertools.product(plan.alphabet, repeat=length):
-            seq = RealSequence(combo)
-            ordered = sorted(combo)
-            naive = _select_checked(seq.values, naive_ranks, "naive")
-            memo = _select_checked(seq.values, memo_ranks, "memo")
-            full = _select_checked(seq.values, full_ranks, "fullrange")
-            for rank in ranks:
-                expected = ordered[rank - 1]
-                checks = (
-                    ("naive", naive[rank - 1]),
-                    ("memo", memo[rank - 1]),
-                    ("fullrange", full[rank - 1]),
-                    ("expr-minmax", exprs(length, rank, "minmax")(combo)),
-                )
-                for mode, actual in checks:
-                    if actual != expected:
-                        failures.append(VerifyFailure(combo, rank, expected, actual, mode))
-                cases += 1
-            actual_md = median(seq, budget=limit)
-            expected_md = _oracle_median(combo)
-            if actual_md != expected_md:
-                failures.append(VerifyFailure(combo, 0, expected_md, actual_md, "median"))
-            cases += 1
+        formulas = [exprs(length, rank, "minmax") for rank in ranks]
+        tuples = itertools.product(plan.alphabet, repeat=length)
+        while chunk := list(itertools.islice(tuples, _CHUNK)):
+            seqs = list(map(RealSequence, chunk))
+            values = [seq.values for seq in seqs]
+            rows = list(map(tuple, map(sorted, chunk)))
+            selected = [list(map(_select_checked, values, itertools.repeat(checked),
+                                 itertools.repeat(mode)))
+                        for mode, checked in (("naive", naive_ranks), ("memo", memo_ranks),
+                                              ("fullrange", full_ranks))]
+            results = [tuple(map(formula, chunk)) for formula in formulas]
+            medians = list(map(middle, seqs))
+            middles = list(map(_middle_mean, rows))
+            if not (all(rows == found for found in selected)
+                    and results == list(zip(*rows)) and medians == middles):
+                failures += _chunk_failures(chunk, rows, selected, results, medians, middles)
+            cases += len(chunk) * (length + 1)
     return VerifyReport(cases, tuple(failures))
+
+
+def _chunk_failures(chunk, rows, selected, results, medians, middles):
+    """The failures of one exhaustive_verify chunk, tuple by tuple: each
+    rank's naive, memo, fullrange and expr-minmax checks, then the
+    median."""
+    failures = []
+    naive, memo, full = selected
+    for i, combo in enumerate(chunk):
+        for r, expected in enumerate(rows[i]):
+            checks = (
+                ("naive", naive[i][r]),
+                ("memo", memo[i][r]),
+                ("fullrange", full[i][r]),
+                ("expr-minmax", results[r][i]),
+            )
+            for mode, actual in checks:
+                if actual != expected:
+                    failures.append(VerifyFailure(combo, r + 1, expected, actual, mode))
+        if medians[i] != middles[i]:
+            failures.append(VerifyFailure(combo, 0, middles[i], medians[i], "median"))
+    return failures
 
 
 def _random_sequence(rng, length, pattern):

@@ -252,6 +252,13 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert "sequence values must be finite, got inf" in err
 
+    def test_huge_plan_exits_3_at_once(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "--exhaustive", "--max-n", "1000000"], capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == ("ordstat: plan implies at least 14913080 cases, "
+                       "over the case budget of 5000000\n")
+
     def test_bad_plan_exits_3(self, capsys):
         code, _, _ = run_cli(["verify", "--exhaustive", "--max-n", "0"],
                              capsys=capsys)

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -116,6 +117,14 @@ class TestExhaustive:
                 o.exhaustive_verify(VerifyPlan(max_n=2), case_budget=bad)
         assert o.exhaustive_verify(VerifyPlan(max_n=2), case_budget=56.0).cases_run == 56
 
+    def test_huge_plan_refused_at_once(self):
+        # The count is summed length by length and refused at length 10,
+        # the first whose running total passes the budget; the total of
+        # 10**6 lengths, too long to format, is never computed.
+        with pytest.raises(BudgetError, match=r"^plan implies at least 14913080 cases, "
+                                              r"over the case budget of 5000000$"):
+            o.exhaustive_verify(VerifyPlan(max_n=10**6))
+
 
 # ORDSTAT_BUDGET -> what exhaustive_verify gives on BUDGET_GRID_PLAN, with
 # and without inject_fault: the error, taken from the code that called
@@ -153,6 +162,117 @@ class TestExhaustiveBudgetGrid:
             return
         report = o.exhaustive_verify(BUDGET_GRID_PLAN, inject_fault=fault)
         assert (report.cases_run, len(report.failures)) == (want[0], want[1 + fault])
+
+
+# A plan of several chunks once _CHUNK is patched small: its 81 tuples of
+# length 4 fill 12 chunks of 7, and TARGET is the 3rd tuple of the 9th.
+CHUNK_PLAN = VerifyPlan(max_n=4, alphabet=(0.0, 1.0, 2.0))
+TARGET = (2.0, 0.0, 1.0, 1.0)
+WRONG = 99.0
+
+
+def corrupt_selection(monkeypatch, mode, rank):
+    real = o.verify._select_checked
+
+    def corrupting(values, ranks, which, *rest):
+        found = real(values, ranks, which, *rest)
+        if which == mode and tuple(values) == TARGET:
+            found = found[:rank - 1] + (WRONG,) + found[rank:]
+        return found
+
+    monkeypatch.setattr(o.verify, "_select_checked", corrupting)
+
+
+def corrupt_formula(monkeypatch, rank):
+    real = o.verify._formulas
+
+    def corrupting(limit):
+        exprs = real(limit)
+
+        def formula(length, at, form):
+            compiled = exprs(length, at, form)
+            if (length, at, form) != (len(TARGET), rank, "minmax"):
+                return compiled
+            return lambda values: WRONG if tuple(values) == TARGET else compiled(values)
+
+        return formula
+
+    monkeypatch.setattr(o.verify, "_formulas", corrupting)
+
+
+def corrupt_median(monkeypatch):
+    real = o.verify.median
+
+    def corrupting(seq, **kwargs):
+        if tuple(o.as_real_sequence(seq).values) == TARGET:
+            return WRONG
+        return real(seq, **kwargs)
+
+    monkeypatch.setattr(o.verify, "median", corrupting)
+
+
+class TestChunks:
+    # One wrong result of one tuple in one column comes back as exactly
+    # its failure, whichever column: no column's compare is dropped.
+    @pytest.mark.parametrize("mode,rank", [
+        ("naive", 2), ("memo", 3), ("fullrange", 1), ("expr-minmax", 4), ("median", 0)])
+    def test_one_wrong_result_in_any_column(self, backend, monkeypatch, mode, rank):
+        monkeypatch.setattr(o.verify, "_CHUNK", 7)
+        if mode == "expr-minmax":
+            corrupt_formula(monkeypatch, rank)
+        elif mode == "median":
+            corrupt_median(monkeypatch)
+        else:
+            corrupt_selection(monkeypatch, mode, rank)
+        report = o.exhaustive_verify(CHUNK_PLAN)
+        expected = 1.0 if mode == "median" else sorted(TARGET)[rank - 1]
+        assert report.failures == (o.VerifyFailure(TARGET, rank, expected, WRONG, mode),)
+        assert report.cases_run == 3 * 2 + 9 * 3 + 27 * 4 + 81 * 5
+
+    @pytest.mark.parametrize("chunk", [1, 5, None])
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_golden_at_any_chunk_size(self, backend, monkeypatch, chunk, fault):
+        if chunk is not None:
+            monkeypatch.setattr(o.verify, "_CHUNK", chunk)
+        digest, = [param.values[2] for param in GOLDEN
+                   if param.values[:2] == ("exhaustive", fault)]
+        report = o.exhaustive_verify(GOLDEN_PLANS["exhaustive"][1], inject_fault=fault)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    def test_clean_chunks_are_not_walked(self, backend, monkeypatch):
+        # Whole-column compares settle a clean chunk; the tuple-by-tuple
+        # walk runs only where a column differs.
+        walked = []
+        real = o.verify._chunk_failures
+
+        def recording(chunk, *rest):
+            walked.append(chunk)
+            return real(chunk, *rest)
+
+        monkeypatch.setattr(o.verify, "_chunk_failures", recording)
+        monkeypatch.setattr(o.verify, "_CHUNK", 7)
+        assert o.exhaustive_verify(CHUNK_PLAN).ok
+        assert walked == []
+        corrupt_median(monkeypatch)
+        assert not o.exhaustive_verify(CHUNK_PLAN).ok
+        assert [TARGET in chunk for chunk in walked] == [True]
+
+    def test_memory_does_not_grow_with_the_plan(self, backend, monkeypatch):
+        # The last length of max_n=9 has 9 times the tuples of max_n=7's;
+        # with one chunk held at a time the peak stays about the same.
+        if backend == "python":
+            pytest.skip("the length-9 naive selections take minutes in pure Python")
+        peaks = []
+        for max_n in (7, 9):
+            monkeypatch.setattr(o.verify, "_cache", {})
+            monkeypatch.setattr(o.verify, "_held", 0)
+            tracemalloc.start()
+            try:
+                assert o.exhaustive_verify(VerifyPlan(max_n=max_n, alphabet=(0.0, 1.0, 2.0))).ok
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
 
 
 class TestRandom:
