@@ -256,6 +256,8 @@ def _keep(key, compiled, size):
 # Tuples that exhaustive_verify checks at once: enough to spread the cost
 # of each column's map and compare, few enough that no long length is held.
 _CHUNK = 1024
+# The modes of exhaustive_verify's columns, in the order their failures come.
+_COLUMNS = ("naive", "memo", "fullrange", "expr-minmax")
 
 
 def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False,
@@ -307,35 +309,30 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
             seqs = list(map(RealSequence, chunk))
             values = [seq.values for seq in seqs]
             rows = list(map(tuple, map(sorted, chunk)))
-            selected = [list(map(_select_checked, values, itertools.repeat(checked),
-                                 itertools.repeat(mode)))
-                        for mode, checked in (("naive", naive_ranks), ("memo", memo_ranks),
-                                              ("fullrange", full_ranks))]
-            results = [tuple(map(formula, chunk)) for formula in formulas]
+            columns = [list(map(_select_checked, values, itertools.repeat(checked),
+                                itertools.repeat(mode)))
+                       for mode, checked in zip(_COLUMNS, (naive_ranks, memo_ranks, full_ranks))]
+            # Each rank's formula results, made rows. A tuple(map(...)) would
+            # be built by resizing, and each one freed would stay on the free
+            # list of its final size, up to 2000 of each size for good.
+            columns.append(list(zip(*[list(map(formula, chunk)) for formula in formulas])))
             medians = list(map(middle, seqs))
             middles = list(map(_middle_mean, rows))
-            if not (all(rows == found for found in selected)
-                    and results == list(zip(*rows)) and medians == middles):
-                failures += _chunk_failures(chunk, rows, selected, results, medians, middles)
+            if not (all(rows == column for column in columns) and medians == middles):
+                failures += _chunk_failures(chunk, rows, columns, medians, middles)
             cases += len(chunk) * (length + 1)
     return VerifyReport(cases, tuple(failures))
 
 
-def _chunk_failures(chunk, rows, selected, results, medians, middles):
+def _chunk_failures(chunk, rows, columns, medians, middles):
     """The failures of one exhaustive_verify chunk, tuple by tuple: each
     rank's naive, memo, fullrange and expr-minmax checks, then the
     median."""
     failures = []
-    naive, memo, full = selected
     for i, combo in enumerate(chunk):
         for r, expected in enumerate(rows[i]):
-            checks = (
-                ("naive", naive[i][r]),
-                ("memo", memo[i][r]),
-                ("fullrange", full[i][r]),
-                ("expr-minmax", results[r][i]),
-            )
-            for mode, actual in checks:
+            for mode, column in zip(_COLUMNS, columns):
+                actual = column[i][r]
                 if actual != expected:
                     failures.append(VerifyFailure(combo, r + 1, expected, actual, mode))
         if medians[i] != middles[i]:
