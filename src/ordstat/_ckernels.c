@@ -6,13 +6,18 @@
  * normal_forms and naive_ranks take an iterable of such ranks instead, in
  * any order and with duplicates, and answer every rank in one call.
  *
- * C reads exact input only (read_exact, slp_read, read_floats) and hands
- * any other, as given, to _pykernels (_checked, _packed, _inputs,
- * real_values), the one definition of what every entry accepts. It raises
- * the error or returns the input in exact form, which C reads the same
- * way; a result it cannot read raises SystemError. No Python code runs in
- * C's checks, so __index__ and __float__ run once, in the reference's
- * order; only a ranks iterable is read here first, into a tuple.
+ * An entry answers a call itself only when its input is exact: values a
+ * tuple or list of exact floats and ranks exact ints in range, in a tuple
+ * or list for the many-rank entries (read_exact), or a non-empty tuple or
+ * list of exact finite floats (real_values). Every other call, a wrong
+ * number of arguments included, goes as given to the entry of the same
+ * name in _pykernels (forward), which answers it or raises its error:
+ * that module is the one definition of what every entry accepts. No
+ * Python code runs in C's checks, so __index__ and __float__ run once, in
+ * the reference's order. A compiled formula must run here, so compile_slp
+ * and the formula it returns read back what _packed and _inputs return
+ * for a program or inputs that slp_read and read_floats do not take; a
+ * result they cannot read raises SystemError.
  *
  * Each algorithm has one body, and the single entries are its one-rank
  * case. naive_body runs the plain recursion once per rank and sums its
@@ -26,8 +31,8 @@
  * No kernel counts the memoized recursion. Its counters are a closed form
  * of (n, rank), kept once, in Python ints, as _pykernels._memo_counts, so
  * they never overflow; ordstat.selection adds them only when asked.
- * select_memo, which nothing in the package calls, returns
- * select_fullrange's value and those counters.
+ * select_memo, which nothing in the package calls, forwards every call to
+ * _pykernels.select_memo, select_fullrange's value and those counters.
  *
  * real_values validates a sequence for ordstat.selection.RealSequence.
  * compile_slp turns a packed straight-line program (see
@@ -40,7 +45,6 @@
 #include <Python.h>
 #include <limits.h>
 #include <math.h>
-#include <stdarg.h>
 #include <string.h>
 
 typedef unsigned long long u64;
@@ -176,24 +180,17 @@ package_attr(const char *module, const char *name)
     return attr;
 }
 
-/* ordstat._pykernels.<name> called on the tuple that Py_BuildValue makes
- * of format: the reference, which reads or refuses every input that C
- * does not read itself. It is looked up on each call. */
+/* ordstat._pykernels.<name>(*args): the reference, which answers every
+ * call that C does not answer itself. It is looked up on each call. */
 static PyObject *
-reference(const char *name, const char *format, ...)
+forward(const char *name, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *fn, *args, *out = NULL;
-    va_list va;
+    PyObject *fn, *out;
 
     fn = package_attr("ordstat._pykernels", name);
     if (fn == NULL)
         return NULL;
-    va_start(va, format);
-    args = Py_VaBuildValue(format, va);
-    va_end(va);
-    if (args != NULL)
-        out = PyObject_Call(fn, args, NULL);
-    Py_XDECREF(args);
+    out = PyObject_Vectorcall(fn, args, (size_t)nargs, NULL);
     Py_DECREF(fn);
     return out;
 }
@@ -228,7 +225,7 @@ static PyObject *
 run_slp(PyObject *self, PyObject *values)
 {
     const Slp *p = PyCapsule_GetPointer(self, SLP_CAPSULE);
-    PyObject *inputs, *f, *cls, *out = NULL;
+    PyObject *call[2], *inputs, *f, *cls, *out = NULL;
     double stack[SLP_STACK_REGS], *r = stack, *t, a, b, v;
     Py_ssize_t k, n_regs;
     const int *c;
@@ -244,7 +241,10 @@ run_slp(PyObject *self, PyObject *values)
     }
     if (!read_floats(values, p->n_vars, 1, r)) {
         /* _inputs returns the first n_vars values as finite floats. */
-        inputs = reference("_inputs", "(On)", values, p->n_vars);
+        call[0] = values;
+        call[1] = PyLong_FromSsize_t(p->n_vars);
+        inputs = call[1] == NULL ? NULL : forward("_inputs", call, 2);
+        Py_XDECREF(call[1]);
         if (inputs == NULL)
             goto done;
         read = read_floats(inputs, p->n_vars, 1, r);
@@ -370,15 +370,12 @@ compile_slp(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Slp *p = NULL;
     int status;
 
-    if (nargs != 4) {
-        PyErr_Format(PyExc_TypeError, "compile_slp() takes 4 positional arguments "
-                     "(n_vars, consts, code, result) but %zd were given", nargs);
-        return NULL;
-    }
+    if (nargs != 4)
+        return forward("compile_slp", args, nargs);
     status = slp_read(args, &p);
     if (status == 0) {
         /* _packed raises the program's error or returns it packed. */
-        packed = reference("_packed", "(OOOO)", args[0], args[1], args[2], args[3]);
+        packed = forward("_packed", args, 4);
         if (packed == NULL)
             return NULL;
         if (PyTuple_CheckExact(packed) && PyTuple_GET_SIZE(packed) == 4)
@@ -406,7 +403,7 @@ compile_slp(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
  * comes back as a tuple in one pass, a tuple as itself: float() returns an
  * exact float unchanged, so that is the tuple _pykernels.real_values
  * builds from it. Any other input, an empty or non-finite one included,
- * goes to that function, which converts it or raises its SequenceError. */
+ * is forwarded to that function. */
 static PyObject *
 real_values(PyObject *module, PyObject *values)
 {
@@ -416,7 +413,7 @@ real_values(PyObject *module, PyObject *values)
         ? PySequence_Fast_GET_SIZE(values) : 0;
     if (n > 0 && read_floats(values, n, 1, NULL))
         return PyTuple_CheckExact(values) ? Py_NewRef(values) : PyList_AsTuple(values);
-    return reference("real_values", "(O)", values);
+    return forward("real_values", &values, 1);
 }
 
 
@@ -431,17 +428,28 @@ typedef struct {
     Py_ssize_t m;
 } Args;
 
-/* Reads values and the m ranks rank[0..m) into *a when they are exact:
- * values a tuple or list of exact floats, and ranks exact ints in 1..n.
- * Returns 1 when read, 0 when they are not exact, with nothing to free,
- * and -1 on MemoryError. */
+/* Reads an entry's two arguments into *a when they are exact: values a
+ * tuple or list of exact floats, then a rank, or a tuple or list of ranks
+ * when many is set, each an exact int in 1..n. Returns 1 when read, 0 when
+ * they are not exact, with nothing to free, and -1 on MemoryError. */
 static int
-read_exact(PyObject *values, PyObject *const *rank, Py_ssize_t m, Args *a)
+read_exact(PyObject *const *args, Py_ssize_t nargs, int many, Args *a)
 {
-    Py_ssize_t n, i;
+    PyObject *values, *const *rank;
+    Py_ssize_t n, m = 1, i;
     long r;
     int overflow;
 
+    if (nargs != 2)
+        return 0;
+    values = args[0];
+    rank = args + 1;
+    if (many) {
+        if (!PyTuple_CheckExact(args[1]) && !PyList_CheckExact(args[1]))
+            return 0;
+        rank = PySequence_Fast_ITEMS(args[1]);
+        m = PySequence_Fast_GET_SIZE(args[1]);
+    }
     if (!PyTuple_CheckExact(values) && !PyList_CheckExact(values))
         return 0;
     n = PySequence_Fast_GET_SIZE(values);
@@ -464,62 +472,6 @@ read_exact(PyObject *values, PyObject *const *rank, Py_ssize_t m, Args *a)
         return 1;
     PyMem_Free(a->xs);
     return 0;
-}
-
-/* Reads what _pykernels._checked returns, the values as a tuple of floats
- * and the ranks as a list of ints in range, the way read_exact does.
- * Returns 1 when read and -1 on an error. */
-static int
-read_checked(PyObject *checked, Args *a)
-{
-    PyObject *ranks;
-    int status = 0;
-
-    if (checked == NULL)
-        return -1;
-    if (PyTuple_CheckExact(checked) && PyTuple_GET_SIZE(checked) == 2) {
-        ranks = PyTuple_GET_ITEM(checked, 1);
-        if (PyList_CheckExact(ranks))
-            status = read_exact(PyTuple_GET_ITEM(checked, 0), PySequence_Fast_ITEMS(ranks),
-                                PyList_GET_SIZE(ranks), a);
-    }
-    Py_DECREF(checked);
-    if (status == 0)
-        PyErr_BadInternalCall();
-    return status == 1 ? 1 : -1;
-}
-
-/* Reads an entry's (values, rank), or its (values, ranks) when many is
- * set: any iterable of ranks, read into a tuple unless it is a list or a
- * tuple. Input that read_exact does not take goes to _pykernels._checked,
- * which raises the entry's error or returns it in the form read_exact
- * takes. */
-static int
-read_args(PyObject *const *args, Py_ssize_t nargs, const char *name, int many, Args *a)
-{
-    PyObject *ranks = NULL;
-    int status;
-
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "%s() takes 2 positional arguments (values, %s) "
-                     "but %zd were given", name, many ? "ranks" : "rank", nargs);
-        return -1;
-    }
-    if (many) {
-        ranks = PyTuple_CheckExact(args[1]) || PyList_CheckExact(args[1])
-                ? Py_NewRef(args[1]) : PySequence_Tuple(args[1]);
-        if (ranks == NULL)
-            return -1;
-        status = read_exact(args[0], PySequence_Fast_ITEMS(ranks),
-                            PySequence_Fast_GET_SIZE(ranks), a);
-    } else {
-        status = read_exact(args[0], args + 1, 1, a);
-    }
-    if (status == 0)
-        status = read_checked(reference("_checked", many ? "(OO)" : "(O(O))", args[0],
-                                        many ? ranks : args[1]), a);
-    Py_XDECREF(ranks);
-    return status < 0 ? -1 : 0;
 }
 
 /* The plain recursion at each rank, into found, on scratch for the
@@ -601,9 +553,10 @@ naive_entry(PyObject *const *args, Py_ssize_t nargs, const char *name, int many)
     Args a;
     u64 recursive = 0, base = 0;
     PyObject *values, *out = NULL;
+    int status = read_exact(args, nargs, many, &a);
 
-    if (read_args(args, nargs, name, many, &a) < 0)
-        return NULL;
+    if (status <= 0)
+        return status == 0 ? forward(name, args, nargs) : NULL;
     if (naive_body(&a, &recursive, &base) == 0) {
         values = found_values(&a, many);
         if (values != NULL)
@@ -618,9 +571,10 @@ normal_entry(PyObject *const *args, Py_ssize_t nargs, const char *name, int many
 {
     Args a;
     PyObject *out = NULL;
+    int status = read_exact(args, nargs, many, &a);
 
-    if (read_args(args, nargs, name, many, &a) < 0)
-        return NULL;
+    if (status <= 0)
+        return status == 0 ? forward(name, args, nargs) : NULL;
     if (normal_body(&a) == 0)
         out = found_values(&a, many);
     PyMem_Free(a.xs);
@@ -651,23 +605,11 @@ normal_forms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return normal_entry(args, nargs, "normal_forms", 1);
 }
 
-/* select_fullrange's value, then the three counters of
- * ordstat._pykernels._memo_counts(n, rank). */
+/* Nothing in the package calls it: every call is the reference's. */
 static PyObject *
 select_memo(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    Args a;
-    PyObject *counts = NULL, *out = NULL, *recursive, *base, *hits;
-
-    if (read_args(args, nargs, "select_memo", 0, &a) < 0)
-        return NULL;
-    if (normal_body(&a) == 0)
-        counts = reference("_memo_counts", "(nn)", (Py_ssize_t)a.n, (Py_ssize_t)a.ranks[0]);
-    if (counts != NULL && PyArg_ParseTuple(counts, "OOO", &recursive, &base, &hits))
-        out = Py_BuildValue("(dOOO)", a.found[0], recursive, base, hits);
-    Py_XDECREF(counts);
-    PyMem_Free(a.xs);
-    return out;
+    return forward("select_memo", args, nargs);
 }
 
 static PyMethodDef methods[] = {
@@ -676,9 +618,9 @@ static PyMethodDef methods[] = {
      "Plain elimination recursion."},
     {"select_memo", (PyCFunction)(void (*)(void))select_memo, METH_FASTCALL,
      "select_memo(values, rank) -> (value, recursive_calls, base_case_calls, "
-     "memo_hits)\n\nselect_fullrange's value, which is the memoized "
-     "recursion's, and the counters it would count, from "
-     "ordstat._pykernels._memo_counts."},
+     "memo_hits)\n\nordstat._pykernels.select_memo: select_fullrange's "
+     "value, which is the memoized recursion's, and the counters it would "
+     "count."},
     {"select_fullrange", (PyCFunction)(void (*)(void))select_fullrange,
      METH_FASTCALL,
      "select_fullrange(values, rank) -> value\n\n"

@@ -4,9 +4,11 @@ Reference implementation of the elimination recursion and of compiled
 formulas; ordstat._ckernels, a C extension, is the compiled twin and must
 match these counters and return values exactly, for every sequence length
 and every program. This module alone defines what every kernel entry of
-either backend accepts and raises for its input: the C twin reads only
-exact input itself and hands any other, as given, to _checked, _packed,
-_inputs or real_values, which raise the error or return it exact.
+either backend accepts and raises for its input: the C twin answers a
+call itself only when its input is exact, and forwards every other call,
+as given, to the entry of the same name here. Only a compiled formula
+must run in C, so compile_slp and its formulas read back what _packed
+and _inputs return: the program or the inputs in exact form.
 
 The three select_* entry points take an already-validated sequence of
 finite floats and a 1-based rank, an int or any object with __index__;
@@ -32,14 +34,15 @@ without building a leaf: N * min(K, rank) steps for one rank,
 K = N - rank + 1. The pass fills every subset size at once, so
 normal_forms reads all its ranks off one pass over the window of their
 sizes: N(N + 1)/2 steps for every rank. select_fullrange is normal_forms
-at one rank.
+at one rank, so it runs the memo normal form too; a test pins it to a
+plain full-range recursion over {-0.0, 0.0, 1.0}^N, N <= 6.
 
 The memo counters are a closed form of (N, rank), and _memo_counts is its
 one copy on both backends, in Python ints, so no counter overflows.
 ordstat.selection adds them only when stats are asked for. The
-select_memo entry of either twin returns select_fullrange's value and
-these counters; nothing in ordstat calls it, and perfbench's tracer reads
-its counters.
+select_memo entry returns select_fullrange's value and these counters,
+and the C twin's forwards every call to it; nothing in ordstat calls it,
+and perfbench's tracer reads its counters.
 
 compile_slp turns a packed straight-line program into a callable. The
 program is checked once, by _check_slp, which also checks every
@@ -50,7 +53,9 @@ and expr.eval_expr run in it too, so it is the reference the C twin is
 tested against, as the select_* functions here are for its kernels.
 
 real_values validates a sequence for ordstat.selection.RealSequence and
-is the one copy of that check.
+is the one copy of that check. A str, bytes or bytearray is text, not a
+sequence of numbers, so real_values and a formula refuse it as a whole;
+a numeric string as one of the values still converts.
 """
 
 import math
@@ -61,12 +66,18 @@ from itertools import count
 
 from .errors import ExprError, SequenceError
 
+# Iterable, but never a sequence of numbers.
+_TEXT = (str, bytes, bytearray)
+
 
 def real_values(values):
     """`values` as a tuple of floats, each as float() reads it, or
-    SequenceError when there are none, when one is not finite or when an
-    int lies past the float range; the other errors of float() pass
-    through."""
+    SequenceError when `values` is text (_TEXT), when there are none, when
+    one is not finite or when an int lies past the float range; the other
+    errors of float() pass through."""
+    if isinstance(values, _TEXT):
+        raise SequenceError(f"sequence must be a collection of numbers, "
+                            f"not {type(values).__name__!r}")
     # Not _to_float: map(float) keeps this path in C, and `values` may be
     # an iterator that cannot be read again after an overflow.
     try:
@@ -91,7 +102,8 @@ def _checked(values, ranks):
     rank lies in 1..N; otherwise the TypeError or ValueError of the first
     fault, in this order: every rank through __index__, then values, then
     each rank's range, then each value as _real reads it. Every select
-    entry of both backends reads its input so."""
+    entry here reads its input so, and the C twin forwards every call
+    whose input it does not read itself, so both raise alike."""
     ranks = [operator.index(rank) for rank in tuple(ranks)]
     xs = tuple(values)
     for rank in ranks:
@@ -183,10 +195,13 @@ def normal_forms(values, ranks):
 
 
 def select_fullrange(values, rank):
-    """normal_forms at one rank. The full-range recursion deletes at every
-    position, not just the first N - n + 2, but its leaves are the memoized
-    recursion's, first reached in the same order, so it has the same normal
-    form (see _leaf_max). Returns the value only."""
+    """normal_forms at one rank: it runs the memo normal form, not a
+    full-range recursion. That recursion deletes at every position, not
+    just the first N - n + 2, but its leaves are the memoized recursion's,
+    first reached in the same order, so it has the same normal form (see
+    _leaf_max); a test pins the two together on every tuple over
+    {-0.0, 0.0, 1.0} up to N = 6, zero signs included. Returns the value
+    only."""
     return normal_forms(values, (rank,))[0]
 
 
@@ -308,7 +323,10 @@ def _to_float(x) -> float:
 def _inputs(xs, n):
     # The first n values as finite floats, for a formula on either backend.
     # Each is converted and checked before the next, so the first bad one
-    # raises.
+    # raises. Text is refused as a whole, as real_values refuses it.
+    if isinstance(xs, _TEXT):
+        raise ExprError(f"formula inputs must be a collection of numbers, "
+                        f"not {type(xs).__name__!r}")
     xs = tuple(xs)
     if len(xs) < n:
         raise ExprError(f"formula needs {n} values, got {len(xs)}")

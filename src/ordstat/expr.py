@@ -550,11 +550,16 @@ def _leaf(kind, text):
 def parse_text(text: str, syntax: str = "infix") -> Expr:
     """Parse a rendering produced by emit_text back into an expression.
 
-    Any text that is no such rendering, including x0 and constants that
-    overflow to infinity, raises TextParseError; an unknown `syntax`
-    raises ExprError. Text nested past the recursion limit is refused too:
-    under the default limit of 1000, past about 330 infix or 990 sexpr
-    groups, fewer when parse_text is called from deeper in the stack."""
+    A rendering parses back to the expression it renders, unless it nests
+    too deeply (below). The syntax is looser than emit_text's output; for
+    example, a variable index may have leading zeros (x01 and (var 01)
+    are x1), and + and - chain to the left without parentheses
+    (x1 + x2 + x3 is (x1 + x2) + x3). Text outside the syntax, and x0 or
+    a constant that overflows to infinity, raises TextParseError; an
+    unknown `syntax` raises ExprError. Text nested past the recursion
+    limit is refused too: under the default limit of 1000, past about 330
+    infix or 990 sexpr groups, fewer when parse_text is called from
+    deeper in the stack."""
     if syntax not in ("infix", "sexpr"):
         raise ExprError(f"syntax must be 'infix' or 'sexpr', got {syntax!r}")
     try:

@@ -65,7 +65,7 @@ import random
 from _thread import allocate_lock
 
 from . import _backend
-from ._pykernels import _to_float
+from ._pykernels import _TEXT, _to_float
 from ._record import FrozenRecord
 from .errors import BudgetError
 from .expr import _compile_program, _lower_program, _program_of, build_selection_expr
@@ -102,6 +102,9 @@ class VerifyPlan(FrozenRecord):
         max_n = _integral(max_n, ValueError, "max_n")
         if max_n < 1:
             raise ValueError(f"max_n must be at least 1, got {max_n}")
+        if isinstance(alphabet, _TEXT):
+            raise ValueError(f"alphabet must be a collection of numbers, "
+                             f"not {type(alphabet).__name__!r}")
         alphabet = tuple(map(_to_float, alphabet))
         if not alphabet:
             raise ValueError("alphabet must be non-empty")

@@ -123,9 +123,60 @@ def test_twins_expose_the_same_entry_points(compiled_build_error):
             "naive_ranks", "compile_slp"} <= public_entries(python)
 
 
+# The FASTCALL entries and how many positional arguments each takes.
+ARITY = {"select_naive": 2, "select_memo": 2, "select_fullrange": 2,
+         "normal_forms": 2, "naive_ranks": 2, "compile_slp": 4}
+
+
+@pytest.mark.parametrize("shift", ["none", "one-short", "one-over"])
+@pytest.mark.parametrize("name", ARITY)
+def test_twins_refuse_a_wrong_arity_alike(compiled_build_error, name, shift):
+    # The compiled entry forwards a call with the wrong number of arguments
+    # to its Python twin, so both raise the same TypeError.
+    if compiled_build_error is not None:
+        pytest.skip(f"compiled kernels unavailable: {compiled_build_error}")
+    nargs = {"none": 0, "one-short": ARITY[name] - 1, "one-over": ARITY[name] + 1}[shift]
+    args = (None,) * nargs
+    want = outcome(getattr(get_kernels("python"), name), args)
+    assert want is not None and want[0] is TypeError
+    assert outcome(getattr(get_kernels("cython"), name), args) == want
+
+
 def signed(values):
     """Floats with their signs, so that -0.0 and 0.0 compare unequal."""
     return [(v, math.copysign(1, v)) for v in values]
+
+
+def full_range(xs, rank):
+    """The plain full-range recursion: rank 1 is the first minimum, and
+    rank n the first maximum, over deleting each position in turn, of the
+    rank n - 1 values of what is left."""
+    if rank == 1:
+        return min(xs)
+    for j in range(len(xs)):
+        v = full_range(xs[:j] + xs[j + 1:], rank - 1)
+        if j == 0 or v > best:
+            best = v
+    return best
+
+
+@pytest.fixture(scope="module")
+def full_range_cases():
+    """(values, rank, the full-range recursion's value) for every tuple over
+    {-0.0, 0.0, 1.0} up to N = 6 and every rank: 6,015 cases."""
+    return [(values, rank, full_range(values, rank))
+            for length in range(1, 7)
+            for values in itertools.product((-0.0, 0.0, 1.0), repeat=length)
+            for rank in range(1, length + 1)]
+
+
+def test_fullrange_is_the_full_range_recursion(backend, full_range_cases):
+    # select_fullrange runs the memo normal form, not the recursion its name
+    # says; both give the same value and the same zero sign.
+    select_fullrange = get_kernels(backend).select_fullrange
+    assert len(full_range_cases) == 6015
+    for values, rank, want in full_range_cases:
+        assert signed([select_fullrange(values, rank)]) == signed([want]), (values, rank)
 
 
 def assert_rank_entries_match(kern, values, orders):
@@ -292,6 +343,8 @@ REAL_INPUTS = {
     # float() calls a subclass's own __float__, as RealSequence always did.
     "float-subclass": (lambda: [Lying(3.0), 1.5], typed((99.0, 1.5))),
     "numeric-string": (lambda: [" 2.5", 1.0], typed((2.5, 1.0))),
+    "whole-string": (lambda: "4213", (SequenceError, "sequence must be a collection of "
+                                                     "numbers, not 'str'")),
     "string": (lambda: ["x"], (ValueError, "could not convert string to float: 'x'")),
     "none": (lambda: (1.0, None), (TypeError, "float() argument must be a string or a real "
                                               "number, not 'NoneType'")),
@@ -342,6 +395,26 @@ def test_twins_validate_float_lists_alike(values, as_tuple):
     seq = tuple(values) if as_tuple else values
     for name in available_backends():
         assert real_outcome(get_kernels(name).real_values, lambda: seq) == want, name
+
+
+@pytest.mark.parametrize("text", ["4213", b"\x04\x02\x01\x03", bytearray(b"4213")],
+                         ids=["str", "bytes", "bytearray"])
+def test_text_is_no_sequence_of_numbers(backend, text):
+    # Iterating text gives characters or small ints, never the numbers it
+    # spells, so every public entry refuses it as a whole.
+    kind = repr(type(text).__name__)
+    for call in (lambda: ordstat.median(text), lambda: ordstat.select_memo(1, text),
+                 lambda: ordstat.oracle_select(2, text)):
+        with pytest.raises(SequenceError, match=f"^sequence must be a collection of numbers, "
+                                                f"not {kind}$"):
+            call()
+    formula = ordstat.compile_to_pyfunc(ordstat.build_selection_expr(2, 1))
+    with pytest.raises(ordstat.ExprError, match=f"^formula inputs must be a collection of "
+                                                f"numbers, not {kind}$"):
+        formula(text)
+    with pytest.raises(ValueError, match=f"^alphabet must be a collection of numbers, "
+                                         f"not {kind}$"):
+        ordstat.VerifyPlan(alphabet=text)
 
 
 def test_compiled_real_values_keeps_a_float_tuple(compiled_build_error):
@@ -584,24 +657,25 @@ def test_other_input_is_read_once_by_the_reader(compiled_build_error, monkeypatc
     reader, other, normalized = reader_cases(get_kernels("cython"))[case]
     calls = count_reader_calls(monkeypatch)
     want = typed(normalized())
-    assert calls == dict.fromkeys(READERS, 0)
+    # The compiled select_memo forwards every call, exact ones too.
+    forwarded = int(case.startswith("select_memo"))
+    assert calls == {**dict.fromkeys(READERS, 0), reader: forwarded}
     assert typed(other()) == want
-    assert calls == {**dict.fromkeys(READERS, 0), reader: 1}
+    assert calls == {**dict.fromkeys(READERS, 0), reader: forwarded + 1}
 
 
-@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("reader", ["_packed", "_inputs"])
 def test_compiled_kernels_check_what_a_reader_returns(compiled_build_error, monkeypatch, reader):
-    # Each result is read only if it has the exact form the fast path takes,
-    # so a reader that returns something else raises, and reads no memory
-    # it should not.
+    # A compiled formula reads a reader's result back only if it has the
+    # exact form the fast path takes, so a reader that returns something
+    # else raises, and reads no memory it should not.
     if compiled_build_error is not None:
         pytest.skip(f"compiled kernels unavailable: {compiled_build_error}")
     compiled = get_kernels("cython")
     code = array("i", [0, 0, 1, 1, 3, 2])
     formula = compiled.compile_slp(2, (1.0,), code, 4)
-    wrong = {"_checked": ((1.0, 2.0), [3]), "_packed": (2, (1.0,), code, 5), "_inputs": [1.0]}
-    call = {"_checked": lambda: compiled.normal_forms([1, 2], [1]),
-            "_packed": lambda: compiled.compile_slp(2, [1.0], code, 4),
+    wrong = {"_packed": (2, (1.0,), code, 5), "_inputs": [1.0]}
+    call = {"_packed": lambda: compiled.compile_slp(2, [1.0], code, 4),
             "_inputs": lambda: formula([1, 2])}
     monkeypatch.setattr(get_kernels("python"), reader, lambda *args: wrong[reader])
     with pytest.raises(SystemError, match="bad argument to internal function"):

@@ -947,7 +947,8 @@ class TestCompiledFormulas:
         ((float("nan"), "x"), (ExprError, "input x1 is not finite: nan")),
         (("x", float("inf")), (ValueError, "could not convert string to float: 'x'")),
         (("1.5", "inf"), (ExprError, "input x2 is not finite: inf")),
-    ], ids=["inf-then-str", "nan-then-str", "str-then-inf", "texts"])
+        ("12", (ExprError, "formula inputs must be a collection of numbers, not 'str'")),
+    ], ids=["inf-then-str", "nan-then-str", "str-then-inf", "texts", "whole-text"])
     def test_inputs_checked_in_order(self, backend, xs, want):
         # Both twins convert and check each input before they read the next.
         fn = get_kernels(backend).compile_slp(2, [], array("i", [0, 0, 1]), 2)

@@ -53,6 +53,7 @@ class TestVerifyPlan:
         {"max_n": 0},
         {"alphabet": ()},
         {"alphabet": (float("nan"),)},
+        {"alphabet": "0123"},
         {"tolerance": -1.0},
         {"random_trials": -1},
     ])
