@@ -666,9 +666,9 @@ def test_other_input_is_read_once_by_the_reader(compiled_build_error, monkeypatc
 
 @pytest.mark.parametrize("reader", ["_packed", "_inputs"])
 def test_compiled_kernels_check_what_a_reader_returns(compiled_build_error, monkeypatch, reader):
-    # A compiled formula reads a reader's result back only if it has the
-    # exact form the fast path takes, so a reader that returns something
-    # else raises, and reads no memory it should not.
+    # compile_slp and a compiled formula read a reader's result back only
+    # if it has the exact form the fast path takes, so a reader that
+    # returns something else raises, and reads no memory it should not.
     if compiled_build_error is not None:
         pytest.skip(f"compiled kernels unavailable: {compiled_build_error}")
     compiled = get_kernels("cython")
