@@ -1,38 +1,41 @@
 /* Compiled selection kernels and compiled formulas.
  *
  * Return values and counters equal those of ordstat._pykernels, the
- * reference, bit for bit. Each select_* entry point takes a sequence of
- * floats and a 1-based rank in 1..N (positional arguments only).
- * normal_forms and naive_ranks take an iterable of such ranks instead, in
- * any order and with duplicates, and answer every rank in one call.
+ * reference, bit for bit. The package calls four entries: naive_ranks and
+ * normal_forms, which take a sequence of floats and an iterable of 1-based
+ * ranks in 1..N, in any order and with duplicates, and answer every rank
+ * in one call; real_values; and compile_slp. Arguments are positional only.
  *
  * An entry answers a call itself only when its input is exact: values a
  * tuple or list of exact floats and ranks exact ints in range, in a tuple
- * or list for the many-rank entries (read_exact), or a non-empty tuple or
- * list of exact finite floats (real_values). Every other call, a wrong
- * number of arguments included, goes as given to the entry of the same
- * name in _pykernels (forward), which answers it or raises its error:
- * that module is the one definition of what every entry accepts. No
- * Python code runs in C's checks, so __index__ and __float__ run once, in
- * the reference's order. A compiled formula must run here, so compile_slp
- * and the formula it returns read back what _packed and _inputs return
- * for a program or inputs that slp_read and read_floats do not take; a
- * result they cannot read raises SystemError.
+ * or list (read_exact), or a non-empty tuple or list of exact finite
+ * floats (real_values). Every other call, a wrong number of arguments
+ * included, goes as given to the entry of the same name in _pykernels
+ * (forward), which answers it or raises its error: that module is the one
+ * definition of what every entry accepts. No Python code runs in C's
+ * checks, so __index__ and __float__ run once, in the reference's order.
+ * A compiled formula must run here, so compile_slp and the formula it
+ * returns read back what _packed and _inputs return for a program or
+ * inputs that slp_read and read_floats do not take; a result they cannot
+ * read raises SystemError.
  *
- * Each algorithm has one body, and the single entries are its one-rank
- * case. naive_body runs the plain recursion once per rank and sums its
- * counters (naive_ranks, select_naive). normal_body evaluates the max-min
- * normal form that the memoized and the full-range recursion share, the
- * first maximum of the leaf minima, in one pass of leaf_max over a window
- * of subset sizes: n * min(K, rank) steps on K + 1 doubles for one rank,
- * K = n - rank + 1, and n(n + 1)/2 for every rank (normal_forms,
- * select_fullrange).
+ * Each algorithm has one body. naive_body runs the plain recursion once
+ * per rank and sums its counters (naive_ranks). normal_body evaluates the
+ * max-min normal form that the memoized and the full-range recursion
+ * share, the first maximum of the leaf minima, in one pass of leaf_max
+ * over a window of subset sizes: n * min(K, rank) steps on K + 1 doubles
+ * for one rank, K = n - rank + 1, and n(n + 1)/2 for every rank
+ * (normal_forms).
  *
  * No kernel counts the memoized recursion. Its counters are a closed form
  * of (n, rank), kept once, in Python ints, as _pykernels._memo_counts, so
  * they never overflow; ordstat.selection adds them only when asked.
- * select_memo, which nothing in the package calls, forwards every call to
- * _pykernels.select_memo, select_fullrange's value and those counters.
+ *
+ * The single-rank entries select_naive, select_fullrange and select_memo
+ * stay for perfbench's tracer and the twin tests; nothing in the package
+ * calls them, and each forwards every call to its _pykernels twin, which
+ * is naive_ranks or normal_forms at one rank (select_memo adds the memo
+ * counters).
  *
  * real_values validates a sequence for ordstat.selection.RealSequence.
  * compile_slp turns a packed straight-line program (see
@@ -49,7 +52,7 @@
 
 typedef unsigned long long u64;
 
-/* ---- select_naive: the plain recursion ------------------------------- */
+/* ---- naive_ranks: the plain recursion -------------------------------- */
 
 static double
 naive(const double *cur, size_t len, size_t m, double *scratch, size_t cap,
@@ -81,7 +84,7 @@ naive(const double *cur, size_t len, size_t m, double *scratch, size_t cap,
 }
 
 
-/* ---- the max-min normal form: select_memo and select_fullrange ------ */
+/* ---- normal_forms: the max-min normal form --------------------------- */
 
 /* With K = n - rank + 1 kept positions, the memoized recursion's deepest
  * level maps each K-subset S of range(n) to the first minimum of xs over
@@ -221,6 +224,12 @@ read_floats(PyObject *values, Py_ssize_t n, int finite, double *out)
     return 1;
 }
 
+/* The op loop's speed depends on where it falls in a 32-byte fetch block,
+ * and the compiler may emit other functions ahead of this one in any
+ * order, so its start is pinned to a 32-byte boundary. */
+#if defined(__GNUC__)
+__attribute__((aligned(32)))
+#endif
 static PyObject *
 run_slp(PyObject *self, PyObject *values)
 {
@@ -402,18 +411,19 @@ compile_slp(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 /* A list or tuple, of exact types, whose items are all exact finite floats
  * comes back as a tuple in one pass, a tuple as itself: float() returns an
  * exact float unchanged, so that is the tuple _pykernels.real_values
- * builds from it. Any other input, an empty or non-finite one included,
- * is forwarded to that function. */
+ * builds from it. Any other call, an empty or non-finite input or a wrong
+ * number of arguments included, is forwarded to that function. */
 static PyObject *
-real_values(PyObject *module, PyObject *values)
+real_values(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
+    PyObject *values = nargs == 1 ? args[0] : NULL;
     Py_ssize_t n;
 
-    n = PyTuple_CheckExact(values) || PyList_CheckExact(values)
+    n = values != NULL && (PyTuple_CheckExact(values) || PyList_CheckExact(values))
         ? PySequence_Fast_GET_SIZE(values) : 0;
     if (n > 0 && read_floats(values, n, 1, NULL))
         return PyTuple_CheckExact(values) ? Py_NewRef(values) : PyList_AsTuple(values);
-    return forward("real_values", &values, 1);
+    return forward("real_values", args, nargs);
 }
 
 
@@ -429,30 +439,23 @@ typedef struct {
 } Args;
 
 /* Reads an entry's two arguments into *a when they are exact: values a
- * tuple or list of exact floats, then a rank, or a tuple or list of ranks
- * when many is set, each an exact int in 1..n. Returns 1 when read, 0 when
- * they are not exact, with nothing to free, and -1 on MemoryError. */
+ * tuple or list of exact floats, then a tuple or list of ranks, each an
+ * exact int in 1..n. Returns 1 when read, 0 when they are not exact, with
+ * nothing to free, and -1 on MemoryError. */
 static int
-read_exact(PyObject *const *args, Py_ssize_t nargs, int many, Args *a)
+read_exact(PyObject *const *args, Py_ssize_t nargs, Args *a)
 {
-    PyObject *values, *const *rank;
-    Py_ssize_t n, m = 1, i;
+    PyObject **rank;
+    Py_ssize_t n, m, i;
     long r;
     int overflow;
 
-    if (nargs != 2)
+    if (nargs != 2 || !(PyTuple_CheckExact(args[0]) || PyList_CheckExact(args[0]))
+            || !(PyTuple_CheckExact(args[1]) || PyList_CheckExact(args[1])))
         return 0;
-    values = args[0];
-    rank = args + 1;
-    if (many) {
-        if (!PyTuple_CheckExact(args[1]) && !PyList_CheckExact(args[1]))
-            return 0;
-        rank = PySequence_Fast_ITEMS(args[1]);
-        m = PySequence_Fast_GET_SIZE(args[1]);
-    }
-    if (!PyTuple_CheckExact(values) && !PyList_CheckExact(values))
-        return 0;
-    n = PySequence_Fast_GET_SIZE(values);
+    n = PySequence_Fast_GET_SIZE(args[0]);
+    m = PySequence_Fast_GET_SIZE(args[1]);
+    rank = PySequence_Fast_ITEMS(args[1]);
     a->xs = PyMem_Malloc((size_t)(n + m) * sizeof(double) + (size_t)m * sizeof(size_t));
     if (a->xs == NULL) {
         PyErr_NoMemory();
@@ -468,7 +471,7 @@ read_exact(PyObject *const *args, Py_ssize_t nargs, int many, Args *a)
             break;
         a->ranks[i] = (size_t)r;
     }
-    if (i == m && read_floats(values, n, 0, a->xs))
+    if (i == m && read_floats(args[0], n, 0, a->xs))
         return 1;
     PyMem_Free(a->xs);
     return 0;
@@ -527,15 +530,13 @@ normal_body(Args *a)
     return 0;
 }
 
-/* The value found at the one rank, or the tuple of those at many. */
+/* The tuple of the values found, one per rank. */
 static PyObject *
-found_values(const Args *a, int many)
+found_values(const Args *a)
 {
     PyObject *out, *f;
     Py_ssize_t i;
 
-    if (!many)
-        return PyFloat_FromDouble(a->found[0]);
     out = PyTuple_New(a->m);
     for (i = 0; out != NULL && i < a->m; i++) {
         f = PyFloat_FromDouble(a->found[i]);
@@ -548,17 +549,17 @@ found_values(const Args *a, int many)
 }
 
 static PyObject *
-naive_entry(PyObject *const *args, Py_ssize_t nargs, const char *name, int many)
+naive_ranks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Args a;
     u64 recursive = 0, base = 0;
     PyObject *values, *out = NULL;
-    int status = read_exact(args, nargs, many, &a);
+    int status = read_exact(args, nargs, &a);
 
     if (status <= 0)
-        return status == 0 ? forward(name, args, nargs) : NULL;
+        return status == 0 ? forward("naive_ranks", args, nargs) : NULL;
     if (naive_body(&a, &recursive, &base) == 0) {
-        values = found_values(&a, many);
+        values = found_values(&a);
         if (values != NULL)
             out = Py_BuildValue("(NKK)", values, recursive, base);
     }
@@ -567,45 +568,34 @@ naive_entry(PyObject *const *args, Py_ssize_t nargs, const char *name, int many)
 }
 
 static PyObject *
-normal_entry(PyObject *const *args, Py_ssize_t nargs, const char *name, int many)
+normal_forms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Args a;
     PyObject *out = NULL;
-    int status = read_exact(args, nargs, many, &a);
+    int status = read_exact(args, nargs, &a);
 
     if (status <= 0)
-        return status == 0 ? forward(name, args, nargs) : NULL;
+        return status == 0 ? forward("normal_forms", args, nargs) : NULL;
     if (normal_body(&a) == 0)
-        out = found_values(&a, many);
+        out = found_values(&a);
     PyMem_Free(a.xs);
     return out;
 }
 
+/* The single-rank entries: nothing in the package calls them, so every
+ * call is the reference's, which is the many-rank entry at one rank. */
 static PyObject *
 select_naive(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    return naive_entry(args, nargs, "select_naive", 0);
-}
-
-static PyObject *
-naive_ranks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    return naive_entry(args, nargs, "naive_ranks", 1);
+    return forward("select_naive", args, nargs);
 }
 
 static PyObject *
 select_fullrange(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    return normal_entry(args, nargs, "select_fullrange", 0);
+    return forward("select_fullrange", args, nargs);
 }
 
-static PyObject *
-normal_forms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    return normal_entry(args, nargs, "normal_forms", 1);
-}
-
-/* Nothing in the package calls it: every call is the reference's. */
 static PyObject *
 select_memo(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -615,7 +605,7 @@ select_memo(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef methods[] = {
     {"select_naive", (PyCFunction)(void (*)(void))select_naive, METH_FASTCALL,
      "select_naive(values, rank) -> (value, recursive_calls, base_case_calls)\n\n"
-     "Plain elimination recursion."},
+     "ordstat._pykernels.select_naive: naive_ranks at one rank."},
     {"select_memo", (PyCFunction)(void (*)(void))select_memo, METH_FASTCALL,
      "select_memo(values, rank) -> (value, recursive_calls, base_case_calls, "
      "memo_hits)\n\nordstat._pykernels.select_memo: select_fullrange's "
@@ -624,17 +614,17 @@ static PyMethodDef methods[] = {
     {"select_fullrange", (PyCFunction)(void (*)(void))select_fullrange,
      METH_FASTCALL,
      "select_fullrange(values, rank) -> value\n\n"
-     "Elimination over every position: the same first maximum of the leaf "
-     "minima as select_memo, without counters."},
+     "ordstat._pykernels.select_fullrange: normal_forms at one rank."},
     {"normal_forms", (PyCFunction)(void (*)(void))normal_forms, METH_FASTCALL,
      "normal_forms(values, ranks) -> tuple of values\n\n"
-     "select_fullrange's value at each rank, in the order given, from one "
-     "fold over the window of their subset sizes."},
+     "The max-min normal form, which the memoized and the full-range "
+     "recursion share, at each rank, in the order given, from one fold over "
+     "the window of their subset sizes."},
     {"naive_ranks", (PyCFunction)(void (*)(void))naive_ranks, METH_FASTCALL,
      "naive_ranks(values, ranks) -> (values, recursive_calls, base_case_calls)"
-     "\n\nselect_naive at each rank, in the order given; the counters are "
-     "the sums of the single calls'."},
-    {"real_values", real_values, METH_O,
+     "\n\nThe plain recursion at each rank, in the order given; the "
+     "counters are summed over the ranks."},
+    {"real_values", (PyCFunction)(void (*)(void))real_values, METH_FASTCALL,
      "real_values(values) -> tuple of floats\n\n"
      "A list or tuple of finite floats as a tuple, a tuple as itself; any "
      "other input as ordstat._pykernels.real_values reads or refuses it."},

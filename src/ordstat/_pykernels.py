@@ -10,39 +10,41 @@ as given, to the entry of the same name here. Only a compiled formula
 must run in C, so compile_slp and its formulas read back what _packed
 and _inputs return: the program or the inputs in exact form.
 
-The three select_* entry points take an already-validated sequence of
-finite floats and a 1-based rank, an int or any object with __index__;
-a rank out of range, however large, raises ValueError. Each value is
-read as _real reads it, so any number gives a float and a str is
-refused. normal_forms and naive_ranks take an iterable of such ranks
-instead, keep their order and duplicates, and raise the single entries'
-errors. Counter semantics, shared by both backends, are what the
-memoized recursion would count:
+The package calls four entries: the two selection kernels, naive_ranks
+and normal_forms, then real_values and compile_slp. Both selection
+kernels take an already-validated sequence of finite floats and an
+iterable of 1-based ranks, each an int or any object with __index__,
+keep their order and duplicates, and raise ValueError for a rank out of
+range, however large. Each value is read as _real reads it, so any
+number gives a float and a str is refused. Counter semantics, shared
+by both backends, are what the memoized recursion would count:
 
   * recursive_calls  counts every entry into the recursion,
   * base_case_calls  counts rank-1 entries that compute a minimum,
   * memo_hits        counts entries answered from the cache.
 
-Each algorithm has one body here, as in the C twin, and each single
-entry is its one-rank case. naive_ranks runs the plain recursion once
-per rank and sums its counters; select_naive is naive_ranks at one rank.
-normal_forms runs neither the memoized nor the full-range recursion:
-every fold level takes a maximum, so both have the same max-min normal
-form, the first maximum of the leaf minima. min distributes over that
-maximum, so _leaf_max folds it in one pass over the reversed values
-without building a leaf: N * min(K, rank) steps for one rank,
-K = N - rank + 1. The pass fills every subset size at once, so
-normal_forms reads all its ranks off one pass over the window of their
-sizes: N(N + 1)/2 steps for every rank. select_fullrange is normal_forms
-at one rank, so it runs the memo normal form too; a test pins it to a
-plain full-range recursion over {-0.0, 0.0, 1.0}^N, N <= 6.
+Each algorithm has one body here, as in the C twin. naive_ranks runs the
+plain recursion once per rank and sums its counters. normal_forms runs
+neither the memoized nor the full-range recursion: every fold level
+takes a maximum, so both have the same max-min normal form, the first
+maximum of the leaf minima. min distributes over that maximum, so
+_leaf_max folds it in one pass over the reversed values without building
+a leaf: N * min(K, rank) steps for one rank, K = N - rank + 1. The pass
+fills every subset size at once, so normal_forms reads all its ranks off
+one pass over the window of their sizes: N(N + 1)/2 steps for every
+rank; a test pins it to a plain full-range recursion over
+{-0.0, 0.0, 1.0}^N, N <= 6.
 
 The memo counters are a closed form of (N, rank), and _memo_counts is its
 one copy on both backends, in Python ints, so no counter overflows.
-ordstat.selection adds them only when stats are asked for. The
-select_memo entry returns select_fullrange's value and these counters,
-and the C twin's forwards every call to it; nothing in ordstat calls it,
-and perfbench's tracer reads its counters.
+ordstat.selection adds them only when stats are asked for.
+
+The single-rank entries take one rank and raise the many-rank entries'
+errors: select_naive is naive_ranks at one rank, select_fullrange is
+normal_forms at one rank, and select_memo is select_fullrange's value
+with the memo counters. Nothing in ordstat calls them. They stay for
+perfbench's tracer, which wraps them by name, and for the twin tests, and
+the C twin forwards every call of each to the entry here.
 
 compile_slp turns a packed straight-line program into a callable. The
 program is checked once, by _check_slp, which also checks every
@@ -50,7 +52,8 @@ expr.CompiledProgram; both twins then run it on a register file, one
 loop over its (op, a, b) triples that checks every value. Here that loop
 is _run_slp, the one Python loop that runs programs: expr.interpret_slp
 and expr.eval_expr run in it too, so it is the reference the C twin is
-tested against, as the select_* functions here are for its kernels.
+tested against, as naive_ranks and normal_forms here are for its
+kernels.
 
 real_values validates a sequence for ordstat.selection.RealSequence and
 is the one copy of that check. A str, bytes or bytearray is text, not a
@@ -157,9 +160,9 @@ def _naive(xs, m, counters):
 
 
 def naive_ranks(values, ranks):
-    """select_naive at each rank, in the order given. Returns (values,
-    recursive_calls, base_case_calls), the counters summed over the
-    ranks."""
+    """The plain recursion at each rank, in the order given. Returns
+    (values, recursive_calls, base_case_calls), the counters summed over
+    the ranks."""
     xs, ranks = _checked(values, ranks)
     counters = [0, 0]
     found = tuple([_naive(xs, rank, counters) for rank in ranks])

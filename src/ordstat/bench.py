@@ -207,9 +207,10 @@ def backend_table(length: int, rank: int, *, repeats: int = 5, budget: int | Non
     """Time the naive and memoized kernels of every available backend
     (pure Python, and the compiled extension when built) on one input.
 
-    Modes are labeled like "memo[python]" or "naive[cython]". A memo row
-    times the kernel's select_fullrange, which is what select_memo runs.
-    All backends must agree exactly on the result.
+    Modes are labeled like "memo[python]" or "naive[cython]". Each row
+    times the entry the selectors call at this one rank: a naive row the
+    kernel's naive_ranks, a memo row its normal_forms, which is what
+    select_memo runs. All backends must agree exactly with the oracle.
     """
     length = _integral(length, ValueError, "length")
     rank = _check_rank(rank, length)
@@ -222,8 +223,8 @@ def backend_table(length: int, rank: int, *, repeats: int = 5, budget: int | Non
     records = []
     for name in available_backends():
         kern = get_kernels(name)
-        for mode, run in (("naive", lambda: kern.select_naive(values, rank)[0]),
-                          ("memo", lambda: kern.select_fullrange(values, rank))):
+        for mode, run in (("naive", lambda: kern.naive_ranks(values, (rank,))[0][0]),
+                          ("memo", lambda: kern.normal_forms(values, (rank,))[0])):
             got = run()
             if got != expected:
                 raise OrdstatError(

@@ -9,18 +9,24 @@ elimination indices are all 1-based.
 Two evaluation strategies share that recursion: select_naive re-solves
 every subproblem, select_memo returns what the recursion memoized on the
 set of surviving original positions returns, as the first maximum of its
-leaf minima, from the kernel's select_fullrange, whose recursion has the
-same normal form. Both compare elements directly, so results are exact
-copies of input values. The memo counters are a closed form of (N, n),
-_pykernels._memo_counts, the one copy on both backends: _add_memo_counts
-adds them, in Python ints, only when ``stats`` is passed, so they cost
-nothing otherwise and never overflow. select_ranks selects several
-ranks of one sequence in one call: it validates the sequence and
-resolves the budget once, then makes one kernel call for every rank,
-whose normal-form modes read all the ranks off one fold pass. median
-runs its two halves on the sequence it validated, and exhaustive_verify
-runs _checked_ranks once per length and _select_checked once per
-sequence. The two-argument identities
+leaf minima, from the kernel's normal_forms: that max-min normal form is
+the full-range recursion's too. Both compare elements directly, so
+results are exact copies of input values. The memo counters are a closed
+form of (N, n), _pykernels._memo_counts, the one copy on both backends:
+_add_memo_counts adds them, in Python ints, only when ``stats`` is
+passed, so they cost nothing otherwise and never overflow.
+
+The selectors reach four kernel entries: real_values, which validates
+every sequence, the many-rank naive_ranks and normal_forms, and, through
+ordstat.expr, compile_slp. select_ranks selects several ranks of one
+sequence in one call: it validates the sequence and resolves the budget
+once, then _select_checked makes one kernel call for every rank, whose
+normal-form modes read all the ranks off one fold pass, and adds the
+counters. select_naive and select_fullrange are _select_checked at one
+rank; select_memo, the hot path, calls normal_forms at its one rank
+itself. median runs select_ranks' two halves on the sequence it
+validated, and exhaustive_verify runs _checked_ranks once per length and
+_select_checked once per sequence. The two-argument identities
 
     min(a, b) = (a + b - |a - b|) / 2
     max(a, b) = (a + b + |a - b|) / 2
@@ -254,11 +260,7 @@ def select_naive(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq.values))
     _check_naive_budget(len(seq.values), rank, resolve_budget(budget))
-    value, recursive, base = _backend.kernels().select_naive(seq.values, rank)
-    if stats is not None:
-        stats.recursive_calls += recursive
-        stats.base_case_calls += base
-    return value
+    return _select_checked(seq.values, [rank], "naive", stats)[0]
 
 
 def _add_memo_counts(stats: EvalStats, n_len: int, ranks) -> None:
@@ -282,9 +284,9 @@ def select_memo(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     memo_state_count(N, rank) of them, and the budget bounds that number.
     Every level above its minima takes a max, so both backends evaluate
     its max-min normal form, the first maximum of the leaf minima, with
-    the kernel's select_fullrange; min distributes over that max, so it
-    is one pass over the values, N * min(K, rank) comparisons with
-    K = N - rank + 1, for any N. Only when ``stats`` is passed are the
+    the kernel's normal_forms at this one rank; min distributes over that
+    max, so it is one pass over the values, N * min(K, rank) comparisons
+    with K = N - rank + 1, for any N. Only when ``stats`` is passed are the
     counters the memoized recursion would count added to it, from the
     closed form _memo_counts in Python ints, the same on both backends
     and for any N.
@@ -292,7 +294,7 @@ def select_memo(rank: int, seq: SequenceLike, stats: EvalStats | None = None,
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq.values))
     _check_memo_budget(len(seq.values), rank, resolve_budget(budget))
-    value = _backend.kernels().select_fullrange(seq.values, rank)
+    value = _backend.kernels().normal_forms(seq.values, (rank,))[0]
     if stats is not None:
         _add_memo_counts(stats, len(seq.values), (rank,))
     return value
@@ -302,15 +304,15 @@ def select_fullrange(rank: int, seq: SequenceLike, *, budget: int | None = None)
     """Diagnostic selector that scans every elimination index at each level
     instead of stopping at N - n + 2. Its recursion reaches the same
     leaves as select_memo's in the same order, so it has the same max-min
-    normal form: select_memo takes its value from this selector's kernel
-    entry, and both agree with select_naive bit for bit. The
+    normal form, and both take their value from the kernel's normal_forms
+    at this one rank; both agree with select_naive bit for bit. The
     verification suites check it against the sort, and the tests against
     select_naive. Its budget bounds the states the full-range recursion
     would touch."""
     seq = as_real_sequence(seq)
     rank = _check_rank(rank, len(seq.values))
     _check_fullrange_budget(len(seq.values), rank, resolve_budget(budget))
-    return _backend.kernels().select_fullrange(seq.values, rank)
+    return _select_checked(seq.values, [rank], "fullrange")[0]
 
 
 def _checked_ranks(n_len: int, ranks: Iterable[int], mode: str, budget: int | None) -> list:
@@ -340,9 +342,10 @@ def _checked_ranks(n_len: int, ranks: Iterable[int], mode: str, budget: int | No
 
 def _select_checked(values: tuple, ranks: list, mode: str,
                     stats: EvalStats | None = None) -> tuple:
-    """select_ranks' values for validated floats and ranks that
-    _checked_ranks returned for their length and mode: one kernel call,
-    then the counters added to ``stats``."""
+    """select_ranks' values for validated floats and ranks already
+    checked for their length, mode and budget, by _checked_ranks or a
+    single selector: one kernel call, then the counters added to
+    ``stats``. It is the one place that adds kernel counters."""
     if mode == "naive":
         found, recursive, base = _backend.kernels().naive_ranks(values, ranks)
         if stats is not None:

@@ -8,13 +8,14 @@ on seeded random sequences, including adversarial patterns (sorted,
 reverse-sorted, all-equal, values one ulp apart), and additionally holds the
 branchless arithmetic form to a tolerance.
 
-Comparison-based modes must match the oracle bit for bit (they return one
-of the input values). Arithmetic-form checks use an input-scale tolerance:
-|actual - expected| <= tolerance * max(1, max_k |x_k|). Failures record
-(input, rank, expected, actual, mode); median checks use rank 0. The
-expected median of two middle values whose float sum overflows is their
-exact rational mean, rounded once, so a median that overflows to an
-infinity on finite input is a failure.
+Comparison-based modes must equal the oracle under float == (they return
+one of the input values); == takes -0.0 and 0.0 as equal, so the sign of
+a zero result is not checked. Arithmetic-form checks use an input-scale
+tolerance: |actual - expected| <= tolerance * max(1, max_k |x_k|).
+Failures record (input, rank, expected, actual, mode); median checks use
+rank 0. The expected median of two middle values whose float sum
+overflows is their exact rational mean, rounded once, so a median that
+overflows to an infinity on finite input is a failure.
 
 Each suite call resolves the selection budget (ORDSTAT_BUDGET) once, for
 its selections and formula builds alike, and validates each sequence
@@ -376,8 +377,9 @@ def random_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = False)
 
     Each trial draws a length, a value pattern, and a rank, then checks the
     memoized and full-range modes, the compiled minmax form, the median, and
-    (when its call count is small) the naive mode, all bit-exactly. The
-    compiled arithmetic form is held to plan.tolerance at input scale.
+    (when its call count is small) the naive mode, all for equality with
+    the oracle under ==, which does not tell -0.0 from 0.0. The compiled
+    arithmetic form is held to plan.tolerance at input scale.
     """
     if plan is None:
         plan = VerifyPlan()

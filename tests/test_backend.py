@@ -125,7 +125,7 @@ def test_twins_expose_the_same_entry_points(compiled_build_error):
 
 # The FASTCALL entries and how many positional arguments each takes.
 ARITY = {"select_naive": 2, "select_memo": 2, "select_fullrange": 2,
-         "normal_forms": 2, "naive_ranks": 2, "compile_slp": 4}
+         "normal_forms": 2, "naive_ranks": 2, "real_values": 1, "compile_slp": 4}
 
 
 @pytest.mark.parametrize("shift", ["none", "one-short", "one-over"])
@@ -619,6 +619,36 @@ def test_package_input_stays_on_the_fast_path(compiled_build_error, monkeypatch)
     assert calls == dict.fromkeys(READERS, 0)
 
 
+def test_package_reaches_only_four_kernel_entries(backend, monkeypatch):
+    # The single-rank entries stay for perfbench's tracer and the twin
+    # tests: every public selector, both verify suites and a compiled
+    # formula reach the kernels through these four.
+    kern = get_kernels(backend)
+    calls = set()
+
+    class Recording:
+        """The active kernels, recording every entry the package looks up."""
+
+        def __getattr__(self, name):
+            calls.add(name)
+            return getattr(kern, name)
+
+    monkeypatch.setattr(_backend, "_active", Recording())
+    values = [3.0, 1.0, 2.0, 5.0, 4.0]
+    for stats in (None, ordstat.EvalStats()):
+        assert ordstat.select_naive(2, values, stats) == ordstat.select_memo(2, values, stats) == 2.0
+        for mode in ("naive", "memo", "fullrange"):
+            assert ordstat.select_ranks(values, [1, 3, 5], mode=mode, stats=stats) == (1.0, 3.0, 5.0)
+        for mode in ("naive", "memo"):
+            assert ordstat.median(values, mode=mode, stats=stats) == 3.0
+    assert ordstat.select_fullrange(2, values) == 2.0
+    assert ordstat.exhaustive_verify(ordstat.VerifyPlan(max_n=3, alphabet=(-0.0, 0.0, 1))).ok
+    assert ordstat.random_verify(ordstat.VerifyPlan(max_n=6, random_trials=30, seed=3)).ok
+    formula = ordstat.compile_to_pyfunc(ordstat.build_selection_expr(5, 3))
+    assert formula(values) == 3.0
+    assert calls == {"real_values", "normal_forms", "naive_ranks", "compile_slp"}
+
+
 def reader_cases(kern):
     """name -> (the reader it goes to, a call with input the compiled fast
     path does not take, the same call on that input normalized)."""
@@ -657,8 +687,8 @@ def test_other_input_is_read_once_by_the_reader(compiled_build_error, monkeypatc
     reader, other, normalized = reader_cases(get_kernels("cython"))[case]
     calls = count_reader_calls(monkeypatch)
     want = typed(normalized())
-    # The compiled select_memo forwards every call, exact ones too.
-    forwarded = int(case.startswith("select_memo"))
+    # The compiled single-rank entries forward every call, exact ones too.
+    forwarded = int(case.startswith("select_"))
     assert calls == {**dict.fromkeys(READERS, 0), reader: forwarded}
     assert typed(other()) == want
     assert calls == {**dict.fromkeys(READERS, 0), reader: forwarded + 1}

@@ -77,6 +77,22 @@ class TestBackendTable:
         with pytest.raises(BudgetError):
             o.backend_table(30, 15, repeats=1)
 
+    def test_compiled_rows_run_c(self, compiled_build_error, monkeypatch):
+        # The compiled rows time the many-rank entries, which answer exact
+        # input in C, not a single-rank entry that forwards to Python.
+        if compiled_build_error is not None:
+            pytest.skip(f"compiled kernels unavailable: {compiled_build_error}")
+        from ordstat import _pykernels, bench
+
+        def refuse(*args):
+            raise AssertionError("a pure-Python kernel ran")
+
+        monkeypatch.setattr(bench, "available_backends", lambda: ("cython",))
+        for name in ("naive_ranks", "normal_forms", "select_naive", "select_fullrange"):
+            monkeypatch.setattr(_pykernels, name, refuse)
+        records = o.backend_table(6, 3, repeats=1)
+        assert [r.mode for r in records] == ["naive[cython]", "memo[cython]"]
+
 
 class TestIntegralSizes:
     # Sizes that equal an integer are taken as that int, as

@@ -396,7 +396,7 @@ class TestMemoCountersOnRequest:
             assert o.select_memo(rank, range(length)) == rank - 1
             # The sequence is validated by the kernels' real_values, and
             # then one kernel call selects.
-            assert calls == ["real_values", "select_fullrange"]
+            assert calls == ["real_values", "normal_forms"]
 
     def test_counters_equal_the_memoized_recursion(self, backend):
         for length in range(1, 10):
