@@ -24,9 +24,13 @@ once, then _select_checked makes one kernel call for every rank, whose
 normal-form modes read all the ranks off one fold pass, and adds the
 counters. select_naive and select_fullrange are _select_checked at one
 rank; select_memo, the hot path, calls normal_forms at its one rank
-itself. median runs select_ranks' two halves on the sequence it
-validated, and exhaustive_verify runs _checked_ranks once per length and
-_select_checked once per sequence. The two-argument identities
+itself. median runs in two halves of its own on the sequence it
+validated: _median_ranks, which checks its mode and then runs
+_checked_ranks on the middle ranks, and _median_checked, which runs
+_select_checked on them and takes the middle value or mean.
+exhaustive_verify runs _checked_ranks and _median_ranks once per length,
+and _select_checked and _median_checked once per sequence. The
+two-argument identities
 
     min(a, b) = (a + b - |a - b|) / 2
     max(a, b) = (a + b + |a - b|) / 2
@@ -384,26 +388,44 @@ def select_ranks(seq: SequenceLike, ranks: Iterable[int], *, mode: str = "memo",
     return _select_checked(seq.values, ranks, mode, stats)
 
 
+def _median_ranks(n_len: int, mode: str, budget: int | None) -> list:
+    """The middle rank, or the two middle ranks, of n_len values, checked
+    for the mode, rank and budget as median checks them, each raising
+    median's error. The result depends only on the arguments, so one call
+    serves every sequence of a length."""
+    if mode not in ("memo", "naive"):
+        raise ValueError(f"mode must be one of ['memo', 'naive'], got {mode!r}")
+    half = n_len // 2
+    return _checked_ranks(n_len, (half, half + 1) if n_len % 2 == 0 else (half + 1,),
+                          mode, budget)
+
+
+def _median_checked(values: tuple, ranks: list, mode: str = "memo",
+                    stats: EvalStats | None = None) -> float:
+    """median's value for validated floats and the ranks _median_ranks
+    gave for their length: one _select_checked call, then the middle
+    value, or the mean of the two middle values."""
+    found = _select_checked(values, ranks, mode, stats)
+    if len(found) == 1:
+        return found[0]
+    lo, hi = found
+    mid = (lo + hi) / 2
+    return mid if math.isfinite(mid) else lo / 2 + hi / 2
+
+
 def median(seq: SequenceLike, *, mode: str = "memo",
            stats: EvalStats | None = None, budget: int | None = None) -> float:
     """Median via selection: the middle rank for odd length, the average of
-    the two middle ranks for even length, from select_ranks' two halves,
-    _checked_ranks and _select_checked, on the sequence validated once. In
+    the two middle ranks for even length. It runs in two halves on the
+    sequence validated once: _median_ranks checks the mode, the middle
+    ranks and their budget, and _median_checked makes one kernel call for
+    them and takes the middle value or the mean. exhaustive_verify runs
+    the first half once per length and the second once per sequence. In
     memo mode both middle ranks come from one pass of the normal-form
     fold, which costs about as much as one. ``mode`` is naive or memo.
     The average of two finite values is finite: where their sum
     overflows, it is taken as the sum of their halves, which are exact
     there, so it is still the correctly rounded mean."""
     seq = as_real_sequence(seq)
-    if mode not in ("memo", "naive"):
-        raise ValueError(f"mode must be one of ['memo', 'naive'], got {mode!r}")
-    n_len = len(seq.values)
-    half = n_len // 2
-    ranks = _checked_ranks(n_len, (half, half + 1) if n_len % 2 == 0 else (half + 1,),
-                           mode, budget)
-    found = _select_checked(seq.values, ranks, mode, stats)
-    if n_len % 2 == 1:
-        return found[0]
-    lo, hi = found
-    mid = (lo + hi) / 2
-    return mid if math.isfinite(mid) else lo / 2 + hi / 2
+    ranks = _median_ranks(len(seq.values), mode, budget)
+    return _median_checked(seq.values, ranks, mode, stats)

@@ -19,7 +19,9 @@ overflows to an infinity on finite input is a failure.
 
 Each suite call resolves the selection budget (ORDSTAT_BUDGET) once, for
 its selections and formula builds alike, and validates each sequence
-once, as a RealSequence that every selector of that sequence reuses.
+once: random_verify as a RealSequence that every selector of that
+sequence reuses, exhaustive_verify with one call of the kernels'
+real_values, which is what RealSequence stores, without the record.
 Compiled formulas are kept for the process, keyed by the kernel module,
 length, rank and form, and evicted least recently used first once they
 hold more than _CACHE_INSTRUCTIONS SLP instructions in all, so repeated
@@ -29,21 +31,25 @@ lookup, so a warm cache raises what a cold one would. A missing minmax
 formula is built and only its packed program kept; the arithmetic form
 is that program lowered (expr._lower_program) and compiled, so no
 arithmetic graph is built.
-exhaustive_verify runs select_ranks in its two halves: the rank and
-budget checks of each mode (selection._checked_ranks) once per length,
-before the length's first tuple, since they depend on nothing else, and
-then the kernel calls, one per mode and tuple (selection._select_checked).
-The memo and fullrange ranks each come from one pass of the normal-form
-fold, as do the median's, which goes through the public median. Under a
-budget too small for the plan, the first length whose checks fail raises
-the error select_ranks would raise on its first tuple: the naive ranks
-are all checked before any memo rank, and every mode before any formula
-of that length, whose formulas are fetched in rank order before its
-first tuple.
+exhaustive_verify runs select_ranks and median each in their two
+halves: the rank and budget checks of each mode (selection._checked_ranks)
+and of the median's middle ranks (selection._median_ranks) once per
+length, before the length's first tuple, since they depend on nothing
+else, and then the kernel calls, one per mode and tuple
+(selection._select_checked) and one per tuple for the median
+(selection._median_checked). The memo and fullrange ranks each come from
+one pass of the normal-form fold, as do the median's. Under a budget too
+small for the plan, the first length whose checks fail raises the error
+select_ranks would raise on its first tuple: the naive ranks are all
+checked before any memo rank, and every mode before any formula of that
+length, whose formulas are fetched in rank order before its first tuple.
+The middle ranks are memo ranks already checked, so their check, after
+the three modes, never fails first.
 
 exhaustive_verify checks each length column by column, in chunks of
-_CHUNK tuples: each tuple is validated and sorted once, one map per mode,
-per rank's formula and for the median makes a column over the chunk,
+_CHUNK tuples: each tuple is validated by one real_values call and sorted
+once, one map per mode, per rank's formula and for the median makes a
+column over the chunk,
 and each column is compared whole with the sorted rows by list equality,
 which is == on floats as a per-tuple != would be. Only a chunk with a
 mismatch is walked again tuple by tuple, so its failures come in the
@@ -76,6 +82,8 @@ from .selection import (
     _check_rank,
     _checked_ranks,
     _integral,
+    _median_checked,
+    _median_ranks,
     _select_checked,
     as_real_sequence,
     median,
@@ -276,10 +284,11 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
     the harness detects broken selectors.
 
     Each length's tuples are checked in chunks of _CHUNK, column by
-    column: each tuple is validated and sorted once, each mode's rows
-    come from one map of _select_checked, each rank's formula results and
-    the medians from one map each, and every column is compared whole
-    with the sorted rows. A chunk with a mismatch is walked tuple by
+    column: each tuple is validated by the kernels' real_values and
+    sorted once, each mode's rows come from one map of _select_checked,
+    each rank's formula results from one map each, the medians from one
+    map of _median_checked, and every column is compared whole with the
+    sorted rows. A chunk with a mismatch is walked tuple by
     tuple, so failures come in the order of a per-tuple loop.
     """
     if plan is None:
@@ -297,7 +306,7 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
     limit = resolve_budget()
 
     exprs = _formulas(limit)
-    middle = functools.partial(median, budget=limit)
+    real_values = _backend.kernels().real_values
     failures = []
     cases = 0
     for length in range(1, plan.max_n + 1):
@@ -307,11 +316,11 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
             "naive", limit)
         memo_ranks = _checked_ranks(length, ranks, "memo", limit)
         full_ranks = _checked_ranks(length, ranks, "fullrange", limit)
+        middle_ranks = _median_ranks(length, "memo", limit)
         formulas = [exprs(length, rank, "minmax") for rank in ranks]
         tuples = itertools.product(plan.alphabet, repeat=length)
         while chunk := list(itertools.islice(tuples, _CHUNK)):
-            seqs = list(map(RealSequence, chunk))
-            values = [seq.values for seq in seqs]
+            values = list(map(real_values, chunk))
             rows = list(map(tuple, map(sorted, chunk)))
             columns = [list(map(_select_checked, values, itertools.repeat(checked),
                                 itertools.repeat(mode)))
@@ -320,7 +329,7 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
             # be built by resizing, and each one freed would stay on the free
             # list of its final size, up to 2000 of each size for good.
             columns.append(list(zip(*[list(map(formula, chunk)) for formula in formulas])))
-            medians = list(map(middle, seqs))
+            medians = list(map(_median_checked, values, itertools.repeat(middle_ranks)))
             middles = list(map(_middle_mean, rows))
             if not (all(rows == column for column in columns) and medians == middles):
                 failures += _chunk_failures(chunk, rows, columns, medians, middles)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -202,14 +203,14 @@ def corrupt_formula(monkeypatch, rank):
 
 
 def corrupt_median(monkeypatch):
-    real = o.verify.median
+    real = o.verify._median_checked
 
-    def corrupting(seq, **kwargs):
-        if tuple(o.as_real_sequence(seq).values) == TARGET:
+    def corrupting(values, ranks, *rest):
+        if tuple(values) == TARGET:
             return WRONG
-        return real(seq, **kwargs)
+        return real(values, ranks, *rest)
 
-    monkeypatch.setattr(o.verify, "median", corrupting)
+    monkeypatch.setattr(o.verify, "_median_checked", corrupting)
 
 
 class TestChunks:
@@ -239,6 +240,32 @@ class TestChunks:
                    if param.values[:2] == ("exhaustive", fault)]
         report = o.exhaustive_verify(GOLDEN_PLANS["exhaustive"][1], inject_fault=fault)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    def test_off_by_one_middle_ranks_fail_only_the_median(self, backend, monkeypatch):
+        # Each middle rank one up, wrapping: length 1 keeps rank 1, and
+        # length 2's swapped ranks give the same mean, so only lengths 3
+        # and 4 can fail, wherever the two ranks' values differ.
+        real = o.verify._median_ranks
+
+        def shifted(n_len, mode, budget):
+            return [rank % n_len + 1 for rank in real(n_len, mode, budget)]
+
+        monkeypatch.setattr(o.verify, "_median_ranks", shifted)
+        monkeypatch.setattr(o.verify, "_CHUNK", 7)
+        report = o.exhaustive_verify(CHUNK_PLAN)
+        want = []
+        for length in range(1, CHUNK_PLAN.max_n + 1):
+            for combo in itertools.product(CHUNK_PLAN.alphabet, repeat=length):
+                row = sorted(combo)
+                picked = [row[rank - 1] for rank in shifted(length, "memo", None)]
+                actual = picked[0] if len(picked) == 1 else (picked[0] + picked[1]) / 2
+                if actual != o.verify._oracle_median(combo):
+                    want.append(o.VerifyFailure(
+                        combo, 0, o.verify._oracle_median(combo), actual, "median"))
+        assert {f.mode for f in report.failures} == {"median"}
+        assert len(report.failures) == 81
+        assert report.failures == tuple(want)
+        assert report.cases_run == 3 * 2 + 9 * 3 + 27 * 4 + 81 * 5
 
     def test_clean_chunks_are_not_walked(self, backend, monkeypatch):
         # Whole-column compares settle a clean chunk; the tuple-by-tuple
@@ -545,19 +572,52 @@ class TestMedianNearOverflow:
     def test_overflowing_median_caught(self, backend, monkeypatch):
         # The median of the code before the fix: (lo + hi) / 2, which is
         # an infinity when both middle values are large and of one sign.
-        def overflowing(seq, *, budget=None):
-            values = sorted(o.as_real_sequence(seq).values)
+        def overflowing(values, ranks, *rest):
+            values = sorted(values)
             half = len(values) // 2
             if len(values) % 2:
                 return values[half]
             return (values[half - 1] + values[half]) / 2
 
-        monkeypatch.setattr(o.verify, "median", overflowing)
+        monkeypatch.setattr(o.verify, "_median_checked", overflowing)
         report = o.exhaustive_verify(VerifyPlan(max_n=2, alphabet=self.ALPHABET))
         assert not report.ok
         assert {f.mode for f in report.failures} == {"median"}
         assert {f.actual for f in report.failures} == {math.inf, -math.inf}
         assert all(math.isfinite(f.expected) for f in report.failures)
+
+
+class TestMedianHalves:
+    # exhaustive_verify runs median's two private halves; these pin them
+    # to the public median.
+    ALPHABET = (-1.0, -0.0, 0.0, 1e308, 1.5e308)
+
+    def test_column_equals_the_public_median(self, backend, monkeypatch):
+        # A list: -0.0 == 0.0, so a dict would merge tuples that differ.
+        column = []
+        real = o.verify._median_checked
+
+        def recording(values, ranks, *rest):
+            found = real(values, ranks, *rest)
+            column.append((values, found))
+            return found
+
+        monkeypatch.setattr(o.verify, "_median_checked", recording)
+        assert o.exhaustive_verify(VerifyPlan(max_n=5, alphabet=self.ALPHABET)).ok
+        assert [combo for combo, _ in column] == [
+            combo for length in range(1, 6)
+            for combo in itertools.product(self.ALPHABET, repeat=length)]
+        for combo, found in column:
+            want = o.median(combo)
+            assert (found, math.copysign(1.0, found)) == (want, math.copysign(1.0, want)), combo
+
+    @pytest.mark.parametrize("mode", ["fullrange", "Memo", None])
+    def test_bad_mode_raises_the_median_error(self, mode):
+        with pytest.raises(ValueError) as public:
+            o.median([3.0, 1.0, 2.0], mode=mode)
+        with pytest.raises(ValueError) as half:
+            o.selection._median_ranks(3, mode, None)
+        assert str(half.value) == str(public.value)
 
 
 @pytest.mark.parametrize("tolerance", [math.inf, 10**400], ids=["inf", "10**400"])
