@@ -49,13 +49,12 @@ the three modes, never fails first.
 exhaustive_verify checks each length column by column, in chunks of
 _CHUNK tuples: each tuple is validated by one real_values call and sorted
 once, one map per mode, per rank's formula and for the median makes a
-column over the chunk,
-and each column is compared whole with the sorted rows by list equality,
-which is == on floats as a per-tuple != would be. Only a chunk with a
-mismatch is walked again tuple by tuple, so its failures come in the
-order of a per-tuple loop: tuple, rank, then naive, memo, fullrange and
-expr-minmax, then the median. At most one chunk is held at a time, so
-memory does not grow with the plan.
+column over the chunk, and each column is compared whole with the sorted
+rows by list equality, which is == on floats as a per-tuple != would be.
+Only a chunk with a mismatch is walked again tuple by tuple, so its
+failures come in the order of a per-tuple loop: tuple, rank, then naive,
+memo, fullrange and expr-minmax, then the median. At most one chunk is
+held at a time, so memory does not grow with the plan.
 
 merge_reports combines reports into one whose failure order does not
 depend on the order of the reports; ``ordstat verify`` merges its two
@@ -288,8 +287,8 @@ def exhaustive_verify(plan: VerifyPlan | None = None, *, inject_fault: bool = Fa
     sorted once, each mode's rows come from one map of _select_checked,
     each rank's formula results from one map each, the medians from one
     map of _median_checked, and every column is compared whole with the
-    sorted rows. A chunk with a mismatch is walked tuple by
-    tuple, so failures come in the order of a per-tuple loop.
+    sorted rows. A chunk with a mismatch is walked tuple by tuple, so
+    failures come in the order of a per-tuple loop.
     """
     if plan is None:
         plan = VerifyPlan()

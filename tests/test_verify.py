@@ -259,9 +259,9 @@ class TestChunks:
                 row = sorted(combo)
                 picked = [row[rank - 1] for rank in shifted(length, "memo", None)]
                 actual = picked[0] if len(picked) == 1 else (picked[0] + picked[1]) / 2
-                if actual != o.verify._oracle_median(combo):
-                    want.append(o.VerifyFailure(
-                        combo, 0, o.verify._oracle_median(combo), actual, "median"))
+                expected = o.verify._oracle_median(combo)
+                if actual != expected:
+                    want.append(o.VerifyFailure(combo, 0, expected, actual, "median"))
         assert {f.mode for f in report.failures} == {"median"}
         assert len(report.failures) == 81
         assert report.failures == tuple(want)
